@@ -31,11 +31,11 @@ from .fluidsim import (
 from .generate import GeneratorConfig, generate_instance
 from .mincostflow import (
     INFINITE_CAPACITY,
-    Arc,
     FlowProblem,
     FlowSolution,
     brute_force_mcf,
     check_flow_feasibility,
+    feasibility_cut,
     flow_debug_dict,
     residual_negative_cycle,
     solve_mcf,

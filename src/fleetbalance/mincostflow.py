@@ -1,34 +1,43 @@
 """Minimum-cost flow on dense graphs with real-valued supplies and capacities.
 
-Solver: successive shortest augmenting paths with node potentials.  Arc
-costs must be nonnegative, so every augmenting path search is a Dijkstra
-run over reduced costs; potentials keep reduced costs nonnegative as
-flow accumulates.  Tightly capacitated problems need one search per
-saturating augmentation (thousands on the dense station graphs this
-package builds), so the search itself is delegated to
-``scipy.sparse.csgraph.dijkstra``: each iteration rebuilds only the CSR
-data vector of reduced costs, with unusable residual arcs masked to inf
-and parallel residual arcs between the same node pair collapsed to
-their cheapest usable member.
+Solver: each problem is one linear program handed to HiGHS's dual
+simplex through ``scipy.optimize.linprog``.  The equality constraints
+are the node-arc incidence matrix (+1 at an arc's tail, -1 at its head)
+against the supplies; the bounds are ``0 <= flow <= capacity``.  Before
+the call, supplies are divided by their positive total and costs by
+their maximum, so HiGHS's absolute tolerances act relative to the data;
+flows are scaled back afterwards.  The feasibility tolerances are
+tightened to ``LP_TOL`` (HiGHS's default 1e-7 left balance residuals
+above 1e-7 of the total supply), and presolve is off: dual simplex
+without presolve was the fastest HiGHS setting measured on these
+incidence matrices, and only without presolve does an iteration limit
+take effect.
 
-Supplies and capacities are reals, not integers.  Augmentation stops
-when undelivered supply drops below ``SUPPLY_TOL``; residual capacities
-below ``RESIDUAL_TOL`` are treated as saturated, and flows are snapped
-onto a bound whenever they land within ``RESIDUAL_TOL`` of it so that
-float drift cannot manufacture usable capacity.
+Every optimal answer is certified before it is returned: the equality
+duals of the LP are node potentials ``pi``, and complementary slackness
+requires the reduced cost ``c_ij - pi_i + pi_j`` to be nonnegative on
+every arc below capacity and nonpositive on every arc carrying flow.
+The check is O(arcs) and its tolerance, ``OPTIMALITY_TOL``, is relative
+to the largest arc cost.
 
-Unbounded capacity is written as ``INFINITE_CAPACITY`` (IEEE inf): it
-survives ``capacity - flow`` and ``min`` unharmed because flows stay
-finite, so no arithmetic ever mixes two infinities.
+Feasibility is decided by a max flow through the same routine: a
+super-source feeds every supply node, every demand node drains into a
+super-sink, the problem's arcs cost nothing and one uncapacitated bypass
+arc from source to sink costs 1.  The bypass carries exactly the supply
+that no flow within the capacities can deliver, and the nodes reachable
+from the super-source in the residual graph form a cut that proves it
+(Gale/Hoffman): together they must ship out more than their outgoing
+capacity allows.
 
-Feasibility of a problem is decided separately by a plain max-flow
-(breadth-first augmenting paths from a super-source to a super-sink,
-ignoring costs): the problem is feasible iff the max flow delivers the
-whole supply.  ``brute_force_mcf`` is an independent oracle for tests:
-it enumerates every vertex of the flow polytope (free arcs forming a
-forest, every other arc pinned at 0 or at its capacity) and takes the
-cheapest feasible one.  Exponential; refuses more than 6 nodes or 12
-arcs.
+``scipy.optimize`` is imported inside the solver, not at module level:
+it costs about 0.3 s and 16 MB (2-core x86 machine, Python 3.11,
+SciPy 1.17), which a process pays on its first solve and not on
+``import fleetbalance``.
+
+``brute_force_mcf`` is an independent oracle for tests: it enumerates
+every vertex of the flow polytope (free arcs forming a forest, every
+other arc pinned at 0 or at its capacity) and takes the cheapest
+feasible one.  Exponential; refuses more than 6 nodes or 12 arcs.
 """
 
 from __future__ import annotations
@@ -40,36 +49,35 @@ from typing import Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import SizeLimitError, ValidationError
 
 INFINITE_CAPACITY = math.inf
-SUPPLY_TOL = 1e-9
-RESIDUAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    cost: float
-    capacity: float
+SUPPLY_TOL = 1e-9       # supply imbalance and undeliverable supply, relative to the supply total
+RESIDUAL_TOL = 1e-12    # residual capacity treated as saturated (the cut scales supplies to unit total)
+LP_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances on the scaled LP
+OPTIMALITY_TOL = 1e-9   # reduced-cost slack of the certificate, relative to the largest cost
 
 
 @dataclass(frozen=True, eq=False)
 class FlowProblem:
     """A node set with real supplies and directed capacitated arcs.
 
-    ``supply[i] > 0`` means node ``i`` must ship that much net flow out;
-    negative entries are demands.  Supplies must balance to zero (an
-    unbalanced problem is invalid input, which is different from a
-    balanced problem that is infeasible for lack of capacity).
+    Arc ``k`` runs from ``tail[k]`` to ``head[k]`` at unit cost
+    ``cost[k]`` and carries at most ``capacity[k]`` (``INFINITE_CAPACITY``
+    for none).  ``supply[i] > 0`` means node ``i`` must ship that much
+    net flow out; negative entries are demands.  Supplies must balance
+    to zero (an unbalanced problem is invalid input, which is different
+    from a balanced problem that is infeasible for lack of capacity).
     """
 
     node_count: int
     supply: np.ndarray
-    arcs: tuple[Arc, ...]
+    tail: np.ndarray
+    head: np.ndarray
+    cost: np.ndarray
+    capacity: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.node_count, (int, np.integer)) or self.node_count < 1:
@@ -81,25 +89,37 @@ class FlowProblem:
             raise ValidationError(f"supply must have length {n}, got shape {sup.shape}")
         if not np.all(np.isfinite(sup)):
             raise ValidationError("supply contains non-finite entries")
-        if abs(float(sup.sum())) > SUPPLY_TOL:
+        if abs(float(sup.sum())) > SUPPLY_TOL * float(np.abs(sup).sum()):
             raise ValidationError(f"supplies must sum to zero, got {float(sup.sum()):.3g}")
-        sup.setflags(write=False)
-        object.__setattr__(self, "supply", sup)
 
-        arcs = []
-        for k, arc in enumerate(self.arcs):
-            if not isinstance(arc, Arc):
-                arc = Arc(*arc)
-            if not (0 <= arc.tail < n and 0 <= arc.head < n):
-                raise ValidationError(f"arc {k} endpoints ({arc.tail},{arc.head}) out of range")
-            if arc.tail == arc.head:
-                raise ValidationError(f"arc {k} is a self-loop at node {arc.tail}")
-            if not (np.isfinite(arc.cost) and arc.cost >= 0):
-                raise ValidationError(f"arc {k} cost {arc.cost!r} must be finite and >= 0")
-            if math.isnan(arc.capacity) or arc.capacity < 0:
-                raise ValidationError(f"arc {k} capacity {arc.capacity!r} must be >= 0")
-            arcs.append(Arc(int(arc.tail), int(arc.head), float(arc.cost), float(arc.capacity)))
-        object.__setattr__(self, "arcs", tuple(arcs))
+        tail = np.array(self.tail, dtype=np.int64, copy=True)
+        head = np.array(self.head, dtype=np.int64, copy=True)
+        cost = np.array(self.cost, dtype=float, copy=True)
+        cap = np.array(self.capacity, dtype=float, copy=True)
+        m = tail.shape[0] if tail.ndim == 1 else -1
+        if any(a.shape != (m,) for a in (tail, head, cost, cap)):
+            raise ValidationError(
+                "tail, head, cost and capacity must be vectors of one length, got shapes "
+                f"{tail.shape}, {head.shape}, {cost.shape}, {cap.shape}"
+            )
+        for bad, what in (
+            ((tail < 0) | (tail >= n) | (head < 0) | (head >= n), "endpoints out of range"),
+            (tail == head, "is a self-loop"),
+            (~(np.isfinite(cost) & (cost >= 0)), "cost must be finite and >= 0"),
+            (~(cap >= 0), "capacity must be >= 0"),
+        ):
+            if np.any(bad):
+                k = int(np.flatnonzero(bad)[0])
+                raise ValidationError(
+                    f"arc {k} ({tail[k]}->{head[k]}, cost {cost[k]!r}, capacity {cap[k]!r}) {what}"
+                )
+        for name, arr in (("supply", sup), ("tail", tail), ("head", head), ("cost", cost), ("capacity", cap)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def arc_count(self) -> int:
+        return self.tail.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,263 +135,133 @@ class FlowSolution:
     status: str  # "optimal" | "infeasible"
 
 
-class _ResidualGraph:
-    """Static view of a residual graph: 2 entries per arc (forward, backward).
+def _highs(node_count: int, tail, head, cost, capacity, supply, max_iterations: Optional[int] = None):
+    """Solve the flow LP of data already scaled to unit supply and cost.
 
-    Entries are lexsorted by (tail, head), so parallel residual arcs
-    between the same node pair sit in one contiguous group.  The group
-    structure doubles as a CSR template: Dijkstra sees one edge per
-    group (its cheapest usable member), and a predecessor hop maps back
-    to a group by binary search on ``pair_key``.
+    Returns the ``linprog`` result when HiGHS proves it optimal (status
+    0) or infeasible (status 2); any other outcome raises.
     """
+    from scipy.optimize import linprog
 
-    def __init__(self, node_count: int, tails: np.ndarray, heads: np.ndarray, costs: np.ndarray, caps: np.ndarray):
-        m = tails.shape[0]
-        r_tail = np.concatenate([tails, heads])
-        r_head = np.concatenate([heads, tails])
-        order = np.lexsort((r_head, r_tail))
-        self.node_count = node_count
-        self.tail = r_tail[order]
-        self.head = r_head[order]
-        self.cost = np.concatenate([costs, -costs])[order]
-        self.arc = np.concatenate([np.arange(m), np.arange(m)])[order]
-        self.forward = (np.concatenate([np.ones(m, bool), np.zeros(m, bool)]))[order]
-        self.offsets = np.searchsorted(self.tail, np.arange(node_count + 1))
+    m = tail.shape[0]
+    arcs = np.arange(m)
+    incidence = csr_matrix(
+        (np.r_[np.ones(m), -np.ones(m)], (np.r_[tail, head], np.r_[arcs, arcs])),
+        shape=(node_count, m),
+    )
+    options = {
+        "presolve": False,
+        "primal_feasibility_tolerance": LP_TOL,
+        "dual_feasibility_tolerance": LP_TOL,
+    }
+    if max_iterations is not None:
+        options["maxiter"] = max_iterations
+    res = linprog(
+        cost,
+        A_eq=incidence,
+        b_eq=supply,
+        bounds=np.column_stack([np.zeros(m), capacity]),
+        method="highs-ds",
+        options=options,
+    )
+    if res.status not in (0, 2):
+        raise RuntimeError(
+            f"HiGHS did not settle the flow LP within its iteration and tolerance limits: {res.message}"
+        )
+    return res
 
-        key = self.tail * np.int64(node_count) + self.head
-        first = np.ones(key.shape[0], dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        self.group_start = np.flatnonzero(first)
-        self.group_end = np.append(self.group_start[1:], key.shape[0])
-        self.pair_key = key[self.group_start]
-        # groups wider than two entries fall back to a rectangular gather;
-        # the common case (one forward plus one backward entry) reduces to
-        # an elementwise minimum of two index vectors
-        width = int(np.max(self.group_end - self.group_start))
-        if width <= 2:
-            self.group_gather = None
-            self.group_a = self.group_start
-            self.group_b = self.group_end - 1
-        else:
-            self.group_gather = np.minimum(
-                self.group_start[:, None] + np.arange(width)[None, :],
-                (self.group_end - 1)[:, None],
-            )
-        pair = np.argsort(self.arc, kind="stable").reshape(m, 2)
-        first_is_fwd = self.forward[pair[:, 0]]
-        self.fwd_entry = np.where(first_is_fwd, pair[:, 0], pair[:, 1])
-        self.bwd_entry = np.where(first_is_fwd, pair[:, 1], pair[:, 0])
 
-        self.entry_cap = caps[self.arc]
-        # residual capacity per entry, kept current by _augment
-        self.residual = np.where(self.forward, self.entry_cap, 0.0)
-        self.unusable = ~(self.residual > RESIDUAL_TOL)
-        self._rc = np.empty(2 * m)
-        self._heads_pot = np.empty(2 * m)
-
-        self.graph = csr_matrix(
-            (
-                np.zeros(self.group_start.shape[0]),
-                self.head[self.group_start].astype(np.int32),
-                np.searchsorted(self.tail[self.group_start], np.arange(node_count + 1)).astype(np.int32),
-            ),
-            shape=(node_count, node_count),
+def _certify(problem: FlowProblem, cost, capacity, flow, potential) -> None:
+    """Raise unless the potentials prove the (scaled) flow optimal."""
+    reduced = cost - potential[problem.tail] + potential[problem.head]
+    bad = ((flow < capacity) & (reduced < -OPTIMALITY_TOL)) | ((flow > 0) & (reduced > OPTIMALITY_TOL))
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise RuntimeError(
+            f"min-cost flow failed its optimality certificate: arc {k} "
+            f"({problem.tail[k]}->{problem.head[k]}) carries {flow[k]:.3g} of {capacity[k]:.3g} "
+            f"at reduced cost {reduced[k]:.3g}"
         )
 
-    def refresh_entries(self, flows, arc_indices):
-        """Recompute the residual capacities of both entries of each given arc."""
-        for a in arc_indices:
-            fwd, bwd = self.fwd_entry[a], self.bwd_entry[a]
-            self.residual[fwd] = self.entry_cap[fwd] - flows[a]
-            self.residual[bwd] = flows[a]
-            self.unusable[fwd] = not self.residual[fwd] > RESIDUAL_TOL
-            self.unusable[bwd] = not self.residual[bwd] > RESIDUAL_TOL
 
-    def entry_weights(self, pot):
-        """Reduced cost per residual entry, inf where no usable capacity remains.
-
-        Reduced costs are clipped at zero so float dust cannot violate
-        Dijkstra's nonnegativity requirement.  The returned array is a
-        reused buffer, valid until the next call.
-        """
-        rc = self._rc
-        np.take(pot, self.tail, out=rc)
-        np.take(pot, self.head, out=self._heads_pot)
-        np.subtract(rc, self._heads_pot, out=rc)
-        np.add(rc, self.cost, out=rc)
-        np.maximum(rc, 0.0, out=rc)
-        rc[self.unusable] = np.inf
-        return rc
-
-
-def _shortest_paths(res: _ResidualGraph, weights, source):
-    """Dijkstra distances and predecessors from source over usable entries.
-
-    Parallel entries collapse to their group minimum; scipy treats the
-    explicit inf data of unusable groups as absent edges.
-    """
-    if res.group_gather is None:
-        np.minimum(weights[res.group_a], weights[res.group_b], out=res.graph.data)
-    else:
-        res.graph.data[:] = np.min(weights[res.group_gather], axis=1)
-    return _csgraph_dijkstra(res.graph, directed=True, indices=source, return_predecessors=True)
-
-
-def _path_entries(res: _ResidualGraph, weights, pred, source, target):
-    """Residual entry indices along the predecessor path, cheapest per hop."""
-    nodes = [target]
-    v = target
-    while v != source:
-        v = int(pred[v])
-        nodes.append(v)
-    nodes.reverse()
-    keys = np.int64(res.node_count) * np.asarray(nodes[:-1]) + np.asarray(nodes[1:])
-    groups = np.searchsorted(res.pair_key, keys)
-    entries = []
-    for g in groups:
-        lo, hi = res.group_start[g], res.group_end[g]
-        entries.append(int(lo + np.argmin(weights[lo:hi])))
-    return entries
-
-
-def _with_super_nodes(problem: FlowProblem):
-    """Arc arrays for the problem plus super-source/super-sink supply arcs."""
-    n = problem.node_count
-    m = len(problem.arcs)
-    tails = [a.tail for a in problem.arcs]
-    heads = [a.head for a in problem.arcs]
-    costs = [a.cost for a in problem.arcs]
-    caps = [a.capacity for a in problem.arcs]
-    s, t = n, n + 1
-    for i, b in enumerate(problem.supply):
-        if b > 0:
-            tails.append(s)
-            heads.append(i)
-            costs.append(0.0)
-            caps.append(float(b))
-        elif b < 0:
-            tails.append(i)
-            heads.append(t)
-            costs.append(0.0)
-            caps.append(float(-b))
-    return (
-        np.asarray(tails, dtype=np.int64),
-        np.asarray(heads, dtype=np.int64),
-        np.asarray(costs, dtype=float),
-        np.asarray(caps, dtype=float),
-        m,
-        s,
-        t,
-    )
-
-
-def _snap(flows, caps, arc):
-    if flows[arc] < RESIDUAL_TOL:
-        flows[arc] = 0.0
-    elif np.isfinite(caps[arc]) and caps[arc] - flows[arc] < RESIDUAL_TOL:
-        flows[arc] = caps[arc]
-
-
-def _augment(res, caps, flows, entries):
-    """Push the bottleneck along the residual entries into flows; return the amount."""
-    delta = np.inf
-    for k in entries:
-        delta = min(delta, res.residual[k])
-    arcs = []
-    for k in entries:
-        arc = res.arc[k]
-        flows[arc] += delta if res.forward[k] else -delta
-        _snap(flows, caps, arc)
-        arcs.append(arc)
-    res.refresh_entries(flows, arcs)
-    return delta
-
-
-def _parent_walk(res, parent, t):
-    """Residual entry indices from a BFS parent array, sink back to source."""
-    entries = []
-    v = t
-    while parent[v] >= 0:
-        k = parent[v]
-        entries.append(k)
-        v = res.tail[k]
-    return entries
+def _supply_total(problem: FlowProblem) -> float:
+    """Positive supply total, or 0 when it is negligible next to the supplies' size."""
+    total = float(problem.supply[problem.supply > 0].sum())
+    return 0.0 if total <= SUPPLY_TOL * float(np.abs(problem.supply).sum()) else total
 
 
 def solve_mcf(problem: FlowProblem, max_iterations: Optional[int] = None) -> FlowSolution:
-    """Minimum-cost flow via successive shortest paths with potentials."""
-    tails, heads, costs, caps, m, s, t = _with_super_nodes(problem)
-    node_count = problem.node_count + 2
-    total = float(problem.supply[problem.supply > 0].sum())
-    if total <= SUPPLY_TOL:
+    """Minimum-cost flow via HiGHS, certified by complementary slackness.
+
+    ``max_iterations`` caps the simplex iterations; reaching it raises
+    :class:`RuntimeError`.
+    """
+    m = problem.arc_count
+    total = _supply_total(problem)
+    if total == 0.0:
         return FlowSolution(flow=np.zeros(m), objective=0.0, status="optimal")
+    if m == 0:
+        return FlowSolution(flow=np.zeros(0), objective=0.0, status="infeasible")
 
-    res = _ResidualGraph(node_count, tails, heads, costs, caps)
-    flows = np.zeros(tails.shape[0])
-    pot = np.zeros(node_count)
-    delivered = 0.0
-    if max_iterations is None:
-        max_iterations = 50 * (tails.shape[0] + node_count)
+    unit = float(problem.cost.max()) or 1.0
+    cost = problem.cost / unit
+    capacity = problem.capacity / total
+    res = _highs(
+        problem.node_count, problem.tail, problem.head, cost, capacity, problem.supply / total, max_iterations
+    )
+    if res.status == 2:
+        return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible")
+    scaled = np.clip(res.x, 0.0, capacity)
+    _certify(problem, cost, capacity, scaled, res.eqlin.marginals)
+    flow = scaled * total
+    return FlowSolution(flow=flow, objective=float(problem.cost @ flow), status="optimal")
 
-    for _ in range(max_iterations):
-        if total - delivered <= SUPPLY_TOL:
-            break
-        weights = res.entry_weights(pot)
-        dist, pred = _shortest_paths(res, weights, s)
-        if not np.isfinite(dist[t]):
-            return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible")
-        delivered += _augment(res, caps, flows, _path_entries(res, weights, pred, s, t))
-        # min maps unreachable (inf) distances onto dist[t], keeping every
-        # residual arc's reduced cost nonnegative
-        pot += np.minimum(dist, dist[t])
-    else:
-        raise RuntimeError("min-cost flow did not converge within the iteration guard")
 
-    flow = flows[:m].copy()
-    objective = float(np.dot(costs[:m], flow))
-    return FlowSolution(flow=flow, objective=objective, status="optimal")
+def feasibility_cut(problem: FlowProblem) -> tuple[float, np.ndarray]:
+    """Supply no flow within capacity can deliver, and the cut that proves it.
+
+    Returns ``(undeliverable, inside)``.  ``inside`` masks the nodes
+    reachable from the super-source in the residual graph of a maximum
+    flow.  When ``undeliverable`` is positive they must ship out
+    ``supply[inside].sum()``, but the arcs leaving them carry at most
+    that minus ``undeliverable``.
+    """
+    n = problem.node_count
+    total = _supply_total(problem)
+    if total == 0.0:
+        return 0.0, np.zeros(n, dtype=bool)
+    sup = problem.supply / total
+    src, dst = np.flatnonzero(sup > 0), np.flatnonzero(sup < 0)
+    s, t = n, n + 1
+    m = problem.arc_count + src.size + dst.size  # the bypass arc is index m
+    tail = np.r_[problem.tail, np.full(src.size, s), dst, s]
+    head = np.r_[problem.head, src, np.full(dst.size, t), t]
+    capacity = np.r_[problem.capacity / total, sup[src], -sup[dst], INFINITE_CAPACITY]
+    cost = np.zeros(m + 1)
+    cost[m] = 1.0
+    balance = np.zeros(n + 2)
+    balance[s], balance[t] = 1.0, -1.0
+    flow = _highs(n + 2, tail, head, cost, capacity, balance).x
+
+    # residual graph of the max flow, bypass arc left out
+    forward = flow[:m] < capacity[:m] - RESIDUAL_TOL
+    backward = flow[:m] > RESIDUAL_TOL
+    r_tail = np.r_[tail[:m][forward], head[:m][backward]]
+    r_head = np.r_[head[:m][forward], tail[:m][backward]]
+    residual = csr_matrix((np.ones(r_tail.size), (r_tail, r_head)), shape=(n + 2, n + 2))
+    inside = np.zeros(n + 2, dtype=bool)
+    inside[breadth_first_order(residual, s, return_predecessors=False)] = True
+    return float(flow[m]) * total, inside[:n]
 
 
 def check_flow_feasibility(problem: FlowProblem) -> bool:
     """True iff some flow respects all capacities and meets all supplies.
 
-    Runs a plain max-flow (breadth-first augmenting paths, costs ignored)
-    from a super-source to a super-sink; feasible iff the whole supply is
-    delivered within ``SUPPLY_TOL``.
+    Feasible iff the max flow of :func:`feasibility_cut` leaves at most
+    ``SUPPLY_TOL`` of the supply total undelivered.
     """
-    tails, heads, _, caps, _, s, t = _with_super_nodes(problem)
-    node_count = problem.node_count + 2
-    total = float(problem.supply[problem.supply > 0].sum())
-    if total <= SUPPLY_TOL:
-        return True
-
-    res = _ResidualGraph(node_count, tails, heads, np.zeros(tails.shape[0]), caps)
-    flows = np.zeros(tails.shape[0])
-    delivered = 0.0
-    while total - delivered > SUPPLY_TOL:
-        # BFS over usable residual arcs
-        parent = np.full(node_count, -1, dtype=np.int64)
-        seen = np.zeros(node_count, dtype=bool)
-        seen[s] = True
-        frontier = [s]
-        while frontier and not seen[t]:
-            nxt = []
-            for u in frontier:
-                lo, hi = res.offsets[u], res.offsets[u + 1]
-                heads_u = res.head[lo:hi]
-                usable = (res.residual[lo:hi] > RESIDUAL_TOL) & ~seen[heads_u]
-                for k in np.flatnonzero(usable):
-                    v = int(heads_u[k])
-                    if seen[v]:
-                        continue
-                    seen[v] = True
-                    parent[v] = lo + k
-                    nxt.append(v)
-            frontier = nxt
-        if not seen[t]:
-            return False
-        delivered += _augment(res, caps, flows, _parent_walk(res, parent, t))
-    return True
+    undeliverable, _ = feasibility_cut(problem)
+    return undeliverable <= SUPPLY_TOL * _supply_total(problem)
 
 
 def residual_negative_cycle(problem: FlowProblem, solution: FlowSolution, tol: float = 1e-9) -> bool:
@@ -382,12 +272,13 @@ def residual_negative_cycle(problem: FlowProblem, solution: FlowSolution, tol: f
     """
     n = problem.node_count
     entries = []  # (tail, head, cost)
-    for k, arc in enumerate(problem.arcs):
+    for k in range(problem.arc_count):
+        tail, head, cost = int(problem.tail[k]), int(problem.head[k]), float(problem.cost[k])
         flow = float(solution.flow[k])
-        if arc.capacity - flow > RESIDUAL_TOL:
-            entries.append((arc.tail, arc.head, arc.cost))
+        if problem.capacity[k] - flow > RESIDUAL_TOL:
+            entries.append((tail, head, cost))
         if flow > RESIDUAL_TOL:
-            entries.append((arc.head, arc.tail, -arc.cost))
+            entries.append((head, tail, -cost))
     dist = np.zeros(n)
     for _ in range(n + 1):
         changed = False
@@ -440,20 +331,20 @@ def brute_force_mcf(problem: FlowProblem) -> FlowSolution:
     :func:`solve_mcf`.
     """
     n = problem.node_count
-    m = len(problem.arcs)
+    m = problem.arc_count
     if n > 6:
         raise SizeLimitError(f"brute force limited to 6 nodes, got {n}")
     if m > 12:
         raise SizeLimitError(f"brute force limited to 12 arcs, got {m}")
 
     supply = problem.supply
-    caps = np.array([a.capacity for a in problem.arcs])
-    costs = np.array([a.cost for a in problem.arcs])
+    caps = problem.capacity
+    costs = problem.cost
     incidence = np.zeros((n, m))
-    for k, arc in enumerate(problem.arcs):
-        incidence[arc.tail, k] += 1.0
-        incidence[arc.head, k] -= 1.0
-    pairs = [(a.tail, a.head) for a in problem.arcs]
+    for k in range(m):
+        incidence[problem.tail[k], k] += 1.0
+        incidence[problem.head[k], k] -= 1.0
+    pairs = list(zip(problem.tail.tolist(), problem.head.tolist()))
 
     best_obj = np.inf
     best_flow = None
@@ -505,12 +396,13 @@ def flow_debug_dict(problem: FlowProblem, solution: Optional[FlowSolution] = Non
     Unbounded capacities serialize as ``None``.
     """
     arcs = []
-    for k, arc in enumerate(problem.arcs):
+    for k in range(problem.arc_count):
+        cap = float(problem.capacity[k])
         entry = {
-            "from": arc.tail,
-            "to": arc.head,
-            "cost": arc.cost,
-            "capacity": None if math.isinf(arc.capacity) else arc.capacity,
+            "from": int(problem.tail[k]),
+            "to": int(problem.head[k]),
+            "cost": float(problem.cost[k]),
+            "capacity": None if math.isinf(cap) else cap,
         }
         if solution is not None:
             entry["flow"] = float(solution.flow[k])

@@ -36,6 +36,7 @@ from .errors import SizeLimitError, ValidationError
 PROB_TOL = 1e-9      # probability row sums
 BALANCE_TOL = 1e-7   # flow-balance residuals on assignments
 CAP_TOL = 1e-9       # allowed slack above driver-trip capacities
+SUM_RTOL = 1e-9      # imbalance rounding: relative to sum(|surplus|), or to the total customer rate
 
 
 def _as_vector(name: str, value, n: int) -> np.ndarray:
@@ -152,7 +153,8 @@ class ImbalanceVector:
     station ``i`` minus the rate at which they remove them.  Positive
     entries accumulate vehicles, negative entries drain them.  The entries
     always sum to zero: every vehicle a customer removes somewhere shows
-    up somewhere else.
+    up somewhere else, so the sum may be off by at most ``SUM_RTOL`` of
+    ``sum(|surplus|)``.
     """
 
     surplus: np.ndarray
@@ -164,7 +166,7 @@ class ImbalanceVector:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("surplus contains non-finite entries")
         total = float(arr.sum())
-        if abs(total) > 1e-9:
+        if abs(total) > SUM_RTOL * float(np.abs(arr).sum()):
             raise ValidationError(f"surplus must sum to 0, got {total:.3g}")
         arr.setflags(write=False)
         object.__setattr__(self, "surplus", arr)
@@ -179,9 +181,22 @@ def compute_imbalance(net: StationNetwork) -> ImbalanceVector:
 
     Station ``i`` receives vehicles at rate ``sum_j lambda[j] * p[j, i]``
     and loses them at rate ``lambda[i]``.
+
+    Rounding in ``inflow - lambda`` grows with the rates, not with the
+    surplus, so it is judged against ``sum(lambda)``: entries within
+    ``SUM_RTOL`` of it are set to 0, and what the others still fail to
+    sum to (rounding, and the ``PROB_TOL`` slack of the rows of ``p``)
+    is taken off them in proportion to their size.  A balanced network
+    thus gets an exact zero vector, not noise for the flow programs to
+    ship.
     """
     inflow = net.dest_prob.T @ net.arrival_rate
-    return ImbalanceVector(surplus=inflow - net.arrival_rate)
+    surplus = inflow - net.arrival_rate
+    surplus[np.abs(surplus) <= SUM_RTOL * float(net.arrival_rate.sum())] = 0.0
+    size = np.abs(surplus)
+    if size.sum() > 0:
+        surplus -= surplus.sum() * size / size.sum()
+    return ImbalanceVector(surplus=surplus)
 
 
 @dataclass(frozen=True, eq=False)

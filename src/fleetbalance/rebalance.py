@@ -33,30 +33,28 @@ import numpy as np
 from .errors import RebalanceInfeasibleError
 from .mincostflow import (
     INFINITE_CAPACITY,
-    Arc,
     FlowProblem,
     FlowSolution,
+    feasibility_cut,
     solve_mcf,
 )
 from .network import (
-    CutCheck,
     ImbalanceVector,
     RebalanceAssignment,
     StationNetwork,
-    check_feasibility_bruteforce,
     compute_imbalance,
     fleet_sizes,
 )
 
 
-def _offdiag_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+def _offdiag(n: int) -> np.ndarray:
+    """Mask of the station pairs (i, j), i != j; arc k of both programs is its k-th entry, row-major."""
+    return ~np.eye(n, dtype=bool)
 
 
 def _matrix_from_flows(n: int, flows: np.ndarray) -> np.ndarray:
     out = np.zeros((n, n))
-    for k, (i, j) in enumerate(_offdiag_pairs(n)):
-        out[i, j] = flows[k]
+    out[_offdiag(n)] = flows
     return out
 
 
@@ -66,23 +64,27 @@ def cancel_two_cycles(rates: np.ndarray) -> np.ndarray:
     return rates - overlap
 
 
+def _station_flow_problem(net: StationNetwork, supply: np.ndarray, capacity: np.ndarray) -> FlowProblem:
+    """One arc per ordered station pair, priced by travel time."""
+    tail, head = np.nonzero(_offdiag(net.n))
+    return FlowProblem(
+        node_count=net.n,
+        supply=supply,
+        tail=tail,
+        head=head,
+        cost=net.travel_time[tail, head],
+        capacity=capacity[tail, head],
+    )
+
+
 def vehicle_flow_problem(net: StationNetwork, imbalance: ImbalanceVector) -> FlowProblem:
     """Uncapacitated program moving surplus vehicles to deficit stations."""
-    arcs = [
-        Arc(i, j, float(net.travel_time[i, j]), INFINITE_CAPACITY)
-        for i, j in _offdiag_pairs(net.n)
-    ]
-    return FlowProblem(node_count=net.n, supply=imbalance.surplus, arcs=tuple(arcs))
+    return _station_flow_problem(net, imbalance.surplus, np.full((net.n, net.n), INFINITE_CAPACITY))
 
 
 def driver_flow_problem(net: StationNetwork, imbalance: ImbalanceVector) -> FlowProblem:
     """Capacitated program riding stranded drivers back on customer trips."""
-    cap = net.taxi_capacity()
-    arcs = [
-        Arc(i, j, float(net.travel_time[i, j]), float(cap[i, j]))
-        for i, j in _offdiag_pairs(net.n)
-    ]
-    return FlowProblem(node_count=net.n, supply=-imbalance.surplus, arcs=tuple(arcs))
+    return _station_flow_problem(net, -imbalance.surplus, net.taxi_capacity())
 
 
 def _solved_matrix(net: StationNetwork, solution: FlowSolution) -> tuple[np.ndarray, float]:
@@ -108,23 +110,27 @@ def solve_driver_rebalancing(
     """Cheapest driver-return rates within taxi capacity.
 
     Raises :class:`RebalanceInfeasibleError` when capacities cannot carry
-    the required driver flow; for n <= 20 the error carries a witness
-    station subset whose outgoing capacity is provably short.
+    the required driver flow.  The error carries a witness station subset
+    whose outgoing capacity is provably short: the source side of a
+    minimum cut (:func:`~fleetbalance.mincostflow.feasibility_cut`), with
+    its driver demand and outgoing capacity recomputed from the network.
     """
     d = imbalance or compute_imbalance(net)
-    solution = solve_mcf(driver_flow_problem(net, d))
+    problem = driver_flow_problem(net, d)
+    solution = solve_mcf(problem)
     if solution.status != "optimal":
-        witness: Optional[CutCheck] = None
-        if net.n <= 20:
-            witness = check_feasibility_bruteforce(net, d)
-        if witness is not None and not witness.feasible:
+        _, inside = feasibility_cut(problem)
+        demand = float(-d.surplus[inside].sum())
+        capacity = float(net.taxi_capacity()[np.ix_(inside, ~inside)].sum())
+        if demand > capacity:
+            witness = tuple(int(i) for i in np.flatnonzero(inside))
             raise RebalanceInfeasibleError(
                 "driver-return program infeasible: stations "
-                f"{set(witness.witness)} must emit {witness.demand:.6g} drivers "
-                f"but only {witness.capacity:.6g} taxi capacity leaves them",
-                witness=witness.witness,
-                demand=witness.demand,
-                capacity=witness.capacity,
+                f"{set(witness)} must emit {demand:.6g} drivers "
+                f"but only {capacity:.6g} taxi capacity leaves them",
+                witness=witness,
+                demand=demand,
+                capacity=capacity,
             )
         raise RebalanceInfeasibleError(
             "driver-return program infeasible: taxi capacity cannot carry the required driver flow"

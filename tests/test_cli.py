@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fleetbalance
 from fleetbalance.cli import main
 from fleetbalance.storage import load_assignment, load_instance, save_instance
 
@@ -201,3 +206,19 @@ def test_unknown_command_and_missing_args_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "gen" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds ~0.3 s and 16 MB to a fresh process; the flow
+    # solver imports it on first use, so commands that never solve skip it
+    src = Path(fleetbalance.__file__).resolve().parents[1]
+    code = "import sys, fleetbalance.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

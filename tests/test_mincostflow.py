@@ -6,7 +6,6 @@ import pytest
 from fleetbalance.errors import SizeLimitError, ValidationError
 from fleetbalance.mincostflow import (
     INFINITE_CAPACITY,
-    Arc,
     FlowProblem,
     FlowSolution,
     brute_force_mcf,
@@ -15,44 +14,51 @@ from fleetbalance.mincostflow import (
     residual_negative_cycle,
     solve_mcf,
 )
+from fleetbalance.mincostflow import _certify
+
+
+def arcs(*rows):
+    """FlowProblem arc keywords from (tail, head, cost, capacity) rows."""
+    cols = np.array(rows, dtype=float).reshape(-1, 4).T
+    return dict(tail=cols[0].astype(int), head=cols[1].astype(int), cost=cols[2], capacity=cols[3])
 
 
 def random_problem(rng: np.random.Generator) -> FlowProblem:
     """Small random instance; roughly half the draws are infeasible."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 13))
-    arcs = []
+    rows = []
     for _ in range(m):
         tail = int(rng.integers(n))
         head = int(rng.integers(n - 1))
         if head >= tail:
             head += 1
         cap = INFINITE_CAPACITY if rng.random() < 0.25 else float(rng.uniform(0, 2))
-        arcs.append(Arc(tail, head, float(rng.uniform(0, 5)), cap))
+        rows.append((tail, head, float(rng.uniform(0, 5)), cap))
     supply = rng.uniform(-1, 1, n)
     supply[-1] -= supply.sum()
     if rng.random() < 0.2:
         supply[:] = 0.0
-    return FlowProblem(node_count=n, supply=supply, arcs=tuple(arcs))
+    return FlowProblem(node_count=n, supply=supply, **arcs(*rows))
 
 
 def assert_valid_flow(problem: FlowProblem, solution: FlowSolution, tol=1e-7):
     flows = solution.flow
     assert np.all(flows >= -tol)
-    for k, arc in enumerate(problem.arcs):
-        assert flows[k] <= arc.capacity + tol
+    for k in range(problem.arc_count):
+        assert flows[k] <= problem.capacity[k] + tol
     net_out = np.zeros(problem.node_count)
-    for k, arc in enumerate(problem.arcs):
-        net_out[arc.tail] += flows[k]
-        net_out[arc.head] -= flows[k]
+    for k in range(problem.arc_count):
+        net_out[problem.tail[k]] += flows[k]
+        net_out[problem.head[k]] -= flows[k]
     assert np.max(np.abs(net_out - problem.supply)) <= tol
-    costs = np.array([a.cost for a in problem.arcs])
+    costs = problem.cost
     assert solution.objective == pytest.approx(float(flows @ costs), abs=1e-9)
 
 
 def test_single_arc():
     problem = FlowProblem(
-        node_count=2, supply=[1.0, -1.0], arcs=(Arc(0, 1, 2.0, INFINITE_CAPACITY),)
+        node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 2.0, INFINITE_CAPACITY))
     )
     sol = solve_mcf(problem)
     assert sol.status == "optimal"
@@ -65,10 +71,10 @@ def test_capacity_forces_split():
     problem = FlowProblem(
         node_count=3,
         supply=[1.0, 0.0, -1.0],
-        arcs=(
-            Arc(0, 2, 5.0, INFINITE_CAPACITY),
-            Arc(0, 1, 1.0, 0.6),
-            Arc(1, 2, 1.0, INFINITE_CAPACITY),
+        **arcs(
+            (0, 2, 5.0, INFINITE_CAPACITY),
+            (0, 1, 1.0, 0.6),
+            (1, 2, 1.0, INFINITE_CAPACITY),
         ),
     )
     sol = solve_mcf(problem)
@@ -81,7 +87,7 @@ def test_zero_supply_is_trivially_optimal():
     problem = FlowProblem(
         node_count=3,
         supply=np.zeros(3),
-        arcs=(Arc(0, 1, 1.0, 1.0), Arc(1, 2, 1.0, 1.0)),
+        **arcs((0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)),
     )
     sol = solve_mcf(problem)
     assert sol.status == "optimal"
@@ -91,7 +97,7 @@ def test_zero_supply_is_trivially_optimal():
 
 def test_infeasible_capacity_shortfall():
     problem = FlowProblem(
-        node_count=2, supply=[1.0, -1.0], arcs=(Arc(0, 1, 1.0, 0.5),)
+        node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 1.0, 0.5))
     )
     sol = solve_mcf(problem)
     assert sol.status == "infeasible"
@@ -101,10 +107,13 @@ def test_infeasible_capacity_shortfall():
 
 def test_disconnected_demand_is_infeasible():
     problem = FlowProblem(
-        node_count=3, supply=[1.0, -1.0, 0.0], arcs=(Arc(0, 2, 1.0, INFINITE_CAPACITY),)
+        node_count=3, supply=[1.0, -1.0, 0.0], **arcs((0, 2, 1.0, INFINITE_CAPACITY))
     )
     assert solve_mcf(problem).status == "infeasible"
     assert not check_flow_feasibility(problem)
+    no_arcs = FlowProblem(node_count=2, supply=[1.0, -1.0], **arcs())
+    assert solve_mcf(no_arcs).status == "infeasible"
+    assert not check_flow_feasibility(no_arcs)
 
 
 def test_parallel_and_antiparallel_arcs():
@@ -112,10 +121,10 @@ def test_parallel_and_antiparallel_arcs():
     problem = FlowProblem(
         node_count=2,
         supply=[1.5, -1.5],
-        arcs=(
-            Arc(0, 1, 3.0, INFINITE_CAPACITY),
-            Arc(0, 1, 1.0, 1.0),
-            Arc(1, 0, 0.1, INFINITE_CAPACITY),
+        **arcs(
+            (0, 1, 3.0, INFINITE_CAPACITY),
+            (0, 1, 1.0, 1.0),
+            (1, 0, 0.1, INFINITE_CAPACITY),
         ),
     )
     sol = solve_mcf(problem)
@@ -148,7 +157,7 @@ def test_negative_cycle_detector_flags_suboptimal_flow():
     problem = FlowProblem(
         node_count=3,
         supply=[1.0, 0.0, -1.0],
-        arcs=(Arc(0, 1, 1.0, 1.0), Arc(1, 2, 1.0, 1.0), Arc(0, 2, 10.0, 1.0)),
+        **arcs((0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 10.0, 1.0)),
     )
     expensive = FlowSolution(flow=np.array([0.0, 0.0, 1.0]), objective=10.0, status="optimal")
     assert residual_negative_cycle(problem, expensive)
@@ -157,18 +166,31 @@ def test_negative_cycle_detector_flags_suboptimal_flow():
     assert not residual_negative_cycle(problem, cheap)
 
 
+def test_certificate_rejects_suboptimal_flow():
+    problem = FlowProblem(
+        node_count=3,
+        supply=[1.0, 0.0, -1.0],
+        **arcs((0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 10.0, 1.0)),
+    )
+    optimal = np.array([1.0, 1.0, 0.0])
+    _certify(problem, problem.cost, problem.capacity, optimal, np.array([2.0, 1.0, 0.0]))
+    # the direct arc carries flow at reduced cost 8 against these potentials
+    with pytest.raises(RuntimeError, match="certificate"):
+        _certify(problem, problem.cost, problem.capacity, np.array([0.0, 0.0, 1.0]), np.array([2.0, 1.0, 0.0]))
+
+
 def test_solver_handles_problems_beyond_bruteforce_limits():
     rng = np.random.default_rng(7)
     n = 30
     supply = rng.uniform(-1, 1, n)
     supply -= supply.mean()
-    arcs = tuple(
-        Arc(i, j, float(rng.uniform(1, 10)), INFINITE_CAPACITY)
+    rows = [
+        (i, j, float(rng.uniform(1, 10)), INFINITE_CAPACITY)
         for i in range(n)
         for j in range(n)
         if i != j
-    )
-    problem = FlowProblem(node_count=n, supply=supply, arcs=arcs)
+    ]
+    problem = FlowProblem(node_count=n, supply=supply, **arcs(*rows))
     sol = solve_mcf(problem)
     assert sol.status == "optimal"
     assert_valid_flow(problem, sol)
@@ -179,7 +201,7 @@ def test_solver_handles_problems_beyond_bruteforce_limits():
 
 def test_iteration_guard():
     problem = FlowProblem(
-        node_count=2, supply=[1.0, -1.0], arcs=(Arc(0, 1, 1.0, INFINITE_CAPACITY),)
+        node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 1.0, INFINITE_CAPACITY))
     )
     with pytest.raises(RuntimeError, match="iteration"):
         solve_mcf(problem, max_iterations=0)
@@ -188,23 +210,23 @@ def test_iteration_guard():
 @pytest.mark.parametrize(
     "kwargs,fragment",
     [
-        (dict(node_count=2, supply=[1.0, 0.0], arcs=()), "sum to zero"),
-        (dict(node_count=2, supply=[1.0], arcs=()), "length 2"),
-        (dict(node_count=0, supply=[], arcs=()), "positive integer"),
+        (dict(node_count=2, supply=[1.0, 0.0], **arcs()), "sum to zero"),
+        (dict(node_count=2, supply=[1.0], **arcs()), "length 2"),
+        (dict(node_count=0, supply=[], **arcs()), "positive integer"),
         (
-            dict(node_count=2, supply=[0.0, 0.0], arcs=(Arc(0, 0, 1.0, 1.0),)),
+            dict(node_count=2, supply=[0.0, 0.0], **arcs((0, 0, 1.0, 1.0))),
             "self-loop",
         ),
         (
-            dict(node_count=2, supply=[0.0, 0.0], arcs=(Arc(0, 1, -1.0, 1.0),)),
+            dict(node_count=2, supply=[0.0, 0.0], **arcs((0, 1, -1.0, 1.0))),
             "cost",
         ),
         (
-            dict(node_count=2, supply=[0.0, 0.0], arcs=(Arc(0, 1, 1.0, -2.0),)),
+            dict(node_count=2, supply=[0.0, 0.0], **arcs((0, 1, 1.0, -2.0))),
             "capacity",
         ),
         (
-            dict(node_count=2, supply=[0.0, 0.0], arcs=(Arc(0, 3, 1.0, 1.0),)),
+            dict(node_count=2, supply=[0.0, 0.0], **arcs((0, 3, 1.0, 1.0))),
             "out of range",
         ),
     ],
@@ -215,14 +237,16 @@ def test_problem_validation(kwargs, fragment):
 
 
 def test_arc_tuples_are_coerced():
-    problem = FlowProblem(node_count=2, supply=[1.0, -1.0], arcs=((0, 1, 1.0, 2.0),))
-    assert isinstance(problem.arcs[0], Arc)
+    problem = FlowProblem(
+        node_count=2, supply=[1.0, -1.0], tail=(0,), head=(1,), cost=(1.0,), capacity=(2.0,)
+    )
+    assert isinstance(problem.tail, np.ndarray) and problem.tail.dtype == np.int64
     assert solve_mcf(problem).objective == pytest.approx(1.0)
 
 
 def test_flow_debug_dict_serializes_infinite_capacity():
     problem = FlowProblem(
-        node_count=2, supply=[1.0, -1.0], arcs=(Arc(0, 1, 1.0, INFINITE_CAPACITY),)
+        node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 1.0, INFINITE_CAPACITY))
     )
     sol = solve_mcf(problem)
     dump = flow_debug_dict(problem, sol)

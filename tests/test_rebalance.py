@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fleetbalance.errors import RebalanceInfeasibleError
-from fleetbalance.network import compute_imbalance, fleet_sizes, validate_assignment
+from fleetbalance.generate import GeneratorConfig, generate_instance
+from fleetbalance.network import StationNetwork, compute_imbalance, fleet_sizes, validate_assignment
 from fleetbalance.rebalance import (
     cancel_two_cycles,
     driver_flow_problem,
@@ -59,6 +60,35 @@ def test_infeasible_two_station_witness(two_station_tight):
     assert sol.infeasibility.witness == (0,)
 
 
+@pytest.mark.parametrize("n", [24, 40])
+def test_infeasible_witness_above_subset_scan_limit(n):
+    net = generate_instance(n, 0, GeneratorConfig(taxi_fraction=0.5))
+    sol = solve_rebalancing(net)
+    assert sol.status == "beta_infeasible"
+    err = sol.infeasibility
+    assert err.witness
+    inside = np.zeros(n, dtype=bool)
+    inside[list(err.witness)] = True
+    trips = net.arrival_rate[:, None] * net.dest_prob
+    deficit = float((net.arrival_rate - trips.sum(axis=0))[inside].sum())
+    out_cap = float((net.taxi_fraction * trips)[np.ix_(inside, ~inside)].sum())
+    assert deficit - out_cap > 1e-8 * net.arrival_rate.sum()
+    assert err.demand == pytest.approx(deficit)
+    assert err.capacity == pytest.approx(out_cap)
+
+
+def test_fleet_sizes_scale_with_arrival_rates(make_instance):
+    # rates times c: both fleets times c, whatever the magnitude of c
+    per_rate = []
+    for lambda_max in (1e-9, 1.0, 1e6):
+        net = make_instance(10, 0, lambda_max=lambda_max, taxi_fraction=2)
+        sol = solve_rebalancing(net)
+        total = net.arrival_rate.sum()
+        per_rate.append((sol.assignment.min_drivers / total, sol.assignment.min_vehicles / total))
+    assert per_rate[0] == pytest.approx(per_rate[1], rel=1e-9)
+    assert per_rate[2] == pytest.approx(per_rate[1], rel=1e-9)
+
+
 def test_solutions_validate_on_random_instances(make_instance):
     for seed in range(15):
         net = make_instance(12, seed)
@@ -98,10 +128,10 @@ def test_flow_problem_construction(two_station):
     vp = vehicle_flow_problem(two_station, d)
     assert vp.node_count == 2
     assert vp.supply == pytest.approx([-0.3, 0.3])
-    assert all(a.capacity == INFINITE_CAPACITY for a in vp.arcs)
+    assert all(vp.capacity == INFINITE_CAPACITY)
     dp = driver_flow_problem(two_station, d)
     assert dp.supply == pytest.approx([0.3, -0.3])
-    caps = {(a.tail, a.head): a.capacity for a in dp.arcs}
+    caps = dict(zip(zip(dp.tail.tolist(), dp.head.tolist()), dp.capacity))
     assert caps[(0, 1)] == pytest.approx(0.4)
     assert caps[(1, 0)] == pytest.approx(0.1)
 
@@ -139,6 +169,29 @@ def test_balanced_network_needs_no_rebalancing():
     # only customer trips pin vehicles: 10*0.3 + 10*0.3
     assert sol.assignment.min_vehicles == pytest.approx(6.0)
     assert sol.assignment.min_drivers == 0.0
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.37, 1.0, 1e6])
+def test_balanced_network_with_rounding_noise_needs_no_rebalancing(lam):
+    # p rows 0/0.3/0.7 are not dyadic: inflow - lambda leaves ~1e-17 noise
+    # at lam = 0.1, and f = 0 on half the legs, so driver noise would have
+    # nowhere to go
+    p = np.array([[0.0, 0.3, 0.7], [0.7, 0.0, 0.3], [0.3, 0.7, 0.0]])
+    net = StationNetwork(
+        n=3,
+        arrival_rate=np.full(3, lam),
+        service_rate=np.full(3, 2 * lam + 1),
+        dest_prob=p,
+        travel_time=5.0 * (np.ones((3, 3)) - np.eye(3)),
+        taxi_fraction=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+    )
+    assert np.all(compute_imbalance(net).surplus == 0.0)
+    sol = solve_rebalancing(net)
+    assert sol.status == "optimal"
+    assert np.all(sol.assignment.vehicle_rates == 0.0)
+    assert np.all(sol.assignment.driver_rates == 0.0)
+    assert sol.vehicle_objective == 0.0
+    assert sol.driver_objective == 0.0
 
 
 def test_driver_program_tightens_with_taxi_fraction(make_instance):
