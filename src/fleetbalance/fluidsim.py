@@ -1,8 +1,8 @@
 """Fluid simulation of queue levels under a fixed rebalancing assignment.
 
 State per station: waiting customers ``c``, idle vehicles ``v``, idle
-employed drivers ``r``.  Everything in transit lives in per-leg delay
-lines.  The dynamics are threshold-gated rate equations:
+employed drivers ``r``.  Everything in transit lives in arrival
+calendars (see Integration).  The dynamics are threshold-gated rate equations:
 
 * customers depart station ``i`` at rate ``mu[i]`` while a queue is
   present and a vehicle is idle, at rate ``lambda[i]`` when vehicles are
@@ -16,23 +16,33 @@ lines.  The dynamics are threshold-gated rate equations:
 Gates read "present" as strictly positive: a level exactly 0 emits
 nothing.
 
-Integration: explicit Euler with a fixed step ``h``.  Each leg ``(i, j)``
-owns a ring buffer of ``round(T[i, j] / h)`` slots holding departure
-rates; what left ``i`` at step ``k`` arrives at ``j`` at step
-``k + round(T/h)``.  Travel times are thereby rounded to the nearest
-multiple of ``h``; the construction requires ``h <= min positive T / 4``
-so every leg has at least a few slots.  Two buffers per leg: vehicles in
-motion (customer trips plus rebalancing trips) and drivers in motion
-(rebalancing trips plus return rides).
+Integration: explicit Euler with a fixed step ``h``.  Travel times are
+rounded to whole steps: what leaves ``i`` for ``j`` at step ``k``
+arrives at ``j`` at step ``k + d``, ``d = round(T[i, j] / h)``; the
+construction requires ``h <= min positive T / 4`` so every leg is at
+least a few steps long.  In-transit mass lives in two arrival calendars
+(vehicles in motion: customer trips plus rebalancing trips; drivers in
+motion: rebalancing trips plus return rides), each of shape ``(D, n)``
+with ``D`` the longest delay in steps.  Row ``k % D`` holds the rate
+arriving at each station at step ``k``: a step reads and clears that
+row, then adds each leg's departure rate into row ``(k + d) % D`` of its
+head station.  Legs that share a delay and a head are summed first, so
+a step costs O(legs + n) whatever the ratio of longest to shortest
+travel time.  In-transit totals are running sums (plus what a step
+writes, minus what it reads), so reading them is O(1).
 
 Clamping: when a step would drive a queue negative, all outbound flows
 from that queue are scaled down so the queue lands at zero, and the
-scaled rates (not the nominal ones) are written into the delay buffers.
+scaled rates (not the nominal ones) are written into the calendars.
 A rebalancing trip draws on both the vehicle and the driver queue, so it
 is scaled by the smaller of the two factors, which can leave a queue
-slightly above zero but never below.  Because buffer writes always equal
-queue withdrawals, total vehicle and driver mass is conserved to float
-rounding; there is no scheme-level drift term.
+slightly above zero but never below.  Because calendar writes always
+equal queue withdrawals and every write is read back exactly once, one
+delay later, total vehicle and driver mass is conserved to float
+rounding; there is no scheme-level drift term.  The running in-transit
+sums only reorder that rounding, and ``simulate`` takes the first and
+last samples of its totals from full calendar sums, so a bookkeeping
+leak would still show as drift in the trace.
 """
 
 from __future__ import annotations
@@ -62,13 +72,20 @@ def _check_rates(name: str, value, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Legs:
-    """Delay-line geometry shared by all states of one run."""
+    """Leg and calendar geometry shared by all states of one run.
+
+    Legs with the same delay and head station write the same calendar
+    cell each step; ``group`` numbers those (delay, head) pairs, and
+    ``group_cell`` is each pair's flat offset ``delay * n + head``.
+    """
 
     tail: np.ndarray    # leg tails, length n*(n-1)
     head: np.ndarray
-    steps: np.ndarray   # slots per leg, >= 1
-    offsets: np.ndarray  # start of each leg's slots in the flat buffers
-    total_slots: int
+    steps: np.ndarray   # delay of each leg in steps, >= 1
+    group: np.ndarray   # (delay, head) group of each leg
+    group_cell: np.ndarray
+    depth: int          # calendar rows D = longest delay
+    total_slots: int    # calendar cells D * n
 
     @staticmethod
     def build(net: StationNetwork, h: float) -> "_Legs":
@@ -89,22 +106,37 @@ class _Legs:
             raise ValidationError(f"step h={h:g} must be positive")
         tails, heads = np.nonzero(~np.eye(n, dtype=bool))
         steps = np.rint(tt[tails, heads] / h).astype(np.int64)
-        offsets = np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
+        depth = int(steps.max()) if steps.size else 1
+        cells, group = np.unique(steps * n + heads, return_inverse=True)
         return _Legs(
             tail=tails.astype(np.int64),
             head=heads.astype(np.int64),
             steps=steps,
-            offsets=offsets[:-1],
-            total_slots=int(offsets[-1]),
+            group=group.astype(np.int64),
+            group_cell=cells.astype(np.int64),
+            depth=depth,
+            total_slots=depth * n,
         )
+
+    def steady_calendar(self, leg_rate: np.ndarray, n: int) -> np.ndarray:
+        """Calendar of legs that have run at ``leg_rate`` for a full delay.
+
+        Row ``t`` holds, per head station, the rate of the legs still in
+        flight at step ``t``: those with delay > t.  Built as a suffix
+        sum over delays of nonnegative terms, so no entry goes negative.
+        """
+        by_delay = np.zeros((self.depth + 1, n))
+        np.add.at(by_delay, (self.steps, self.head), leg_rate)
+        return np.cumsum(by_delay[::-1], axis=0)[::-1][1:].copy()
 
 
 @dataclass(frozen=True, eq=False)
 class FluidState:
-    """One snapshot of a run: idle levels plus both delay lines.
+    """One snapshot of a run: idle levels plus both arrival calendars.
 
-    The buffer arrays hold departure rates, one slot per ``h`` of travel;
-    the in-transit mass of a slot is ``h`` times its rate.
+    The buffers are ``(D, n)`` calendars of arrival rates: row
+    ``k % D`` holds what reaches each station at step ``k``.  The
+    in-transit mass of a cell is ``h`` times its rate.
     """
 
     customers: np.ndarray
@@ -154,8 +186,8 @@ def initial_state(net: StationNetwork, customers, vehicles, drivers, h: float) -
         customers=_state_vector("customers", customers, n),
         vehicles=_state_vector("vehicles", vehicles, n),
         drivers=_state_vector("drivers", drivers, n),
-        vehicle_buffer=np.zeros(legs.total_slots),
-        driver_buffer=np.zeros(legs.total_slots),
+        vehicle_buffer=np.zeros((legs.depth, n)),
+        driver_buffer=np.zeros((legs.depth, n)),
         step_index=0,
         h=float(h),
         legs=legs,
@@ -171,7 +203,7 @@ def equilibrium_state(
     drivers,
     h: float,
 ) -> FluidState:
-    """State whose delay lines carry the steady departure rates.
+    """State whose calendars carry the steady departure rates.
 
     Matches a history in which every leg has been running at its
     assignment rate (customer trips at ``lambda * p`` plus rebalancing at
@@ -190,8 +222,8 @@ def equilibrium_state(
         customers=_state_vector("customers", customers, n),
         vehicles=_state_vector("vehicles", vehicles, n),
         drivers=_state_vector("drivers", drivers, n),
-        vehicle_buffer=np.repeat(veh_rate, legs.steps),
-        driver_buffer=np.repeat(drv_rate, legs.steps),
+        vehicle_buffer=legs.steady_calendar(veh_rate, n),
+        driver_buffer=legs.steady_calendar(drv_rate, n),
         step_index=0,
         h=float(h),
         legs=legs,
@@ -225,6 +257,8 @@ class SimTrace:
 class _Engine:
     """Mutable working copy of a state; advances it step by step."""
 
+    QUANTITIES = ("customers", "vehicles", "drivers")
+
     def __init__(self, net: StationNetwork, vehicle_rates, driver_rates, state: FluidState):
         n = net.n
         if state.n != n:
@@ -232,9 +266,8 @@ class _Engine:
         alpha = _check_rates("alpha", vehicle_rates, n)
         beta = _check_rates("beta", driver_rates, n)
         legs = state.legs
-        if state.vehicle_buffer.shape != (legs.total_slots,) or state.driver_buffer.shape != (
-            legs.total_slots,
-        ):
+        shape = (legs.depth, n)
+        if state.vehicle_buffer.shape != shape or state.driver_buffer.shape != shape:
             raise InvalidStateError("state buffers do not match leg geometry")
         for name, arr in (
             ("customers", state.customers),
@@ -263,9 +296,17 @@ class _Engine:
         self.c = state.customers.copy()
         self.v = state.vehicles.copy()
         self.r = state.drivers.copy()
-        self.veh_buf = state.vehicle_buffer.copy()
-        self.drv_buf = state.driver_buffer.copy()
+        self.veh_cal = state.vehicle_buffer.copy()
+        self.drv_cal = state.driver_buffer.copy()
+        # in-transit rate sums: the state's full sums plus a running net
+        # change (+ each step's writes, - its reads), kept apart so its
+        # rounding scales with the change and not with the whole sum
+        self.veh_transit = float(self.veh_cal.sum())
+        self.drv_transit = float(self.drv_cal.sum())
+        self.veh_moved = 0.0
+        self.drv_moved = 0.0
         self.step_index = state.step_index
+        self.zero = self._zero_mask()
 
         self.lam = net.arrival_rate
         self.mu = net.service_rate
@@ -276,29 +317,37 @@ class _Engine:
         self.events: list = []
         self.events_dropped = 0
 
-    def _log_events(self, before: dict, after: dict, time: float) -> None:
-        for name in ("customers", "vehicles", "drivers"):
-            was_zero = before[name]
-            is_zero = after[name]
-            for i in np.flatnonzero(was_zero != is_zero):
-                if len(self.events) >= ZERO_EVENT_CAP:
-                    self.events_dropped += 1
-                    continue
-                direction = "hit_zero" if is_zero[i] else "left_zero"
-                self.events.append((time, name, int(i), direction))
+    def _zero_mask(self) -> np.ndarray:
+        """Rows customers, vehicles, drivers: True where the level is 0."""
+        return np.array((self.c, self.v, self.r)) <= 0
+
+    def _log_events(self, before: np.ndarray, after: np.ndarray, time: float) -> None:
+        for q, i in zip(*np.nonzero(before != after)):
+            if len(self.events) >= ZERO_EVENT_CAP:
+                self.events_dropped += 1
+                continue
+            direction = "hit_zero" if after[q, i] else "left_zero"
+            self.events.append((time, self.QUANTITIES[q], int(i), direction))
+
+    def _post(self, calendar: np.ndarray, leg_rate: np.ndarray) -> float:
+        """Add departures into their arrival rows; returns the rate written."""
+        legs = self.legs
+        by_cell = np.bincount(legs.group, weights=leg_rate, minlength=legs.group_cell.size)
+        cells = (self.step_index * self.n + legs.group_cell) % legs.total_slots
+        calendar.reshape(-1)[cells] += by_cell
+        return float(by_cell.sum())
 
     def advance(self) -> None:
         h, n, legs = self.h, self.n, self.legs
         c, v, r = self.c, self.v, self.r
-        before = {"customers": c <= 0, "vehicles": v <= 0, "drivers": r <= 0}
 
-        slots = legs.offsets + self.step_index % legs.steps
-        arrive_v_leg = self.veh_buf[slots]
-        arrive_r_leg = self.drv_buf[slots]
-        arrive_v = np.bincount(legs.head, weights=arrive_v_leg, minlength=n)
-        arrive_r = np.bincount(legs.head, weights=arrive_r_leg, minlength=n)
+        row = self.step_index % legs.depth
+        arrive_v = self.veh_cal[row].copy()
+        arrive_r = self.drv_cal[row].copy()
+        self.veh_cal[row] = 0.0
+        self.drv_cal[row] = 0.0
 
-        vpos, rpos, cpos = v > 0, r > 0, c > 0
+        cpos, vpos, rpos = ~self.zero
         # customer departures: mu while a queue drains (capped so c lands
         # exactly at 0), lambda when the queue is empty, 0 without vehicles
         cust_dep = np.where(
@@ -311,16 +360,14 @@ class _Engine:
         out_v = cust_dep + np.bincount(legs.tail, weights=reb, minlength=n)
         out_r = np.bincount(legs.tail, weights=reb + ret, minlength=n)
 
-        # pro-rata scale-down of queues that would go negative
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sv = np.where(
-                v + h * (arrive_v - out_v) < 0, (v / h + arrive_v) / out_v, 1.0
-            )
-            sr = np.where(
-                r + h * (arrive_r - out_r) < 0, (r / h + arrive_r) / out_r, 1.0
-            )
-        sv = np.nan_to_num(sv, nan=1.0, posinf=1.0)
-        sr = np.nan_to_num(sr, nan=1.0, posinf=1.0)
+        # pro-rata scale-down of queues that would go negative; a queue can
+        # only go negative with a positive outflow, so the divisions are safe
+        sv = np.divide(
+            v / h + arrive_v, out_v, out=np.ones(n), where=v + h * (arrive_v - out_v) < 0
+        )
+        sr = np.divide(
+            r / h + arrive_r, out_r, out=np.ones(n), where=r + h * (arrive_r - out_r) < 0
+        )
 
         cust_f = cust_dep * sv
         reb_f = reb * np.minimum(sv, sr)[legs.tail]
@@ -333,29 +380,40 @@ class _Engine:
         out_r_f = np.bincount(legs.tail, weights=reb_f + ret_f, minlength=n)
         self.r = np.maximum(r + h * (arrive_r - out_r_f), 0.0)
 
-        self.veh_buf[slots] = cust_f[legs.tail] * self.p_leg + reb_f
-        self.drv_buf[slots] = reb_f + ret_f
+        veh_dep = cust_f[legs.tail] * self.p_leg + reb_f
+        self.veh_moved += self._post(self.veh_cal, veh_dep) - float(arrive_v.sum())
+        self.drv_moved += self._post(self.drv_cal, reb_f + ret_f) - float(arrive_r.sum())
         self.step_index += 1
 
-        after = {"customers": self.c <= 0, "vehicles": self.v <= 0, "drivers": self.r <= 0}
-        self._log_events(before, after, self.step_index * h)
+        after = self._zero_mask()
+        if not np.array_equal(after, self.zero):
+            self._log_events(self.zero, after, self.step_index * h)
+        self.zero = after
 
     def snapshot(self) -> FluidState:
         return FluidState(
             customers=self.c.copy(),
             vehicles=self.v.copy(),
             drivers=self.r.copy(),
-            vehicle_buffer=self.veh_buf.copy(),
-            driver_buffer=self.drv_buf.copy(),
+            vehicle_buffer=self.veh_cal.copy(),
+            driver_buffer=self.drv_cal.copy(),
             step_index=self.step_index,
             h=self.h,
             legs=self.legs,
         )
 
     def totals(self) -> tuple[float, float]:
+        """Fleet totals from the running in-transit sums, O(n)."""
         return (
-            float(self.v.sum()) + float(self.veh_buf.sum()) * self.h,
-            float(self.r.sum()) + float(self.drv_buf.sum()) * self.h,
+            float(self.v.sum()) + (self.veh_transit + self.veh_moved) * self.h,
+            float(self.r.sum()) + (self.drv_transit + self.drv_moved) * self.h,
+        )
+
+    def full_totals(self) -> tuple[float, float]:
+        """Fleet totals from full calendar sums, O(D n)."""
+        return (
+            float(self.v.sum()) + float(self.veh_cal.sum()) * self.h,
+            float(self.r.sum()) + float(self.drv_cal.sum()) * self.h,
         )
 
 
@@ -404,7 +462,10 @@ def simulate(
             c_out[cursor] = engine.c
             v_out[cursor] = engine.v
             r_out[cursor] = engine.r
-            v_tot[cursor], r_tot[cursor] = engine.totals()
+            # the ends come from full sums, so a leak in the running
+            # sums still shows as drift
+            ends = k == 0 or k == steps
+            v_tot[cursor], r_tot[cursor] = engine.full_totals() if ends else engine.totals()
             cursor += 1
         if k < steps:
             engine.advance()
@@ -527,7 +588,8 @@ def stability_probe(
 
     post = trace.times >= (drain_time if drain_time is not None else trace.times[-1])
     min_v = float(np.min(trace.vehicles[post])) if np.any(post) else float("nan")
-    balanced = np.abs(compute_imbalance(net).surplus) <= 1e-12
+    # compute_imbalance sets balanced stations to exactly 0, relative to sum(lambda)
+    balanced = compute_imbalance(net).surplus == 0
     drivers_mat = trace.drivers[post]
     if np.any(balanced):
         need_pos = drivers_mat[:, ~balanced]

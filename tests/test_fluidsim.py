@@ -308,3 +308,29 @@ def test_write_trace_csv(tmp_path, two_station):
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == trace.times[0]
     assert first[-2] == pytest.approx(trace.vehicles_total[0])
+
+
+def test_probe_is_invariant_under_rate_scaling(make_instance):
+    # scaling every rate by a power of two scales every level exactly; the
+    # balanced-station test must not read tiny surpluses as balanced
+    net = make_instance(8, 3)
+    s = 2.0**-40
+    small = StationNetwork(
+        n=net.n,
+        arrival_rate=net.arrival_rate * s,
+        service_rate=net.service_rate * s,
+        dest_prob=net.dest_prob,
+        travel_time=net.travel_time,
+        taxi_fraction=net.taxi_fraction,
+    )
+    h = net.min_offdiag_travel_time() / 4
+    base = stability_probe(net, solve_rebalancing(net), 0.2, 0.2, 0.1, h=h, seed=4)
+    scaled = stability_probe(
+        small, solve_rebalancing(small), 0.2, 0.2, 0.1, h=h, seed=4,
+        tol_customers=1e-4 * s, tol_positive=1e-6 * s,
+    )
+    assert np.isfinite(base.min_idle_drivers)
+    assert scaled.passed == base.passed
+    assert scaled.drain_time == base.drain_time
+    assert scaled.min_idle_vehicles == pytest.approx(base.min_idle_vehicles * s, rel=1e-9, abs=0)
+    assert scaled.min_idle_drivers == pytest.approx(base.min_idle_drivers * s, rel=1e-9, abs=0)

@@ -1,0 +1,238 @@
+"""The arrival-calendar simulator against the per-leg delay-ring integrator.
+
+``RingStepper`` is the layout the calendar replaced: every leg ``(i, j)``
+owns ``round(T[i, j] / h)`` slots of departure rates, and step ``k``
+reads, then overwrites, slot ``k % steps`` of every leg.  It costs
+O(sum of slots) per step and memory, but its bookkeeping is direct, so
+it serves as the reference for ``simulate`` and ``step``.
+"""
+
+import numpy as np
+import pytest
+
+from fleetbalance.fluidsim import _Engine, equilibrium_state, initial_state, simulate, step
+from fleetbalance.rebalance import solve_rebalancing
+
+RTOL = 1e-12
+
+
+class RingStepper:
+    """Per-leg ring-buffer Euler integrator with the simulator's dynamics."""
+
+    def __init__(self, net, alpha, beta, h, customers, vehicles, drivers, steady):
+        n = net.n
+        self.n, self.h = n, h
+        self.tail, self.head = np.nonzero(~np.eye(n, dtype=bool))
+        self.steps = np.rint(net.travel_time[self.tail, self.head] / h).astype(np.int64)
+        self.offsets = np.concatenate([[0], np.cumsum(self.steps)[:-1]])
+        self.lam, self.mu = net.arrival_rate, net.service_rate
+        self.alpha_leg = alpha[self.tail, self.head]
+        self.beta_leg = beta[self.tail, self.head]
+        self.p_leg = net.dest_prob[self.tail, self.head]
+        self.taxi_leg = net.taxi_fraction[self.tail, self.head]
+        self.c = np.array(customers, dtype=float)
+        self.v = np.array(vehicles, dtype=float)
+        self.r = np.array(drivers, dtype=float)
+        if steady:
+            veh = self.lam[self.tail] * self.p_leg + self.alpha_leg
+            drv = self.alpha_leg + self.beta_leg
+        else:
+            veh = drv = np.zeros(self.tail.shape[0])
+        self.veh_buf = np.repeat(veh, self.steps)
+        self.drv_buf = np.repeat(drv, self.steps)
+        self.k = 0
+        self.clamped = False
+
+    def totals(self):
+        return (
+            self.v.sum() + self.veh_buf.sum() * self.h,
+            self.r.sum() + self.drv_buf.sum() * self.h,
+        )
+
+    def advance(self):
+        h, n, tail, head = self.h, self.n, self.tail, self.head
+        c, v, r = self.c, self.v, self.r
+        slots = self.offsets + self.k % self.steps
+        arrive_v = np.bincount(head, weights=self.veh_buf[slots], minlength=n)
+        arrive_r = np.bincount(head, weights=self.drv_buf[slots], minlength=n)
+
+        vpos, rpos, cpos = v > 0, r > 0, c > 0
+        cust_dep = np.where(
+            vpos, np.where(cpos, np.minimum(self.mu, self.lam + c / h), self.lam), 0.0
+        )
+        gate = (vpos & rpos)[tail]
+        reb = np.where(gate, self.alpha_leg, 0.0)
+        ret = np.where(gate, self.beta_leg, 0.0)
+        out_v = cust_dep + np.bincount(tail, weights=reb, minlength=n)
+        out_r = np.bincount(tail, weights=reb + ret, minlength=n)
+
+        sv, sr = np.ones(n), np.ones(n)
+        for scale, level, arrive, out in ((sv, v, arrive_v, out_v), (sr, r, arrive_r, out_r)):
+            short = level + h * (arrive - out) < 0
+            scale[short] = (level[short] / h + arrive[short]) / out[short]
+        self.clamped |= bool(np.any(sv < 1) or np.any(sr < 1))
+
+        cust_f = cust_dep * sv
+        reb_f = reb * np.minimum(sv, sr)[tail]
+        ret_f = np.minimum(ret * sr[tail], self.taxi_leg * (cust_f[tail] * self.p_leg))
+
+        self.c = np.maximum(c + h * (self.lam - cust_f), 0.0)
+        self.v = np.maximum(
+            v + h * (arrive_v - cust_f - np.bincount(tail, weights=reb_f, minlength=n)), 0.0
+        )
+        self.r = np.maximum(
+            r + h * (arrive_r - np.bincount(tail, weights=reb_f + ret_f, minlength=n)), 0.0
+        )
+        self.veh_buf[slots] = cust_f[tail] * self.p_leg + reb_f
+        self.drv_buf[slots] = reb_f + ret_f
+        self.k += 1
+
+
+def ring_run(ring, steps):
+    """Levels and totals of the ring at steps 0..steps, stacked per field."""
+    rows = []
+    for k in range(steps + 1):
+        rows.append((ring.c.copy(), ring.v.copy(), ring.r.copy(), *ring.totals()))
+        if k < steps:
+            ring.advance()
+    return [np.array(col) for col in zip(*rows)]
+
+
+def assert_close(actual, expected, scale, label):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL * scale, err_msg=label)
+
+
+def assert_trace_matches(trace, ring_cols, scale):
+    for name, got, want in zip(
+        ("customers", "vehicles", "drivers", "vehicles_total", "drivers_total"),
+        (trace.customers, trace.vehicles, trace.drivers, trace.vehicles_total, trace.drivers_total),
+        ring_cols,
+    ):
+        assert_close(got, want, scale, name)
+
+
+def perturbed_start(net, seed):
+    """Probe-like start: solved assignment, idle stock with jitter, queues."""
+    a = solve_rebalancing(net).assignment
+    rng = np.random.default_rng(seed)
+    v0 = 0.2 * a.min_vehicles / net.n * rng.uniform(0.8, 1.2, net.n)
+    r0 = 0.2 * a.min_drivers / net.n * rng.uniform(0.8, 1.2, net.n)
+    return a, 0.1 * v0, v0, r0
+
+
+@pytest.mark.parametrize("n,seed", [(4, 7), (6, 13), (9, 21)])
+def test_simulate_matches_ring_on_generated_instances(make_instance, n, seed):
+    net = make_instance(n, seed)
+    h = net.min_offdiag_travel_time() / 5
+    a, c0, v0, r0 = perturbed_start(net, seed)
+    ring = RingStepper(net, a.vehicle_rates, a.driver_rates, h, c0, v0, r0, steady=True)
+    assert len(set(ring.steps.tolist())) > 3  # unequal delays
+    steps = int(round(2.5 * net.max_travel_time() / h))
+    init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
+    scale = float(np.sum(ring.totals()))
+    assert init.total_vehicles() == pytest.approx(ring.totals()[0], rel=RTOL)
+    assert init.total_drivers() == pytest.approx(ring.totals()[1], rel=RTOL)
+
+    trace = simulate(net, a.vehicle_rates, a.driver_rates, init, steps * h, h)
+    assert trace.times.shape == (steps + 1,)
+    assert_trace_matches(trace, ring_run(ring, steps), scale)
+
+
+def test_repeated_steps_match_ring_far_from_equilibrium(make_instance):
+    # empty roads, queues and scarce idle stock: clamping binds early on.
+    # A clamped queue lands on rounding noise (0 or ~1e-17) and the gates
+    # read that noise, so the two layouts can only agree past a clamp if
+    # their arrivals round alike: with two legs into each station an
+    # arrival is a sum of two terms, which rounds the same in any order.
+    net = make_instance(3, 3)
+    h = net.min_offdiag_travel_time() / 4
+    a = solve_rebalancing(net).assignment
+    rng = np.random.default_rng(2)
+    c0, v0, r0 = rng.uniform(0, 2, 3), rng.uniform(0, 0.02, 3), rng.uniform(0, 0.01, 3)
+    ring = RingStepper(net, a.vehicle_rates, a.driver_rates, h, c0, v0, r0, steady=False)
+    assert len(set(ring.steps.tolist())) == 3
+    state = initial_state(net, c0, v0, r0, h)
+    scale = float(np.sum(ring.totals()) + c0.sum())
+    for k in range(int(round(4 * net.max_travel_time() / h))):
+        state = step(state, net, a.vehicle_rates, a.driver_rates, h)
+        ring.advance()
+        label = f"step {k + 1}"
+        assert_close(state.customers, ring.c, scale, label)
+        assert_close(state.vehicles, ring.v, scale, label)
+        assert_close(state.drivers, ring.r, scale, label)
+        assert_close(state.total_vehicles(), ring.totals()[0], scale, label)
+        assert_close(state.total_drivers(), ring.totals()[1], scale, label)
+    assert ring.clamped
+    assert state.step_index == ring.k
+
+
+def test_resumed_snapshot_matches_ring(make_instance):
+    net = make_instance(7, 9)
+    h = net.min_offdiag_travel_time() / 4
+    a, c0, v0, r0 = perturbed_start(net, 9)
+    ring = RingStepper(net, a.vehicle_rates, a.driver_rates, h, c0, v0, r0, steady=True)
+    state = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
+    # stop mid-delay so the calendar rows are out of phase with step 0
+    first = int(ring.steps.max()) // 2 + 3
+    for _ in range(first):
+        state = step(state, net, a.vehicle_rates, a.driver_rates, h)
+    assert state.step_index == first
+    more = int(round(2 * net.max_travel_time() / h))
+    trace = simulate(net, a.vehicle_rates, a.driver_rates, state, more * h, h)
+    assert trace.times[0] == pytest.approx(first * h)
+
+    cols = ring_run(ring, first + more)
+    assert_trace_matches(trace, [col[first:] for col in cols], float(np.sum(ring.totals())))
+
+
+def test_running_totals_equal_full_sums_under_clamping(make_instance):
+    net = make_instance(6, 4)
+    h = net.min_offdiag_travel_time() / 4
+    a = solve_rebalancing(net).assignment
+    rng = np.random.default_rng(5)
+    c0, v0, r0 = rng.uniform(0, 2, 6), rng.uniform(0, 0.02, 6), rng.uniform(0, 0.01, 6)
+    init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
+    engine = _Engine(net, a.vehicle_rates, a.driver_rates, init)
+    for _ in range(int(round(3 * net.max_travel_time() / h))):
+        engine.advance()
+        assert engine.totals() == pytest.approx(engine.full_totals(), rel=RTOL)
+    # idle stock only reaches exactly zero through a clamp
+    clamped = {name for _, name, _, way in engine.events if way == "hit_zero"}
+    assert {"vehicles", "drivers"} <= clamped
+
+
+def test_calendar_cells_are_the_reported_slots(make_instance):
+    net = make_instance(8, 2)
+    h = net.min_offdiag_travel_time() / 10
+    a = solve_rebalancing(net).assignment
+    state = equilibrium_state(
+        net, a.vehicle_rates, a.driver_rates, np.zeros(8), np.ones(8), np.ones(8), h
+    )
+    legs = state.legs
+    assert legs.total_slots == state.vehicle_buffer.size == state.driver_buffer.size
+    assert state.vehicle_buffer.shape == (int(legs.steps.max()), 8)
+    # far fewer cells than the per-leg rings would hold
+    assert legs.total_slots < legs.steps.sum()
+    empty = initial_state(net, np.zeros(8), np.ones(8), np.ones(8), h)
+    assert empty.legs.total_slots == empty.vehicle_buffer.size == empty.driver_buffer.size
+
+
+def test_steady_calendar_rows(make_instance):
+    net = make_instance(5, 3)
+    h = net.min_offdiag_travel_time() / 4
+    a = solve_rebalancing(net).assignment
+    state = equilibrium_state(
+        net, a.vehicle_rates, a.driver_rates, np.zeros(5), np.ones(5), np.ones(5), h
+    )
+    legs = state.legs
+    drv = a.vehicle_rates[legs.tail, legs.head] + a.driver_rates[legs.tail, legs.head]
+    assert np.all(state.driver_buffer >= 0)
+    for t in range(legs.depth):
+        live = legs.steps > t
+        want = np.bincount(legs.head[live], weights=drv[live], minlength=5)
+        np.testing.assert_allclose(state.driver_buffer[t], want, rtol=RTOL, atol=0)
+    # the last row only holds the longest legs; stations no such leg
+    # enters are exactly empty there
+    longest = legs.steps == legs.depth
+    assert np.all(state.driver_buffer[-1][~np.isin(np.arange(5), legs.head[longest])] == 0)
+    assert state.in_transit_drivers() == pytest.approx(h * np.sum(legs.steps * drv), rel=RTOL)
