@@ -4,7 +4,6 @@ from .errors import (
     InsufficientFleetError,
     InvalidStateError,
     RebalanceInfeasibleError,
-    SizeLimitError,
     ValidationError,
 )
 from .experiments import (
@@ -33,19 +32,14 @@ from .mincostflow import (
     INFINITE_CAPACITY,
     FlowProblem,
     FlowSolution,
-    brute_force_mcf,
     check_flow_feasibility,
     feasibility_cut,
-    flow_debug_dict,
-    residual_negative_cycle,
     solve_mcf,
 )
 from .network import (
-    CutCheck,
     ImbalanceVector,
     RebalanceAssignment,
     StationNetwork,
-    check_feasibility_bruteforce,
     compute_imbalance,
     fleet_sizes,
     validate_assignment,

@@ -13,12 +13,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import (
-    InsufficientFleetError,
-    RebalanceInfeasibleError,
-    SizeLimitError,
-    ValidationError,
-)
+from .errors import InsufficientFleetError, RebalanceInfeasibleError, ValidationError
 from .experiments import (
     SweepConfig,
     run_f_sweep,
@@ -266,7 +261,7 @@ def main(argv=None) -> int:
     except InsufficientFleetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLEET
-    except (ValidationError, SizeLimitError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -5,10 +5,6 @@ class ValidationError(ValueError):
     """Input data violates a structural requirement; the message names the offending field."""
 
 
-class SizeLimitError(ValueError):
-    """Problem is too large for an exponential-time routine."""
-
-
 class InvalidStateError(ValueError):
     """Simulation state contains NaN, negative, or inconsistently shaped entries."""
 

@@ -9,10 +9,12 @@ Two sweeps, both over generator-sampled instances:
   several taxi fractions; reports how sharing customer trips shrinks the
   driver pool.
 
-Each trial derives its seed as ``base_seed * 10000 + size * 100 +
-trial``, so any row can be regenerated in isolation.  Trials are
-independent; with ``workers > 1`` they run in a process pool and are
-re-assembled in deterministic order.  Identical configs produce
+Both sweeps run the same trial: generate the instance, compute its
+imbalance and vehicle program once, then solve the driver program at
+each taxi fraction.  Each trial derives its seed as ``base_seed * 10000
++ size * 100 + trial``, so any row can be regenerated in isolation.
+Trials are independent; with ``workers > 1`` they run in a process pool
+and are re-assembled in deterministic order.  Identical configs produce
 byte-identical CSV files.
 """
 
@@ -21,24 +23,16 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ValidationError
 from .generate import GeneratorConfig, generate_instance
-from .network import RebalanceAssignment, StationNetwork, compute_imbalance, fleet_sizes
-from .rebalance import (
-    RebalanceSolution,
-    solve_driver_rebalancing,
-    solve_rebalancing,
-    solve_vehicle_rebalancing,
-)
+from .network import ImbalanceVector, StationNetwork, assignment_residuals, compute_imbalance
+from .rebalance import RebalanceSolution, _solve_against_vehicles, solve_vehicle_rebalancing
 
 ROW_FIELDS = ("group_key", "trial", "seed", "n", "f", "v_alpha", "r_alpha_beta", "ratio", "reb_fraction")
 SUMMARY_METRICS = ("v_alpha", "r_alpha_beta", "ratio", "reb_fraction")
-
-InstanceProvider = Callable[[int, int, GeneratorConfig], StationNetwork]
 
 
 @dataclass(frozen=True)
@@ -126,6 +120,7 @@ class SweepReport:
 
 def _row_from_solution(
     net: StationNetwork,
+    imbalance: ImbalanceVector,
     solution: RebalanceSolution,
     group_key: str,
     trial: int,
@@ -138,11 +133,7 @@ def _row_from_solution(
             f"has no feasible driver-return assignment: {solution.infeasibility}"
         )
     a = solution.assignment
-    d = compute_imbalance(net).surplus
-    alpha, beta = a.vehicle_rates, a.driver_rates
-    alpha_res = float(np.max(np.abs(alpha.sum(axis=1) - alpha.sum(axis=0) - d)))
-    beta_res = float(np.max(np.abs(beta.sum(axis=1) - beta.sum(axis=0) + d)))
-    cap_excess = float(np.max(beta - net.taxi_capacity()))
+    alpha_res, beta_res, cap_excess = assignment_residuals(net, a, imbalance)
     ratio = a.min_drivers / a.min_vehicles if a.min_vehicles > 0 else float("nan")
     frac = solution.vehicle_objective / a.min_drivers if a.min_drivers > 0 else float("nan")
     return TrialRow(
@@ -155,72 +146,63 @@ def _row_from_solution(
         r_alpha_beta=a.min_drivers,
         ratio=ratio,
         reb_fraction=frac,
-        alpha_residual=alpha_res,
-        beta_residual=beta_res,
-        beta_cap_excess=cap_excess,
+        alpha_residual=float(np.max(np.abs(alpha_res))),
+        beta_residual=float(np.max(np.abs(beta_res))),
+        beta_cap_excess=float(np.max(cap_excess)),
     )
 
 
-def _station_trial(args) -> TrialRow:
-    config, size, trial = args
+def _trial(args) -> list[TrialRow]:
+    """One generated instance, solved at each entry of ``f_values``.
+
+    ``None`` keeps the instance's own taxi fraction and groups the row
+    by size (station sweep); a number sets every leg to it and groups
+    the row by that fraction (taxi-fraction sweep).
+    """
+    config, size, trial, f_values = args
     seed = trial_seed(config.base_seed, size, trial)
     net = generate_instance(size, seed, config.generator)
-    solution = solve_rebalancing(net)
-    return _row_from_solution(net, solution, f"n={size}", trial, seed, config.generator.taxi_fraction)
+    d = compute_imbalance(net)
+    # alpha does not see the taxi fraction; solve it once per instance
+    alpha = solve_vehicle_rebalancing(net, d)
+    rows = []
+    for f_value in f_values:
+        if f_value is None:
+            net_f, group_key, f_value = net, f"n={size}", config.generator.taxi_fraction
+        else:
+            taxi = np.full((size, size), float(f_value))
+            np.fill_diagonal(taxi, 0.0)
+            net_f, group_key = replace(net, taxi_fraction=taxi), f"f={f_value:g}"
+        solution = _solve_against_vehicles(net_f, d, *alpha)
+        rows.append(_row_from_solution(net_f, d, solution, group_key, trial, seed, f_value))
+    return rows
 
 
-def run_station_sweep(
-    config: SweepConfig, instance_provider: Optional[InstanceProvider] = None
-) -> SweepReport:
+def _sweep(config: SweepConfig, f_values: tuple) -> SweepReport:
+    """Run :func:`_trial` on every (size, trial) cell, in a process pool when ``workers > 1``.
+
+    Rows are grouped by taxi fraction (column-major over trials, for
+    readable CSVs), then in (size, trial) order.
+    """
+    specs = [
+        (config, size, trial, f_values) for size in config.sizes for trial in range(config.trials_per_size)
+    ]
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            per_trial = list(pool.map(_trial, specs))
+    else:
+        per_trial = [_trial(s) for s in specs]
+    rows = [trial_rows[k] for k in range(len(f_values)) for trial_rows in per_trial]
+    return SweepReport(config=config, rows=rows)
+
+
+def run_station_sweep(config: SweepConfig) -> SweepReport:
     """Solve every (size, trial) cell; taxi fraction must be pinned to 1."""
     if config.generator.taxi_fraction != 1.0:
         raise ValidationError(
             f"station sweep requires taxi_fraction=1, got {config.generator.taxi_fraction:g}"
         )
-    specs = [(config, size, trial) for size in config.sizes for trial in range(config.trials_per_size)]
-    if instance_provider is not None:
-        if config.workers != 1:
-            raise ValidationError("a custom instance provider requires workers=1")
-        rows = []
-        for _, size, trial in specs:
-            seed = trial_seed(config.base_seed, size, trial)
-            net = instance_provider(size, seed, config.generator)
-            solution = solve_rebalancing(net)
-            rows.append(
-                _row_from_solution(net, solution, f"n={size}", trial, seed, config.generator.taxi_fraction)
-            )
-    elif config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_station_trial, specs))
-    else:
-        rows = [_station_trial(s) for s in specs]
-    return SweepReport(config=config, rows=rows)
-
-
-def _f_trial(args) -> list[TrialRow]:
-    config, size, trial = args
-    seed = trial_seed(config.base_seed, size, trial)
-    net = generate_instance(size, seed, config.generator)
-    d = compute_imbalance(net)
-    # alpha does not see the taxi fraction; solve it once per instance
-    alpha, alpha_obj = solve_vehicle_rebalancing(net, d)
-    rows = []
-    for f_value in config.f_values:
-        taxi = np.full((size, size), float(f_value))
-        np.fill_diagonal(taxi, 0.0)
-        net_f = replace(net, taxi_fraction=taxi)
-        beta, beta_obj = solve_driver_rebalancing(net_f, d)
-        min_v, min_r = fleet_sizes(net_f, alpha, beta)
-        solution = RebalanceSolution(
-            status="optimal",
-            assignment=RebalanceAssignment(
-                vehicle_rates=alpha, driver_rates=beta, min_vehicles=min_v, min_drivers=min_r
-            ),
-            vehicle_objective=alpha_obj,
-            driver_objective=beta_obj,
-        )
-        rows.append(_row_from_solution(net_f, solution, f"f={f_value:g}", trial, seed, f_value))
-    return rows
+    return _sweep(config, (None,))
 
 
 def run_f_sweep(config: SweepConfig) -> SweepReport:
@@ -229,19 +211,7 @@ def run_f_sweep(config: SweepConfig) -> SweepReport:
         raise ValidationError(f"taxi-fraction sweep needs exactly one size, got {config.sizes!r}")
     if any(not (1.0 <= f <= 4.0) for f in config.f_values):
         raise ValidationError(f"f_values must lie in [1, 4], got {config.f_values!r}")
-    size = config.sizes[0]
-    specs = [(config, size, trial) for trial in range(config.trials_per_size)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            nested = list(pool.map(_f_trial, specs))
-    else:
-        nested = [_f_trial(s) for s in specs]
-    # group rows by f value (column-major over trials) for readable CSVs
-    rows: list[TrialRow] = []
-    for k, f_value in enumerate(config.f_values):
-        for per_trial in nested:
-            rows.append(per_trial[k])
-    return SweepReport(config=config, rows=rows)
+    return _sweep(config, config.f_values)
 
 
 def write_report_csv(report: SweepReport, path) -> None:

@@ -10,8 +10,7 @@ flows are scaled back afterwards.  The feasibility tolerances are
 tightened to ``LP_TOL`` (HiGHS's default 1e-7 left balance residuals
 above 1e-7 of the total supply), and presolve is off: dual simplex
 without presolve was the fastest HiGHS setting measured on these
-incidence matrices, and only without presolve does an iteration limit
-take effect.
+incidence matrices.
 
 Every optimal answer is certified before it is returned: the equality
 duals of the LP are node potentials ``pi``, and complementary slackness
@@ -33,25 +32,18 @@ capacity allows.
 it costs about 0.3 s and 16 MB (2-core x86 machine, Python 3.11,
 SciPy 1.17), which a process pays on its first solve and not on
 ``import fleetbalance``.
-
-``brute_force_mcf`` is an independent oracle for tests: it enumerates
-every vertex of the flow polytope (free arcs forming a forest, every
-other arc pinned at 0 or at its capacity) and takes the cheapest
-feasible one.  Exponential; refuses more than 6 nodes or 12 arcs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .errors import SizeLimitError, ValidationError
+from .errors import ValidationError
 
 INFINITE_CAPACITY = math.inf
 SUPPLY_TOL = 1e-9       # supply imbalance and undeliverable supply, relative to the supply total
@@ -135,7 +127,7 @@ class FlowSolution:
     status: str  # "optimal" | "infeasible"
 
 
-def _highs(node_count: int, tail, head, cost, capacity, supply, max_iterations: Optional[int] = None):
+def _highs(node_count: int, tail, head, cost, capacity, supply):
     """Solve the flow LP of data already scaled to unit supply and cost.
 
     Returns the ``linprog`` result when HiGHS proves it optimal (status
@@ -149,20 +141,17 @@ def _highs(node_count: int, tail, head, cost, capacity, supply, max_iterations: 
         (np.r_[np.ones(m), -np.ones(m)], (np.r_[tail, head], np.r_[arcs, arcs])),
         shape=(node_count, m),
     )
-    options = {
-        "presolve": False,
-        "primal_feasibility_tolerance": LP_TOL,
-        "dual_feasibility_tolerance": LP_TOL,
-    }
-    if max_iterations is not None:
-        options["maxiter"] = max_iterations
     res = linprog(
         cost,
         A_eq=incidence,
         b_eq=supply,
         bounds=np.column_stack([np.zeros(m), capacity]),
         method="highs-ds",
-        options=options,
+        options={
+            "presolve": False,
+            "primal_feasibility_tolerance": LP_TOL,
+            "dual_feasibility_tolerance": LP_TOL,
+        },
     )
     if res.status not in (0, 2):
         raise RuntimeError(
@@ -190,10 +179,10 @@ def _supply_total(problem: FlowProblem) -> float:
     return 0.0 if total <= SUPPLY_TOL * float(np.abs(problem.supply).sum()) else total
 
 
-def solve_mcf(problem: FlowProblem, max_iterations: Optional[int] = None) -> FlowSolution:
+def solve_mcf(problem: FlowProblem) -> FlowSolution:
     """Minimum-cost flow via HiGHS, certified by complementary slackness.
 
-    ``max_iterations`` caps the simplex iterations; reaching it raises
+    A HiGHS outcome other than optimal or infeasible raises
     :class:`RuntimeError`.
     """
     m = problem.arc_count
@@ -206,9 +195,7 @@ def solve_mcf(problem: FlowProblem, max_iterations: Optional[int] = None) -> Flo
     unit = float(problem.cost.max()) or 1.0
     cost = problem.cost / unit
     capacity = problem.capacity / total
-    res = _highs(
-        problem.node_count, problem.tail, problem.head, cost, capacity, problem.supply / total, max_iterations
-    )
+    res = _highs(problem.node_count, problem.tail, problem.head, cost, capacity, problem.supply / total)
     if res.status == 2:
         return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible")
     scaled = np.clip(res.x, 0.0, capacity)
@@ -262,153 +249,3 @@ def check_flow_feasibility(problem: FlowProblem) -> bool:
     """
     undeliverable, _ = feasibility_cut(problem)
     return undeliverable <= SUPPLY_TOL * _supply_total(problem)
-
-
-def residual_negative_cycle(problem: FlowProblem, solution: FlowSolution, tol: float = 1e-9) -> bool:
-    """True if the residual graph of ``solution`` contains a negative-cost cycle.
-
-    An optimal flow has none; this is the optimality certificate used by
-    the tests (Bellman-Ford from an all-zero potential).
-    """
-    n = problem.node_count
-    entries = []  # (tail, head, cost)
-    for k in range(problem.arc_count):
-        tail, head, cost = int(problem.tail[k]), int(problem.head[k]), float(problem.cost[k])
-        flow = float(solution.flow[k])
-        if problem.capacity[k] - flow > RESIDUAL_TOL:
-            entries.append((tail, head, cost))
-        if flow > RESIDUAL_TOL:
-            entries.append((head, tail, -cost))
-    dist = np.zeros(n)
-    for _ in range(n + 1):
-        changed = False
-        for tail, head, cost in entries:
-            if dist[tail] + cost < dist[head] - tol:
-                dist[head] = dist[tail] + cost
-                changed = True
-        if not changed:
-            return False
-    # still relaxing after n+1 full passes: some cycle keeps improving
-    return True
-
-
-def _forest_subsets(pairs: list[tuple[int, int]], node_count: int) -> Iterable[tuple[int, ...]]:
-    """All arc-index subsets whose undirected support is acyclic.
-
-    Parallel and antiparallel arcs between the same node pair count as a
-    cycle (their incidence columns are linearly dependent).
-    """
-    m = len(pairs)
-    max_size = min(m, node_count - 1)
-    for size in range(max_size + 1):
-        for subset in itertools.combinations(range(m), size):
-            root = list(range(node_count))
-
-            def find(x):
-                while root[x] != x:
-                    root[x] = root[root[x]]
-                    x = root[x]
-                return x
-
-            ok = True
-            for k in subset:
-                a, b = (find(pairs[k][0]), find(pairs[k][1]))
-                if a == b:
-                    ok = False
-                    break
-                root[a] = b
-            if ok:
-                yield subset
-
-
-def brute_force_mcf(problem: FlowProblem) -> FlowSolution:
-    """Exhaustive oracle: cheapest vertex of the flow polytope.
-
-    Every vertex has its free arcs forming a forest and every other arc
-    pinned at 0 or at a finite capacity, so enumerating (forest, pinned
-    bounds) pairs covers all vertices.  With nonnegative costs the
-    optimum (when feasible) is attained at a vertex.  Independent of
-    :func:`solve_mcf`.
-    """
-    n = problem.node_count
-    m = problem.arc_count
-    if n > 6:
-        raise SizeLimitError(f"brute force limited to 6 nodes, got {n}")
-    if m > 12:
-        raise SizeLimitError(f"brute force limited to 12 arcs, got {m}")
-
-    supply = problem.supply
-    caps = problem.capacity
-    costs = problem.cost
-    incidence = np.zeros((n, m))
-    for k in range(m):
-        incidence[problem.tail[k], k] += 1.0
-        incidence[problem.head[k], k] -= 1.0
-    pairs = list(zip(problem.tail.tolist(), problem.head.tolist()))
-
-    best_obj = np.inf
-    best_flow = None
-    consistency_tol = 1e-6
-    bound_tol = 1e-9
-
-    for forest in _forest_subsets(pairs, n):
-        free = np.array(forest, dtype=int)
-        pinned = np.setdiff1d(np.arange(m), free)
-        finite = pinned[np.isfinite(caps[pinned]) & (caps[pinned] > bound_tol)]
-        # arcs pinned at an infinite or zero capacity can only sit at 0
-        k_fin = finite.shape[0]
-        combos = (np.arange(1 << k_fin)[:, None] >> np.arange(k_fin)) & 1
-        pinned_flow = combos * caps[finite]  # (2**k, k_fin)
-        adjusted = supply[None, :] - pinned_flow @ incidence[:, finite].T
-
-        if free.size:
-            basis = incidence[:, free]
-            free_flow = adjusted @ np.linalg.pinv(basis).T
-            resid = adjusted - free_flow @ basis.T
-            in_bounds = np.all(free_flow >= -bound_tol, axis=1) & np.all(
-                free_flow <= caps[free] + bound_tol, axis=1
-            )
-        else:
-            free_flow = np.zeros((adjusted.shape[0], 0))
-            resid = adjusted
-            in_bounds = np.ones(adjusted.shape[0], dtype=bool)
-        feasible = in_bounds & (np.max(np.abs(resid), axis=1) <= consistency_tol)
-        if not np.any(feasible):
-            continue
-        obj = free_flow @ costs[free] + pinned_flow @ costs[finite]
-        obj = np.where(feasible, obj, np.inf)
-        k = int(np.argmin(obj))
-        if obj[k] < best_obj:
-            best_obj = float(obj[k])
-            flow = np.zeros(m)
-            flow[finite] = pinned_flow[k]
-            flow[free] = np.clip(free_flow[k], 0.0, caps[free])
-            best_flow = flow
-
-    if best_flow is None:
-        return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible")
-    return FlowSolution(flow=best_flow, objective=best_obj, status="optimal")
-
-
-def flow_debug_dict(problem: FlowProblem, solution: Optional[FlowSolution] = None) -> dict:
-    """JSON-ready dump of a problem (and optionally its solution) for debugging.
-
-    Unbounded capacities serialize as ``None``.
-    """
-    arcs = []
-    for k in range(problem.arc_count):
-        cap = float(problem.capacity[k])
-        entry = {
-            "from": int(problem.tail[k]),
-            "to": int(problem.head[k]),
-            "cost": float(problem.cost[k]),
-            "capacity": None if math.isinf(cap) else cap,
-        }
-        if solution is not None:
-            entry["flow"] = float(solution.flow[k])
-        arcs.append(entry)
-    out = {"node_count": problem.node_count, "supply": problem.supply.tolist(), "arcs": arcs}
-    if solution is not None:
-        out["objective"] = solution.objective
-        out["status"] = solution.status
-    return out

@@ -19,8 +19,9 @@ imbalance.  Stations with positive imbalance accumulate vehicles,
 stations with negative imbalance run dry.  Two flow assignments cancel
 it: empty-vehicle rebalancing trips (driven by employed drivers) and
 driver-return rides on customer trips.  This module computes the
-imbalance, the fleet sizes a given assignment pins in transit, and an
-exhaustive feasibility check for the driver-return program.
+imbalance, the fleet sizes a given assignment pins in transit, and the
+residuals by which an assignment misses the balance and capacity
+constraints.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SizeLimitError, ValidationError
+from .errors import ValidationError
 
 # Tolerances used across the package.
 PROB_TOL = 1e-9      # probability row sums
-BALANCE_TOL = 1e-7   # flow-balance residuals on assignments
-CAP_TOL = 1e-9       # allowed slack above driver-trip capacities
+BALANCE_TOL = 1e-9   # flow-balance residuals on assignments, relative to the total customer rate
+CAP_TOL = 1e-9       # allowed slack above driver-trip capacities, relative to the total customer rate
 SUM_RTOL = 1e-9      # imbalance rounding: relative to sum(|surplus|), or to the total customer rate
 
 
@@ -262,97 +263,52 @@ def fleet_sizes(net: StationNetwork, vehicle_rates, driver_rates) -> tuple[float
     return min_vehicles, min_drivers
 
 
+def assignment_residuals(
+    net: StationNetwork, assignment: RebalanceAssignment, imbalance: ImbalanceVector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How far an assignment misses its constraints.
+
+    Returns ``(alpha_residual, beta_residual, capacity_excess)``: per
+    station, vehicle_rates net outflow minus the surplus and
+    driver_rates net outflow plus the surplus (both zero when balanced),
+    and per leg, driver_rates minus the taxi capacity (nonpositive when
+    within capacity).
+    """
+    d = imbalance.surplus
+    alpha, beta = assignment.vehicle_rates, assignment.driver_rates
+    alpha_residual = alpha.sum(axis=1) - alpha.sum(axis=0) - d
+    beta_residual = beta.sum(axis=1) - beta.sum(axis=0) + d
+    return alpha_residual, beta_residual, beta - net.taxi_capacity()
+
+
 def validate_assignment(
     net: StationNetwork,
     assignment: RebalanceAssignment,
     imbalance: Optional[ImbalanceVector] = None,
-    balance_tol: float = BALANCE_TOL,
-    cap_tol: float = CAP_TOL,
 ) -> None:
     """Raise :class:`ValidationError` unless the assignment cancels the imbalance.
 
     Checks, per station, that vehicle_rates net outflow equals the surplus
-    and driver_rates net outflow equals its negative (both within
-    ``balance_tol``), and that driver rates respect the per-leg taxi
-    capacity within ``cap_tol``.
+    and driver_rates net outflow equals its negative, and that driver
+    rates respect the per-leg taxi capacity.  Both tolerances,
+    ``BALANCE_TOL`` and ``CAP_TOL``, are relative to ``sum(lambda)``, so
+    the verdict does not change with the unit of time.
     """
     if assignment.n != net.n:
         raise ValidationError(
             f"assignment is {assignment.n}x{assignment.n}, network has n={net.n}"
         )
-    d = (imbalance or compute_imbalance(net)).surplus
-    alpha, beta = assignment.vehicle_rates, assignment.driver_rates
-    a_res = alpha.sum(axis=1) - alpha.sum(axis=0) - d
-    if np.max(np.abs(a_res)) > balance_tol:
-        i = int(np.argmax(np.abs(a_res)))
-        raise ValidationError(
-            f"alpha balance residual {a_res[i]:.3g} at station {i} exceeds {balance_tol:g}"
-        )
-    b_res = beta.sum(axis=1) - beta.sum(axis=0) + d
-    if np.max(np.abs(b_res)) > balance_tol:
-        i = int(np.argmax(np.abs(b_res)))
-        raise ValidationError(
-            f"beta balance residual {b_res[i]:.3g} at station {i} exceeds {balance_tol:g}"
-        )
-    excess = beta - net.taxi_capacity()
+    scale = float(net.arrival_rate.sum())
+    balance_tol, cap_tol = BALANCE_TOL * scale, CAP_TOL * scale
+    a_res, b_res, excess = assignment_residuals(net, assignment, imbalance or compute_imbalance(net))
+    for name, res in (("alpha", a_res), ("beta", b_res)):
+        if np.max(np.abs(res)) > balance_tol:
+            i = int(np.argmax(np.abs(res)))
+            raise ValidationError(
+                f"{name} balance residual {res[i]:.3g} at station {i} exceeds {balance_tol:.3g}"
+            )
     if np.max(excess) > cap_tol:
         i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
         raise ValidationError(
-            f"beta[{i},{j}] exceeds taxi capacity by {excess[i, j]:.3g} (> {cap_tol:g})"
+            f"beta[{i},{j}] exceeds taxi capacity by {excess[i, j]:.3g} (> {cap_tol:.3g})"
         )
-
-
-@dataclass(frozen=True)
-class CutCheck:
-    """Result of the exhaustive driver-return feasibility check.
-
-    When infeasible, ``witness`` is the first station subset (by
-    ascending bitmask, bit ``i`` = station ``i``) whose required driver
-    outflow ``demand`` exceeds the taxi ``capacity`` leaving the subset.
-    """
-
-    feasible: bool
-    witness: Optional[tuple[int, ...]]
-    demand: float
-    capacity: float
-
-
-def check_feasibility_bruteforce(
-    net: StationNetwork,
-    imbalance: Optional[ImbalanceVector] = None,
-    tol: float = CAP_TOL,
-) -> CutCheck:
-    """Enumerate every station subset to decide driver-return feasibility.
-
-    A feasible driver-return assignment exists iff, for every subset S,
-    the driver flow S must emit (the total vehicle deficit inside S) does
-    not exceed the taxi capacity on legs leaving S.  Exponential in n;
-    refuses n > 20.
-    """
-    n = net.n
-    if n > 20:
-        raise SizeLimitError(f"exhaustive subset check limited to n <= 20, got n={n}")
-    d = (imbalance or compute_imbalance(net)).surplus
-    cap = net.taxi_capacity()
-
-    total = 1 << n
-    chunk = 1 << 16
-    bits = np.arange(n, dtype=np.int64)
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        member = ((masks[:, None] >> bits) & 1).astype(float)  # (chunk, n)
-        demand = -(member @ d)
-        # capacity leaving S: sum over i in S, j not in S
-        outcap = ((member @ cap) * (1.0 - member)).sum(axis=1)
-        viol = demand - outcap > tol
-        if np.any(viol):
-            k = int(np.flatnonzero(viol)[0])
-            mask = int(masks[k])
-            witness = tuple(i for i in range(n) if (mask >> i) & 1)
-            return CutCheck(
-                feasible=False,
-                witness=witness,
-                demand=float(demand[k]),
-                capacity=float(outcap[k]),
-            )
-    return CutCheck(feasible=True, witness=None, demand=0.0, capacity=0.0)

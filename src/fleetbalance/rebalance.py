@@ -158,12 +158,16 @@ class RebalanceSolution:
     infeasibility: Optional[RebalanceInfeasibleError] = None
 
 
-def solve_rebalancing(net: StationNetwork) -> RebalanceSolution:
-    """Solve both programs and size the minimum fleet they pin in transit."""
-    d = compute_imbalance(net)
-    alpha, alpha_obj = solve_vehicle_rebalancing(net, d)
+def _solve_against_vehicles(
+    net: StationNetwork, imbalance: ImbalanceVector, alpha: np.ndarray, alpha_obj: float
+) -> RebalanceSolution:
+    """Solve the driver program next to a solved vehicle program and size the fleet.
+
+    The vehicle program does not see the taxi fraction, so one
+    ``(alpha, alpha_obj)`` serves every taxi fraction of a network.
+    """
     try:
-        beta, beta_obj = solve_driver_rebalancing(net, d)
+        beta, beta_obj = solve_driver_rebalancing(net, imbalance)
     except RebalanceInfeasibleError as err:
         return RebalanceSolution(
             status="beta_infeasible",
@@ -185,3 +189,9 @@ def solve_rebalancing(net: StationNetwork) -> RebalanceSolution:
         vehicle_objective=alpha_obj,
         driver_objective=beta_obj,
     )
+
+
+def solve_rebalancing(net: StationNetwork) -> RebalanceSolution:
+    """Solve both programs and size the minimum fleet they pin in transit."""
+    d = compute_imbalance(net)
+    return _solve_against_vehicles(net, d, *solve_vehicle_rebalancing(net, d))

@@ -7,9 +7,10 @@ may also be a single scalar, which broadcasts to every leg with a zero
 diagonal.  Assignment files carry ``alpha``, ``beta``, ``v_alpha``,
 ``r_alpha_beta``, ``objective_alpha``, ``objective_beta``.
 
-Floats are written with full ``repr`` precision (the default for
-``json``), so ``load(save(x))`` reproduces ``x`` exactly and saving the
-same object twice produces identical bytes.
+Each file is one line of compact JSON.  Floats are written with full
+``repr`` precision (the default for ``json``), so ``load(save(x))``
+reproduces ``x`` exactly and saving the same object twice produces
+identical bytes.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def _matrix(name: str, value, n: int, path: PathLike) -> np.ndarray:
     return arr
 
 
+def _write_json(data: dict, path: PathLike) -> None:
+    # json.dumps without indent runs the C encoder; json.dump to a file never does
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data, allow_nan=False) + "\n")
+
+
 def save_instance(net: StationNetwork, path: PathLike) -> None:
     data = {
         "n": net.n,
@@ -64,9 +71,7 @@ def save_instance(net: StationNetwork, path: PathLike) -> None:
         "f": net.taxi_fraction.tolist(),
         "meta": net.meta,
     }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(data, path)
 
 
 def load_instance(path: PathLike) -> StationNetwork:
@@ -125,9 +130,7 @@ def save_assignment(solution: RebalanceSolution, path: PathLike, meta: dict | No
     }
     if meta is not None:
         data["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(data, path)
 
 
 def load_assignment(path: PathLike) -> RebalanceSolution:

@@ -1,0 +1,238 @@
+"""Exhaustive oracles that cross-check the solver in the tests.
+
+None of these is used by the library: each enumerates an exponential
+set (flow-polytope vertices, station subsets) and refuses inputs past a
+small size with :class:`SizeLimitError`.
+
+* :func:`brute_force_mcf` takes the cheapest vertex of the flow
+  polytope: free arcs forming a forest, every other arc pinned at 0 or
+  at its capacity.  At most 6 nodes and 12 arcs.
+* :func:`residual_negative_cycle` is Bellman-Ford on the residual graph
+  of a flow: an optimal flow leaves no negative-cost cycle.
+* :func:`check_feasibility_bruteforce` scans every station subset for a
+  driver-return cut whose demand exceeds its outgoing taxi capacity.
+  At most 20 stations.
+* :func:`flow_debug_dict` dumps a problem and its solution for assertion
+  messages.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
+import numpy as np
+
+from fleetbalance.mincostflow import RESIDUAL_TOL, FlowProblem, FlowSolution
+from fleetbalance.network import ImbalanceVector, StationNetwork, compute_imbalance
+
+
+class SizeLimitError(ValueError):
+    """Problem is too large for an exponential-time routine."""
+
+
+def residual_negative_cycle(problem: FlowProblem, solution: FlowSolution, tol: float = 1e-9) -> bool:
+    """True if the residual graph of ``solution`` contains a negative-cost cycle.
+
+    An optimal flow has none (Bellman-Ford from an all-zero potential).
+    """
+    n = problem.node_count
+    entries = []  # (tail, head, cost)
+    for k in range(problem.arc_count):
+        tail, head, cost = int(problem.tail[k]), int(problem.head[k]), float(problem.cost[k])
+        flow = float(solution.flow[k])
+        if problem.capacity[k] - flow > RESIDUAL_TOL:
+            entries.append((tail, head, cost))
+        if flow > RESIDUAL_TOL:
+            entries.append((head, tail, -cost))
+    dist = np.zeros(n)
+    for _ in range(n + 1):
+        changed = False
+        for tail, head, cost in entries:
+            if dist[tail] + cost < dist[head] - tol:
+                dist[head] = dist[tail] + cost
+                changed = True
+        if not changed:
+            return False
+    # still relaxing after n+1 full passes: some cycle keeps improving
+    return True
+
+
+def _forest_subsets(pairs: list[tuple[int, int]], node_count: int) -> Iterable[tuple[int, ...]]:
+    """All arc-index subsets whose undirected support is acyclic.
+
+    Parallel and antiparallel arcs between the same node pair count as a
+    cycle (their incidence columns are linearly dependent).
+    """
+    m = len(pairs)
+    max_size = min(m, node_count - 1)
+    for size in range(max_size + 1):
+        for subset in itertools.combinations(range(m), size):
+            root = list(range(node_count))
+
+            def find(x):
+                while root[x] != x:
+                    root[x] = root[root[x]]
+                    x = root[x]
+                return x
+
+            ok = True
+            for k in subset:
+                a, b = (find(pairs[k][0]), find(pairs[k][1]))
+                if a == b:
+                    ok = False
+                    break
+                root[a] = b
+            if ok:
+                yield subset
+
+
+def brute_force_mcf(problem: FlowProblem) -> FlowSolution:
+    """Exhaustive oracle: cheapest vertex of the flow polytope.
+
+    Every vertex has its free arcs forming a forest and every other arc
+    pinned at 0 or at a finite capacity, so enumerating (forest, pinned
+    bounds) pairs covers all vertices.  With nonnegative costs the
+    optimum (when feasible) is attained at a vertex.  Independent of
+    :func:`~fleetbalance.mincostflow.solve_mcf`.
+    """
+    n = problem.node_count
+    m = problem.arc_count
+    if n > 6:
+        raise SizeLimitError(f"brute force limited to 6 nodes, got {n}")
+    if m > 12:
+        raise SizeLimitError(f"brute force limited to 12 arcs, got {m}")
+
+    supply = problem.supply
+    caps = problem.capacity
+    costs = problem.cost
+    incidence = np.zeros((n, m))
+    for k in range(m):
+        incidence[problem.tail[k], k] += 1.0
+        incidence[problem.head[k], k] -= 1.0
+    pairs = list(zip(problem.tail.tolist(), problem.head.tolist()))
+
+    best_obj = np.inf
+    best_flow = None
+    consistency_tol = 1e-6
+    bound_tol = 1e-9
+
+    for forest in _forest_subsets(pairs, n):
+        free = np.array(forest, dtype=int)
+        pinned = np.setdiff1d(np.arange(m), free)
+        finite = pinned[np.isfinite(caps[pinned]) & (caps[pinned] > bound_tol)]
+        # arcs pinned at an infinite or zero capacity can only sit at 0
+        k_fin = finite.shape[0]
+        combos = (np.arange(1 << k_fin)[:, None] >> np.arange(k_fin)) & 1
+        pinned_flow = combos * caps[finite]  # (2**k, k_fin)
+        adjusted = supply[None, :] - pinned_flow @ incidence[:, finite].T
+
+        if free.size:
+            basis = incidence[:, free]
+            free_flow = adjusted @ np.linalg.pinv(basis).T
+            resid = adjusted - free_flow @ basis.T
+            in_bounds = np.all(free_flow >= -bound_tol, axis=1) & np.all(
+                free_flow <= caps[free] + bound_tol, axis=1
+            )
+        else:
+            free_flow = np.zeros((adjusted.shape[0], 0))
+            resid = adjusted
+            in_bounds = np.ones(adjusted.shape[0], dtype=bool)
+        feasible = in_bounds & (np.max(np.abs(resid), axis=1) <= consistency_tol)
+        if not np.any(feasible):
+            continue
+        obj = free_flow @ costs[free] + pinned_flow @ costs[finite]
+        obj = np.where(feasible, obj, np.inf)
+        k = int(np.argmin(obj))
+        if obj[k] < best_obj:
+            best_obj = float(obj[k])
+            flow = np.zeros(m)
+            flow[finite] = pinned_flow[k]
+            flow[free] = np.clip(free_flow[k], 0.0, caps[free])
+            best_flow = flow
+
+    if best_flow is None:
+        return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible")
+    return FlowSolution(flow=best_flow, objective=best_obj, status="optimal")
+
+
+def flow_debug_dict(problem: FlowProblem, solution: Optional[FlowSolution] = None) -> dict:
+    """JSON-ready dump of a problem (and optionally its solution) for debugging.
+
+    Unbounded capacities serialize as ``None``.
+    """
+    arcs = []
+    for k in range(problem.arc_count):
+        cap = float(problem.capacity[k])
+        entry = {
+            "from": int(problem.tail[k]),
+            "to": int(problem.head[k]),
+            "cost": float(problem.cost[k]),
+            "capacity": None if math.isinf(cap) else cap,
+        }
+        if solution is not None:
+            entry["flow"] = float(solution.flow[k])
+        arcs.append(entry)
+    out = {"node_count": problem.node_count, "supply": problem.supply.tolist(), "arcs": arcs}
+    if solution is not None:
+        out["objective"] = solution.objective
+        out["status"] = solution.status
+    return out
+
+
+@dataclass(frozen=True)
+class CutCheck:
+    """Result of the exhaustive driver-return feasibility check.
+
+    When infeasible, ``witness`` is the first station subset (by
+    ascending bitmask, bit ``i`` = station ``i``) whose required driver
+    outflow ``demand`` exceeds the taxi ``capacity`` leaving the subset.
+    """
+
+    feasible: bool
+    witness: Optional[tuple[int, ...]]
+    demand: float
+    capacity: float
+
+
+def check_feasibility_bruteforce(
+    net: StationNetwork,
+    imbalance: Optional[ImbalanceVector] = None,
+    tol: float = 1e-9,
+) -> CutCheck:
+    """Enumerate every station subset to decide driver-return feasibility.
+
+    A feasible driver-return assignment exists iff, for every subset S,
+    the driver flow S must emit (the total vehicle deficit inside S) does
+    not exceed the taxi capacity on legs leaving S; ``tol`` is the
+    absolute shortfall tolerated.  Exponential in n; refuses n > 20.
+    """
+    n = net.n
+    if n > 20:
+        raise SizeLimitError(f"exhaustive subset check limited to n <= 20, got n={n}")
+    d = (imbalance or compute_imbalance(net)).surplus
+    cap = net.taxi_capacity()
+
+    total = 1 << n
+    chunk = 1 << 16
+    bits = np.arange(n, dtype=np.int64)
+    for start in range(0, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        member = ((masks[:, None] >> bits) & 1).astype(float)  # (chunk, n)
+        demand = -(member @ d)
+        # capacity leaving S: sum over i in S, j not in S
+        outcap = ((member @ cap) * (1.0 - member)).sum(axis=1)
+        viol = demand - outcap > tol
+        if np.any(viol):
+            k = int(np.flatnonzero(viol)[0])
+            mask = int(masks[k])
+            witness = tuple(i for i in range(n) if (mask >> i) & 1)
+            return CutCheck(
+                feasible=False,
+                witness=witness,
+                demand=float(demand[k]),
+                capacity=float(outcap[k]),
+            )
+    return CutCheck(feasible=True, witness=None, demand=0.0, capacity=0.0)

@@ -16,19 +16,11 @@ from fleetbalance.errors import InsufficientFleetError
 from fleetbalance.experiments import SweepConfig, run_f_sweep, run_station_sweep
 from fleetbalance.fluidsim import equilibrium_state, initial_state, simulate, stability_probe
 from fleetbalance.generate import GeneratorConfig, generate_instance
-from fleetbalance.mincostflow import (
-    brute_force_mcf,
-    check_flow_feasibility,
-    residual_negative_cycle,
-    solve_mcf,
-)
-from fleetbalance.network import (
-    StationNetwork,
-    check_feasibility_bruteforce,
-    compute_imbalance,
-)
+from fleetbalance.mincostflow import check_flow_feasibility, solve_mcf
+from fleetbalance.network import StationNetwork, compute_imbalance
 from fleetbalance.rebalance import driver_flow_problem, solve_rebalancing
 
+from oracles import brute_force_mcf, check_feasibility_bruteforce, residual_negative_cycle
 from test_mincostflow import random_problem
 
 SIZES = (10, 25, 50, 100, 200)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fleetbalance import experiments
 from fleetbalance.errors import ValidationError
 from fleetbalance.experiments import (
     ROW_FIELDS,
@@ -93,9 +94,10 @@ def test_station_sweep_requires_full_taxi_fraction():
         run_station_sweep(config)
 
 
-def test_injected_instance_provider():
+def test_injected_instance_provider(monkeypatch):
+    monkeypatch.setattr(experiments, "generate_instance", lambda size, seed, gen: build_two_station())
     config = SweepConfig(sizes=(2,), trials_per_size=1)
-    report = run_station_sweep(config, instance_provider=lambda size, seed, gen: build_two_station())
+    report = run_station_sweep(config)
     assert len(report.rows) == 1
     row = report.rows[0]
     # hand case: V=8, R=6
@@ -105,18 +107,13 @@ def test_injected_instance_provider():
     assert report.group_values("n=2", "ratio")[0] == row.ratio
 
 
-def test_instance_provider_requires_single_worker():
-    config = SweepConfig(sizes=(2,), trials_per_size=1, workers=2)
-    with pytest.raises(ValidationError, match="workers=1"):
-        run_station_sweep(config, instance_provider=lambda size, seed, gen: build_two_station())
-
-
-def test_infeasible_trial_is_a_hard_error():
+def test_infeasible_trial_is_a_hard_error(monkeypatch):
+    monkeypatch.setattr(
+        experiments, "generate_instance", lambda size, seed, gen: build_two_station(f_01=0.5)
+    )
     config = SweepConfig(sizes=(2,), trials_per_size=1)
     with pytest.raises(RuntimeError, match="no feasible driver-return assignment"):
-        run_station_sweep(
-            config, instance_provider=lambda size, seed, gen: build_two_station(f_01=0.5)
-        )
+        run_station_sweep(config)
 
 
 def test_f_sweep_structure_and_monotonicity():

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from fleetbalance.errors import SizeLimitError, ValidationError
+from fleetbalance.errors import ValidationError
 from fleetbalance.mincostflow import (
     INFINITE_CAPACITY,
     FlowProblem,
     FlowSolution,
-    brute_force_mcf,
     check_flow_feasibility,
-    flow_debug_dict,
-    residual_negative_cycle,
     solve_mcf,
 )
 from fleetbalance.mincostflow import _certify
+
+from oracles import SizeLimitError, brute_force_mcf, flow_debug_dict, residual_negative_cycle
 
 
 def arcs(*rows):
@@ -199,12 +198,20 @@ def test_solver_handles_problems_beyond_bruteforce_limits():
         brute_force_mcf(problem)
 
 
-def test_iteration_guard():
+def test_iteration_guard(monkeypatch):
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    def stopped(*args, **kwargs):
+        # what linprog returns when HiGHS hits its iteration limit
+        return OptimizeResult(status=1, message="Iteration limit reached.")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", stopped)
     problem = FlowProblem(
         node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 1.0, INFINITE_CAPACITY))
     )
     with pytest.raises(RuntimeError, match="iteration"):
-        solve_mcf(problem, max_iterations=0)
+        solve_mcf(problem)
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from fleetbalance.errors import SizeLimitError, ValidationError
+from fleetbalance.errors import ValidationError
 from fleetbalance.network import (
     ImbalanceVector,
     RebalanceAssignment,
     StationNetwork,
-    check_feasibility_bruteforce,
     compute_imbalance,
     fleet_sizes,
     validate_assignment,
 )
+from fleetbalance.rebalance import solve_rebalancing
 
 from conftest import build_two_station
+from oracles import SizeLimitError, check_feasibility_bruteforce
 
 
 def test_two_station_fields_frozen(two_station):
@@ -183,6 +184,29 @@ def test_assignment_validation(two_station):
     )
     with pytest.raises(ValidationError, match="taxi capacity"):
         validate_assignment(two_station, over_cap)
+
+
+@pytest.mark.parametrize(
+    "lambda_max,n,seed,plan",
+    [
+        # max |surplus| is 5e-10 here: doing nothing leaves it all unbalanced
+        (1e-9, 10, 1, "nothing"),
+        # rounding of ~1e11 rates leaves absolute residuals near 1e-5
+        (1e10, 60, 1, "optimal"),
+        (1e10, 60, 2, "optimal"),
+        (1e10, 60, 3, "optimal"),
+    ],
+)
+def test_assignment_tolerances_follow_the_rate_scale(make_instance, lambda_max, n, seed, plan):
+    net = make_instance(n, seed, lambda_max=lambda_max)
+    if plan == "nothing":
+        idle = RebalanceAssignment(
+            vehicle_rates=np.zeros((n, n)), driver_rates=np.zeros((n, n)), min_vehicles=0.0, min_drivers=0.0
+        )
+        with pytest.raises(ValidationError, match="alpha balance residual"):
+            validate_assignment(net, idle)
+    else:
+        validate_assignment(net, solve_rebalancing(net).assignment)
 
 
 def test_assignment_rejects_negative_and_diagonal():

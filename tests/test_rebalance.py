@@ -14,9 +14,10 @@ from fleetbalance.rebalance import (
     solve_vehicle_rebalancing,
     vehicle_flow_problem,
 )
-from fleetbalance.mincostflow import INFINITE_CAPACITY, brute_force_mcf
+from fleetbalance.mincostflow import INFINITE_CAPACITY
 
 from conftest import build_two_station
+from oracles import brute_force_mcf
 
 
 def test_two_station_hand_solution(two_station):
@@ -78,15 +79,83 @@ def test_infeasible_witness_above_subset_scan_limit(n):
 
 
 def test_fleet_sizes_scale_with_arrival_rates(make_instance):
-    # rates times c: both fleets times c, whatever the magnitude of c
+    # rates times c: both fleets and both rate matrices times c, whatever the magnitude of c
     per_rate = []
     for lambda_max in (1e-9, 1.0, 1e6):
         net = make_instance(10, 0, lambda_max=lambda_max, taxi_fraction=2)
         sol = solve_rebalancing(net)
+        a = sol.assignment
         total = net.arrival_rate.sum()
-        per_rate.append((sol.assignment.min_drivers / total, sol.assignment.min_vehicles / total))
-    assert per_rate[0] == pytest.approx(per_rate[1], rel=1e-9)
-    assert per_rate[2] == pytest.approx(per_rate[1], rel=1e-9)
+        per_rate.append(
+            (a.min_drivers / total, a.min_vehicles / total, a.vehicle_rates / total, a.driver_rates / total)
+        )
+    for scaled in (per_rate[0], per_rate[2]):
+        assert scaled[:2] == pytest.approx(per_rate[1][:2], rel=1e-9)
+        for k in (2, 3):
+            np.testing.assert_allclose(scaled[k], per_rate[1][k], rtol=0, atol=1e-9)
+
+
+def relabelled(net: StationNetwork, perm: np.ndarray) -> StationNetwork:
+    """The same network with new station k standing for old station perm[k]."""
+    ix = np.ix_(perm, perm)
+    return replace(
+        net,
+        arrival_rate=net.arrival_rate[perm],
+        service_rate=net.service_rate[perm],
+        dest_prob=net.dest_prob[ix],
+        travel_time=net.travel_time[ix],
+        taxi_fraction=net.taxi_fraction[ix],
+    )
+
+
+@pytest.mark.parametrize("c", [1e-3, 37.0, 1e4])
+def test_travel_time_scaling_scales_fleets(make_instance, c):
+    # travel times times c: both fleets times c, alpha and beta unchanged
+    for seed in range(10):
+        net = make_instance(10, seed, taxi_fraction=0.5 if seed % 2 else 1.0)
+        sol = solve_rebalancing(net)
+        scaled = solve_rebalancing(replace(net, travel_time=c * net.travel_time))
+        assert scaled.status == sol.status
+        assert scaled.vehicle_objective == pytest.approx(c * sol.vehicle_objective, rel=1e-9)
+        if sol.status != "optimal":
+            continue
+        a, b = sol.assignment, scaled.assignment
+        assert b.min_vehicles == pytest.approx(c * a.min_vehicles, rel=1e-9)
+        assert b.min_drivers == pytest.approx(c * a.min_drivers, rel=1e-9)
+        atol = 1e-9 * net.arrival_rate.sum()
+        np.testing.assert_allclose(b.vehicle_rates, a.vehicle_rates, rtol=0, atol=atol)
+        np.testing.assert_allclose(b.driver_rates, a.driver_rates, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("taxi_fraction", [0.5, 1.0])
+def test_relabelling_stations_permutes_the_solution(make_instance, taxi_fraction):
+    rng = np.random.default_rng(17)
+    infeasible = 0
+    for seed in range(20):
+        n = 3 + seed % 10
+        net = make_instance(n, seed, taxi_fraction=taxi_fraction)
+        perm = rng.permutation(n)
+        sol = solve_rebalancing(net)
+        moved = solve_rebalancing(relabelled(net, perm))
+        assert moved.status == sol.status
+        assert moved.vehicle_objective == pytest.approx(sol.vehicle_objective, rel=1e-12)
+        if sol.status != "optimal":
+            infeasible += 1
+            # the witness is the source side of the unique minimal minimum cut
+            witness = tuple(sorted(int(perm[k]) for k in moved.infeasibility.witness))
+            assert witness == sol.infeasibility.witness
+            assert moved.infeasibility.demand == pytest.approx(sol.infeasibility.demand, rel=1e-12)
+            continue
+        a, b = sol.assignment, moved.assignment
+        ix = np.ix_(perm, perm)
+        atol = 1e-9 * net.arrival_rate.sum()
+        np.testing.assert_allclose(b.vehicle_rates, a.vehicle_rates[ix], rtol=0, atol=atol)
+        np.testing.assert_allclose(b.driver_rates, a.driver_rates[ix], rtol=0, atol=atol)
+        assert moved.driver_objective == pytest.approx(sol.driver_objective, rel=1e-12)
+        assert b.min_vehicles == pytest.approx(a.min_vehicles, rel=1e-12)
+        assert b.min_drivers == pytest.approx(a.min_drivers, rel=1e-12)
+    # half the legs' worth of taxi capacity leaves some draws infeasible
+    assert (infeasible > 0) == (taxi_fraction < 1.0)
 
 
 def test_solutions_validate_on_random_instances(make_instance):
