@@ -1,23 +1,33 @@
 """Minimum-cost flow on dense graphs with real-valued supplies and capacities.
 
 Solver: each problem is one linear program handed to HiGHS's dual
-simplex through ``scipy.optimize.linprog``.  The equality constraints
-are the node-arc incidence matrix (+1 at an arc's tail, -1 at its head)
-against the supplies; the bounds are ``0 <= flow <= capacity``.  Before
-the call, supplies are divided by their positive total and costs by
-their maximum, so HiGHS's absolute tolerances act relative to the data;
-flows are scaled back afterwards.  The feasibility tolerances are
-tightened to ``LP_TOL`` (HiGHS's default 1e-7 left balance residuals
-above 1e-7 of the total supply), and presolve is off: dual simplex
-without presolve was the fastest HiGHS setting measured on these
-incidence matrices.
+simplex through the HiGHS binding that SciPy ships,
+``scipy.optimize._highspy._core``, with the options
+``scipy.optimize.linprog(method="highs-ds")`` would set.  Going through
+``linprog`` cost more Python time (input cleaning, sparse stacking,
+option checks, per-column bound marginals) than HiGHS spent solving;
+the direct call halves the cost of a solve.
+
+The equality constraints are the node-arc incidence matrix (+1 at an
+arc's tail, -1 at its head), passed column-wise, against the supplies;
+the bounds are ``0 <= flow <= capacity``.  Before the call, supplies are
+divided by their positive total and costs by their maximum, so HiGHS's
+absolute tolerances act relative to the data; flows are scaled back
+afterwards.  The feasibility tolerances are tightened to ``LP_TOL``
+(HiGHS's default 1e-7 left balance residuals above 1e-7 of the total
+supply), and presolve is off: dual simplex without presolve was the
+fastest HiGHS setting measured on these incidence matrices.
 
 Every optimal answer is certified before it is returned: the equality
 duals of the LP are node potentials ``pi``, and complementary slackness
 requires the reduced cost ``c_ij - pi_i + pi_j`` to be nonnegative on
 every arc below capacity and nonpositive on every arc carrying flow.
 The check is O(arcs) and its tolerance, ``OPTIMALITY_TOL``, is relative
-to the largest arc cost.
+to the largest arc cost.  The certificate is what makes the private
+binding safe to call: a wrong optimum from it fails the check, and a
+wrong "infeasible" yields no witness, since
+``rebalance.solve_driver_rebalancing`` recomputes the cut's demand and
+capacity from the network.
 
 Feasibility is decided by a max flow through the same routine: a
 super-source feeds every supply node, every demand node drains into a
@@ -28,15 +38,20 @@ from the super-source in the residual graph form a cut that proves it
 (Gale/Hoffman): together they must ship out more than their outgoing
 capacity allows.
 
-``scipy.optimize`` is imported inside the solver, not at module level:
-it costs about 0.3 s and 16 MB (2-core x86 machine, Python 3.11,
-SciPy 1.17), which a process pays on its first solve and not on
-``import fleetbalance``.
+The binding is imported inside the solver, not at module level.
+Importing it still loads the ``scipy.optimize`` package, which costs
+about 0.3-0.6 s and 16 MB (2-core x86 machine, Python 3.11, SciPy
+1.17); a process pays that on its first solve and not on
+``import fleetbalance``.  Each LP is logged at DEBUG to the
+``fleetbalance.mincostflow`` logger with its size, HiGHS model status,
+simplex iterations and wall time.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +65,17 @@ SUPPLY_TOL = 1e-9       # supply imbalance and undeliverable supply, relative to
 RESIDUAL_TOL = 1e-12    # residual capacity treated as saturated (the cut scales supplies to unit total)
 LP_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances on the scaled LP
 OPTIMALITY_TOL = 1e-9   # reduced-cost slack of the certificate, relative to the largest cost
+# what linprog(method="highs-ds") sets: dual simplex, no presolve, quiet
+_HIGHS_OPTIONS = (
+    ("presolve", "off"),
+    ("solver", "simplex"),
+    ("simplex_strategy", 1),
+    ("primal_feasibility_tolerance", LP_TOL),
+    ("dual_feasibility_tolerance", LP_TOL),
+    ("output_flag", False),
+)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,34 +156,47 @@ class FlowSolution:
 def _highs(node_count: int, tail, head, cost, capacity, supply):
     """Solve the flow LP of data already scaled to unit supply and cost.
 
-    Returns the ``linprog`` result when HiGHS proves it optimal (status
-    0) or infeasible (status 2); any other outcome raises.
+    Returns ``(status, x, duals)``: ``"optimal"`` with the arc flows and
+    the node potentials, or ``"infeasible"`` with ``None`` for both.
+    Any other HiGHS outcome raises.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core
 
+    started = time.perf_counter()
     m = tail.shape[0]
-    arcs = np.arange(m)
-    incidence = csr_matrix(
-        (np.r_[np.ones(m), -np.ones(m)], (np.r_[tail, head], np.r_[arcs, arcs])),
-        shape=(node_count, m),
+    highs = _core._Highs()
+    for option, value in _HIGHS_OPTIONS:
+        if highs.setOptionValue(option, value) != _core.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected option {option}={value!r}")
+    # incidence column k: +1 at row tail[k], -1 at row head[k]
+    index = np.empty(2 * m, dtype=np.int32)
+    index[0::2], index[1::2] = tail, head
+    highs.passModel(
+        m, node_count, 2 * m,  # columns, rows, nonzeros
+        _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize,
+        0.0,  # objective offset
+        cost, np.zeros(m), capacity,  # column costs and bounds
+        supply, supply,  # row bounds
+        np.arange(0, 2 * m, 2, dtype=np.int32), index, np.tile([1.0, -1.0], m),
+        np.zeros(m, dtype=np.int32),  # every column continuous
     )
-    res = linprog(
-        cost,
-        A_eq=incidence,
-        b_eq=supply,
-        bounds=np.column_stack([np.zeros(m), capacity]),
-        method="highs-ds",
-        options={
-            "presolve": False,
-            "primal_feasibility_tolerance": LP_TOL,
-            "dual_feasibility_tolerance": LP_TOL,
-        },
-    )
-    if res.status not in (0, 2):
-        raise RuntimeError(
-            f"HiGHS did not settle the flow LP within its iteration and tolerance limits: {res.message}"
+    highs.run()
+    status = highs.getModelStatus()
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "flow LP: %d rows, %d columns, %s, %d simplex iterations, %.3f ms",
+            node_count, m, highs.modelStatusToString(status),
+            highs.getInfo().simplex_iteration_count, 1e3 * (time.perf_counter() - started),
         )
-    return res
+    if status == _core.HighsModelStatus.kInfeasible:
+        return "infeasible", None, None
+    if status != _core.HighsModelStatus.kOptimal:
+        raise RuntimeError(
+            "HiGHS did not settle the flow LP within its iteration and tolerance limits: "
+            f"{highs.modelStatusToString(status)}"
+        )
+    solution = highs.getSolution()
+    return "optimal", np.array(solution.col_value), np.array(solution.row_dual)
 
 
 def _certify(problem: FlowProblem, cost, capacity, flow, potential) -> None:
@@ -195,11 +234,13 @@ def solve_mcf(problem: FlowProblem) -> FlowSolution:
     unit = float(problem.cost.max()) or 1.0
     cost = problem.cost / unit
     capacity = problem.capacity / total
-    res = _highs(problem.node_count, problem.tail, problem.head, cost, capacity, problem.supply / total)
-    if res.status == 2:
+    status, x, potential = _highs(
+        problem.node_count, problem.tail, problem.head, cost, capacity, problem.supply / total
+    )
+    if status == "infeasible":
         return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible")
-    scaled = np.clip(res.x, 0.0, capacity)
-    _certify(problem, cost, capacity, scaled, res.eqlin.marginals)
+    scaled = np.clip(x, 0.0, capacity)
+    _certify(problem, cost, capacity, scaled, potential)
     flow = scaled * total
     return FlowSolution(flow=flow, objective=float(problem.cost @ flow), status="optimal")
 
@@ -228,7 +269,7 @@ def feasibility_cut(problem: FlowProblem) -> tuple[float, np.ndarray]:
     cost[m] = 1.0
     balance = np.zeros(n + 2)
     balance[s], balance[t] = 1.0, -1.0
-    flow = _highs(n + 2, tail, head, cost, capacity, balance).x
+    _, flow, _ = _highs(n + 2, tail, head, cost, capacity, balance)
 
     # residual graph of the max flow, bypass arc left out
     forward = flow[:m] < capacity[:m] - RESIDUAL_TOL

@@ -1,17 +1,24 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from fleetbalance import mincostflow
 from fleetbalance.errors import ValidationError
 from fleetbalance.mincostflow import (
     INFINITE_CAPACITY,
+    LP_TOL,
     FlowProblem,
     FlowSolution,
     check_flow_feasibility,
+    feasibility_cut,
     solve_mcf,
 )
-from fleetbalance.mincostflow import _certify
+from fleetbalance.mincostflow import _certify, _highs
+from fleetbalance.network import compute_imbalance
+from fleetbalance.rebalance import driver_flow_problem, vehicle_flow_problem
 
 from oracles import SizeLimitError, brute_force_mcf, flow_debug_dict, residual_negative_cycle
 
@@ -199,19 +206,88 @@ def test_solver_handles_problems_beyond_bruteforce_limits():
 
 
 def test_iteration_guard(monkeypatch):
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
+    from scipy.optimize._highspy import _core
 
-    def stopped(*args, **kwargs):
-        # what linprog returns when HiGHS hits its iteration limit
-        return OptimizeResult(status=1, message="Iteration limit reached.")
+    class Stopped(_core._Highs):
+        def getModelStatus(self):
+            # what HiGHS reports when it hits its iteration limit
+            return _core.HighsModelStatus.kIterationLimit
 
-    monkeypatch.setattr(scipy.optimize, "linprog", stopped)
+    monkeypatch.setattr(_core, "_Highs", Stopped)
     problem = FlowProblem(
         node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 1.0, INFINITE_CAPACITY))
     )
     with pytest.raises(RuntimeError, match="iteration"):
         solve_mcf(problem)
+
+
+def linprog_highs(node_count, tail, head, cost, capacity, supply):
+    """The flow LP through public ``linprog``, with the options ``_highs`` sets."""
+    from scipy.optimize import linprog
+
+    m = tail.shape[0]
+    columns = np.arange(m)
+    incidence = csr_matrix(
+        (np.r_[np.ones(m), -np.ones(m)], (np.r_[tail, head], np.r_[columns, columns])),
+        shape=(node_count, m),
+    )
+    res = linprog(
+        cost,
+        A_eq=incidence,
+        b_eq=supply,
+        bounds=np.column_stack([np.zeros(m), capacity]),
+        method="highs-ds",
+        options={
+            "presolve": False,
+            "primal_feasibility_tolerance": LP_TOL,
+            "dual_feasibility_tolerance": LP_TOL,
+        },
+    )
+    assert res.status in (0, 2), res.message
+    return ("optimal", res.x, res.eqlin.marginals) if res.status == 0 else ("infeasible", None, None)
+
+
+@pytest.mark.parametrize(
+    "n,seed,taxi_fraction", [(5, 0, 1.0), (14, 1, 1.0), (50, 2, 1.0), (14, 0, 0.5)]
+)
+def test_binding_agrees_with_linprog(monkeypatch, make_instance, n, seed, taxi_fraction):
+    """Every LP the solver hands HiGHS: alpha, beta and the feasibility cut."""
+    lps = []
+
+    def recording(*args):
+        lps.append(args)
+        return _highs(*args)
+
+    monkeypatch.setattr(mincostflow, "_highs", recording)
+    net = make_instance(n, seed, taxi_fraction=taxi_fraction)
+    d = compute_imbalance(net)
+    beta = driver_flow_problem(net, d)
+    solve_mcf(vehicle_flow_problem(net, d))
+    beta_status = solve_mcf(beta).status
+    feasibility_cut(beta)
+    assert beta_status == ("infeasible" if taxi_fraction < 1 else "optimal")
+    assert len(lps) == 3
+    for args in lps:
+        status, x, duals = _highs(*args)
+        want_status, want_x, want_duals = linprog_highs(*args)
+        assert status == want_status
+        if status == "optimal":
+            np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(duals, want_duals, rtol=0, atol=1e-12)
+
+
+def test_each_lp_is_logged_at_debug(caplog):
+    problem = FlowProblem(
+        node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 1.0, INFINITE_CAPACITY))
+    )
+    with caplog.at_level(logging.DEBUG, logger="fleetbalance.mincostflow"):
+        solve_mcf(problem)
+    (record,) = caplog.records
+    assert record.name == "fleetbalance.mincostflow"
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert message.startswith("flow LP: 2 rows, 1 columns, Optimal, ")
+    assert "simplex iterations" in message and message.endswith(" ms")
 
 
 @pytest.mark.parametrize(
