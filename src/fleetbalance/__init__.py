@@ -32,8 +32,7 @@ from .mincostflow import (
     INFINITE_CAPACITY,
     FlowProblem,
     FlowSolution,
-    check_flow_feasibility,
-    feasibility_cut,
+    farkas_cut,
     solve_mcf,
 )
 from .network import (
@@ -46,7 +45,6 @@ from .network import (
 )
 from .rebalance import (
     RebalanceSolution,
-    cancel_two_cycles,
     driver_flow_problem,
     solve_driver_rebalancing,
     solve_rebalancing,

@@ -29,14 +29,19 @@ wrong "infeasible" yields no witness, since
 ``rebalance.solve_driver_rebalancing`` recomputes the cut's demand and
 capacity from the network.
 
-Feasibility is decided by a max flow through the same routine: a
-super-source feeds every supply node, every demand node drains into a
-super-sink, the problem's arcs cost nothing and one uncapacitated bypass
-arc from source to sink costs 1.  The bypass carries exactly the supply
-that no flow within the capacities can deliver, and the nodes reachable
-from the super-source in the residual graph form a cut that proves it
-(Gale/Hoffman): together they must ship out more than their outgoing
-capacity allows.
+An infeasible LP comes back with HiGHS's Farkas dual ray ``y``, a node
+vector with ``y . supply > sum_k capacity_k * max(0, y_tail(k) - y_head(k))``.
+Written level by level (supplies sum to zero), ``y . supply`` is the
+integral over ``t`` of the supply inside the superlevel set
+``S_t = {i : y_i >= t}``, and each arc's term is its capacity times the
+length of the ``t`` range over which it leaves ``S_t``.  The inequality therefore holds for at least
+one of the at most ``n - 1`` distinct sets ``S_t``: that set must ship
+out more than the capacity of its outgoing arcs (Gale/Hoffman).
+:func:`farkas_cut` finds it with one sort and a difference array over
+the arcs, O(n log n + arcs).  It scans both signs of the ray, so the
+result does not depend on HiGHS's sign convention.  No second LP and
+no sparse graph search is needed, and nothing under ``fleetbalance``
+imports ``scipy.sparse``.
 
 The binding is imported inside the solver, not at module level.
 Importing it still loads the ``scipy.optimize`` package, which costs
@@ -53,16 +58,14 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ValidationError
 
 INFINITE_CAPACITY = math.inf
-SUPPLY_TOL = 1e-9       # supply imbalance and undeliverable supply, relative to the supply total
-RESIDUAL_TOL = 1e-12    # residual capacity treated as saturated (the cut scales supplies to unit total)
+SUPPLY_TOL = 1e-9       # supply imbalance and negligible supply, relative to the supplies' size
 LP_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances on the scaled LP
 OPTIMALITY_TOL = 1e-9   # reduced-cost slack of the certificate, relative to the largest cost
 # what linprog(method="highs-ds") sets: dual simplex, no presolve, quiet
@@ -145,20 +148,25 @@ class FlowSolution:
     """Per-arc flows, total cost, and a status flag.
 
     ``flow`` and ``objective`` are meaningful only when status is
-    ``"optimal"``; an infeasible problem reports zero flow.
+    ``"optimal"``; an infeasible problem reports zero flow.  ``ray`` is
+    set only when the status is ``"infeasible"`` and HiGHS supplied a
+    Farkas dual ray (one entry per node); :func:`farkas_cut` turns it
+    into a violated cut.
     """
 
     flow: np.ndarray
     objective: float
     status: str  # "optimal" | "infeasible"
+    ray: Optional[np.ndarray] = None
 
 
 def _highs(node_count: int, tail, head, cost, capacity, supply):
     """Solve the flow LP of data already scaled to unit supply and cost.
 
-    Returns ``(status, x, duals)``: ``"optimal"`` with the arc flows and
-    the node potentials, or ``"infeasible"`` with ``None`` for both.
-    Any other HiGHS outcome raises.
+    Returns ``(status, x, y)``: ``"optimal"`` with the arc flows and
+    the node potentials, or ``"infeasible"`` with ``None`` and the Farkas
+    dual ray (``None`` if HiGHS has none).  Any other HiGHS outcome
+    raises.
     """
     from scipy.optimize._highspy import _core
 
@@ -189,7 +197,8 @@ def _highs(node_count: int, tail, head, cost, capacity, supply):
             highs.getInfo().simplex_iteration_count, 1e3 * (time.perf_counter() - started),
         )
     if status == _core.HighsModelStatus.kInfeasible:
-        return "infeasible", None, None
+        _, has_ray, ray = highs.getDualRay()
+        return "infeasible", None, np.array(ray) if has_ray else None
     if status != _core.HighsModelStatus.kOptimal:
         raise RuntimeError(
             "HiGHS did not settle the flow LP within its iteration and tolerance limits: "
@@ -234,59 +243,63 @@ def solve_mcf(problem: FlowProblem) -> FlowSolution:
     unit = float(problem.cost.max()) or 1.0
     cost = problem.cost / unit
     capacity = problem.capacity / total
-    status, x, potential = _highs(
+    status, x, y = _highs(
         problem.node_count, problem.tail, problem.head, cost, capacity, problem.supply / total
     )
     if status == "infeasible":
-        return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible")
+        return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible", ray=y)
     scaled = np.clip(x, 0.0, capacity)
-    _certify(problem, cost, capacity, scaled, potential)
+    _certify(problem, cost, capacity, scaled, y)
     flow = scaled * total
     return FlowSolution(flow=flow, objective=float(problem.cost @ flow), status="optimal")
 
 
-def feasibility_cut(problem: FlowProblem) -> tuple[float, np.ndarray]:
-    """Supply no flow within capacity can deliver, and the cut that proves it.
+def _best_level_set(problem: FlowProblem, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest ``supply(S) - capacity(S -> rest)`` over the sets ``{i : y_i >= t}``.
 
-    Returns ``(undeliverable, inside)``.  ``inside`` masks the nodes
-    reachable from the super-source in the residual graph of a maximum
-    flow.  When ``undeliverable`` is positive they must ship out
-    ``supply[inside].sum()``, but the arcs leaving them carry at most
-    that minus ``undeliverable``.
+    Returns ``(violation, members)``, the smallest such set on a tie;
+    ``(-inf, empty)`` when ``y`` is constant.
     """
     n = problem.node_count
-    total = _supply_total(problem)
-    if total == 0.0:
-        return 0.0, np.zeros(n, dtype=bool)
-    sup = problem.supply / total
-    src, dst = np.flatnonzero(sup > 0), np.flatnonzero(sup < 0)
-    s, t = n, n + 1
-    m = problem.arc_count + src.size + dst.size  # the bypass arc is index m
-    tail = np.r_[problem.tail, np.full(src.size, s), dst, s]
-    head = np.r_[problem.head, src, np.full(dst.size, t), t]
-    capacity = np.r_[problem.capacity / total, sup[src], -sup[dst], INFINITE_CAPACITY]
-    cost = np.zeros(m + 1)
-    cost[m] = 1.0
-    balance = np.zeros(n + 2)
-    balance[s], balance[t] = 1.0, -1.0
-    _, flow, _ = _highs(n + 2, tail, head, cost, capacity, balance)
-
-    # residual graph of the max flow, bypass arc left out
-    forward = flow[:m] < capacity[:m] - RESIDUAL_TOL
-    backward = flow[:m] > RESIDUAL_TOL
-    r_tail = np.r_[tail[:m][forward], head[:m][backward]]
-    r_head = np.r_[head[:m][forward], tail[:m][backward]]
-    residual = csr_matrix((np.ones(r_tail.size), (r_tail, r_head)), shape=(n + 2, n + 2))
-    inside = np.zeros(n + 2, dtype=bool)
-    inside[breadth_first_order(residual, s, return_predecessors=False)] = True
-    return float(flow[m]) * total, inside[:n]
+    order = np.argsort(-y, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    level = y[order]
+    sizes = np.flatnonzero(level[:-1] != level[1:]) + 1  # cut only between distinct values
+    if sizes.size == 0:
+        return -math.inf, order[:0]
+    # an arc leaves the top-k set for rank[tail] < k <= rank[head]
+    lo, hi = rank[problem.tail] + 1, rank[problem.head] + 1
+    leaving = lo < hi
+    # no set that an arc of capacity >= sum |supply| leaves can be violated,
+    # so clipping there keeps every violated set and makes the sums finite
+    cap = np.minimum(problem.capacity[leaving], np.abs(problem.supply).sum())
+    lo, hi = lo[leaving], hi[leaving]
+    out_cap = np.cumsum(np.bincount(lo, cap, n + 1) - np.bincount(hi, cap, n + 1))[sizes]
+    violation = np.cumsum(problem.supply[order])[sizes - 1] - out_cap
+    k = int(np.argmax(violation))  # first maximum: the smallest of the nested sets
+    return float(violation[k]), order[: sizes[k]]
 
 
-def check_flow_feasibility(problem: FlowProblem) -> bool:
-    """True iff some flow respects all capacities and meets all supplies.
+def farkas_cut(problem: FlowProblem, ray: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Mask of a node set that must ship out more than its outgoing capacity.
 
-    Feasible iff the max flow of :func:`feasibility_cut` leaves at most
-    ``SUPPLY_TOL`` of the supply total undelivered.
+    Scans the superlevel sets of ``ray`` and of ``-ray`` and returns the
+    one with the largest violation ``supply(S) - capacity(S -> rest)``;
+    ties go to the smaller set, then to the lowest node indices.
+    Returns ``None`` when ``ray`` is ``None`` or no such set is
+    violated.
     """
-    undeliverable, _ = feasibility_cut(problem)
-    return undeliverable <= SUPPLY_TOL * _supply_total(problem)
+    if ray is None:
+        return None
+    ray = np.asarray(ray, dtype=float)
+    candidates = []
+    for y in (ray, -ray):
+        violation, members = _best_level_set(problem, y)
+        candidates.append((-violation, members.size, sorted(members.tolist())))
+    neg_violation, _, members = min(candidates)
+    if not -neg_violation > 0:
+        return None
+    inside = np.zeros(problem.node_count, dtype=bool)
+    inside[members] = True
+    return inside

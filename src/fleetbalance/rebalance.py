@@ -17,10 +17,6 @@ rate weighted by travel time.  They share no variables, so they are
 solved as two independent minimum-cost flow problems; minimizing the
 driver total (rebalancing trips plus return rides) and minimizing the
 rebalancing-vehicle total pull in the same direction.
-
-Solutions are post-processed by canceling opposing two-cycles
-(``min(x[i,j], x[j,i])`` subtracted from both directions), which never
-raises cost and makes at most one direction of each pair carry flow.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from .mincostflow import (
     INFINITE_CAPACITY,
     FlowProblem,
     FlowSolution,
-    feasibility_cut,
+    farkas_cut,
     solve_mcf,
 )
 from .network import (
@@ -56,12 +52,6 @@ def _matrix_from_flows(n: int, flows: np.ndarray) -> np.ndarray:
     out = np.zeros((n, n))
     out[_offdiag(n)] = flows
     return out
-
-
-def cancel_two_cycles(rates: np.ndarray) -> np.ndarray:
-    """Remove opposing flow on every station pair (cost never increases)."""
-    overlap = np.minimum(rates, rates.T)
-    return rates - overlap
 
 
 def _station_flow_problem(net: StationNetwork, supply: np.ndarray, capacity: np.ndarray) -> FlowProblem:
@@ -88,7 +78,7 @@ def driver_flow_problem(net: StationNetwork, imbalance: ImbalanceVector) -> Flow
 
 
 def _solved_matrix(net: StationNetwork, solution: FlowSolution) -> tuple[np.ndarray, float]:
-    rates = cancel_two_cycles(_matrix_from_flows(net.n, solution.flow))
+    rates = _matrix_from_flows(net.n, solution.flow)
     objective = float(np.sum(net.travel_time * rates))
     return rates, objective
 
@@ -110,28 +100,31 @@ def solve_driver_rebalancing(
     """Cheapest driver-return rates within taxi capacity.
 
     Raises :class:`RebalanceInfeasibleError` when capacities cannot carry
-    the required driver flow.  The error carries a witness station subset
-    whose outgoing capacity is provably short: the source side of a
-    minimum cut (:func:`~fleetbalance.mincostflow.feasibility_cut`), with
-    its driver demand and outgoing capacity recomputed from the network.
+    the required driver flow.  The diagnosis costs the one LP: the error
+    carries a witness station subset whose outgoing capacity is provably
+    short, read from the LP's Farkas ray
+    (:func:`~fleetbalance.mincostflow.farkas_cut`), with its driver
+    demand and outgoing capacity recomputed from the network.  A missing
+    or wrong ray yields an error without a witness, never a wrong witness.
     """
     d = imbalance or compute_imbalance(net)
     problem = driver_flow_problem(net, d)
     solution = solve_mcf(problem)
     if solution.status != "optimal":
-        _, inside = feasibility_cut(problem)
-        demand = float(-d.surplus[inside].sum())
-        capacity = float(net.taxi_capacity()[np.ix_(inside, ~inside)].sum())
-        if demand > capacity:
-            witness = tuple(int(i) for i in np.flatnonzero(inside))
-            raise RebalanceInfeasibleError(
-                "driver-return program infeasible: stations "
-                f"{set(witness)} must emit {demand:.6g} drivers "
-                f"but only {capacity:.6g} taxi capacity leaves them",
-                witness=witness,
-                demand=demand,
-                capacity=capacity,
-            )
+        inside = farkas_cut(problem, solution.ray)
+        if inside is not None:
+            demand = float(-d.surplus[inside].sum())
+            capacity = float(net.taxi_capacity()[np.ix_(inside, ~inside)].sum())
+            if demand > capacity:
+                witness = tuple(int(i) for i in np.flatnonzero(inside))
+                raise RebalanceInfeasibleError(
+                    "driver-return program infeasible: stations "
+                    f"{set(witness)} must emit {demand:.6g} drivers "
+                    f"but only {capacity:.6g} taxi capacity leaves them",
+                    witness=witness,
+                    demand=demand,
+                    capacity=capacity,
+                )
         raise RebalanceInfeasibleError(
             "driver-return program infeasible: taxi capacity cannot carry the required driver flow"
         )

@@ -1,7 +1,7 @@
-"""Exhaustive oracles that cross-check the solver in the tests.
+"""Independent oracles that cross-check the solver in the tests.
 
-None of these is used by the library: each enumerates an exponential
-set (flow-polytope vertices, station subsets) and refuses inputs past a
+None of these is used by the library.  Most enumerate an exponential
+set (flow-polytope vertices, station subsets) and refuse inputs past a
 small size with :class:`SizeLimitError`.
 
 * :func:`brute_force_mcf` takes the cheapest vertex of the flow
@@ -12,6 +12,10 @@ small size with :class:`SizeLimitError`.
 * :func:`check_feasibility_bruteforce` scans every station subset for a
   driver-return cut whose demand exceeds its outgoing taxi capacity.
   At most 20 stations.
+* :func:`max_flow_cut` decides feasibility by a max flow (one LP) and
+  reads the minimal minimum cut off its residual graph.  Polynomial, but
+  a second LP the library no longer solves: it is the reference for the
+  cut the library reads off the Farkas ray.
 * :func:`flow_debug_dict` dumps a problem and its solution for assertion
   messages.
 """
@@ -24,9 +28,20 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
-from fleetbalance.mincostflow import RESIDUAL_TOL, FlowProblem, FlowSolution
+from fleetbalance.mincostflow import (
+    INFINITE_CAPACITY,
+    SUPPLY_TOL,
+    FlowProblem,
+    FlowSolution,
+    _highs,
+    _supply_total,
+)
 from fleetbalance.network import ImbalanceVector, StationNetwork, compute_imbalance
+
+RESIDUAL_TOL = 1e-12  # residual capacity treated as saturated (the cut scales supplies to unit total)
 
 
 class SizeLimitError(ValueError):
@@ -236,3 +251,50 @@ def check_feasibility_bruteforce(
                 capacity=float(outcap[k]),
             )
     return CutCheck(feasible=True, witness=None, demand=0.0, capacity=0.0)
+
+
+def max_flow_cut(problem: FlowProblem) -> tuple[float, np.ndarray]:
+    """Supply no flow within capacity can deliver, and the cut that proves it.
+
+    A super-source feeds every supply node, every demand node drains into
+    a super-sink, the problem's arcs cost nothing and one uncapacitated
+    bypass arc from source to sink costs 1, so the bypass carries exactly
+    the supply no flow within the capacities can deliver: the largest
+    ``supply(S) - capacity(S -> rest)`` over all node sets.  Returns
+    ``(undeliverable, inside)``; ``inside`` masks the nodes reachable
+    from the super-source in the residual graph of the max flow, the
+    source side of the minimal minimum cut.  The problem is feasible iff
+    ``undeliverable <= SUPPLY_TOL`` times the supply total.
+    """
+    n = problem.node_count
+    total = _supply_total(problem)
+    if total == 0.0:
+        return 0.0, np.zeros(n, dtype=bool)
+    sup = problem.supply / total
+    src, dst = np.flatnonzero(sup > 0), np.flatnonzero(sup < 0)
+    s, t = n, n + 1
+    m = problem.arc_count + src.size + dst.size  # the bypass arc is index m
+    tail = np.r_[problem.tail, np.full(src.size, s), dst, s]
+    head = np.r_[problem.head, src, np.full(dst.size, t), t]
+    capacity = np.r_[problem.capacity / total, sup[src], -sup[dst], INFINITE_CAPACITY]
+    cost = np.zeros(m + 1)
+    cost[m] = 1.0
+    balance = np.zeros(n + 2)
+    balance[s], balance[t] = 1.0, -1.0
+    _, flow, _ = _highs(n + 2, tail, head, cost, capacity, balance)
+
+    # residual graph of the max flow, bypass arc left out
+    forward = flow[:m] < capacity[:m] - RESIDUAL_TOL
+    backward = flow[:m] > RESIDUAL_TOL
+    r_tail = np.r_[tail[:m][forward], head[:m][backward]]
+    r_head = np.r_[head[:m][forward], tail[:m][backward]]
+    residual = csr_matrix((np.ones(r_tail.size), (r_tail, r_head)), shape=(n + 2, n + 2))
+    inside = np.zeros(n + 2, dtype=bool)
+    inside[breadth_first_order(residual, s, return_predecessors=False)] = True
+    return float(flow[m]) * total, inside[:n]
+
+
+def max_flow_feasible(problem: FlowProblem) -> bool:
+    """True iff :func:`max_flow_cut` leaves at most ``SUPPLY_TOL`` of the supply undelivered."""
+    undeliverable, _ = max_flow_cut(problem)
+    return undeliverable <= SUPPLY_TOL * _supply_total(problem)

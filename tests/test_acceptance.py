@@ -16,7 +16,7 @@ from fleetbalance.errors import InsufficientFleetError
 from fleetbalance.experiments import SweepConfig, run_f_sweep, run_station_sweep
 from fleetbalance.fluidsim import equilibrium_state, initial_state, simulate, stability_probe
 from fleetbalance.generate import GeneratorConfig, generate_instance
-from fleetbalance.mincostflow import check_flow_feasibility, solve_mcf
+from fleetbalance.mincostflow import solve_mcf
 from fleetbalance.network import StationNetwork, compute_imbalance
 from fleetbalance.rebalance import driver_flow_problem, solve_rebalancing
 
@@ -140,12 +140,12 @@ def test_criterion_5_feasibility_checks_agree(capsys):
         np.fill_diagonal(f, 0.0)
         net_f = replace(net, taxi_fraction=f)
         d = compute_imbalance(net_f)
-        flow_ok = check_flow_feasibility(driver_flow_problem(net_f, d))
+        flow_ok = solve_mcf(driver_flow_problem(net_f, d)).status == "optimal"
         cut = check_feasibility_bruteforce(net_f, d)
         assert flow_ok == cut.feasible, (n, net.meta)
         infeasible += not cut.feasible
         # with every leg at full taxi fraction the program is always feasible
-        assert check_flow_feasibility(driver_flow_problem(net, d))
+        assert solve_mcf(driver_flow_problem(net, d)).status == "optimal"
         assert check_feasibility_bruteforce(net, d).feasible
         checked += 1
     detail = (

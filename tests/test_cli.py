@@ -210,9 +210,10 @@ def test_help_exits_zero(capsys):
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds ~0.3 s and 16 MB to a fresh process; the flow
-    # solver imports it on first use, so commands that never solve skip it
+    # solver imports it on first use, so commands that never solve skip it.
+    # scipy.sparse (~0.4 s with csgraph) is not imported by the package at all.
     src = Path(fleetbalance.__file__).resolve().parents[1]
-    code = "import sys, fleetbalance.cli; print('scipy.optimize' in sys.modules)"
+    code = "import sys, fleetbalance.cli; print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -221,4 +222,4 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         timeout=120,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

@@ -12,15 +12,21 @@ from fleetbalance.mincostflow import (
     LP_TOL,
     FlowProblem,
     FlowSolution,
-    check_flow_feasibility,
-    feasibility_cut,
+    farkas_cut,
     solve_mcf,
 )
 from fleetbalance.mincostflow import _certify, _highs
 from fleetbalance.network import compute_imbalance
 from fleetbalance.rebalance import driver_flow_problem, vehicle_flow_problem
 
-from oracles import SizeLimitError, brute_force_mcf, flow_debug_dict, residual_negative_cycle
+from oracles import (
+    SizeLimitError,
+    brute_force_mcf,
+    flow_debug_dict,
+    max_flow_cut,
+    max_flow_feasible,
+    residual_negative_cycle,
+)
 
 
 def arcs(*rows):
@@ -60,6 +66,16 @@ def assert_valid_flow(problem: FlowProblem, solution: FlowSolution, tol=1e-7):
     assert np.max(np.abs(net_out - problem.supply)) <= tol
     costs = problem.cost
     assert solution.objective == pytest.approx(float(flows @ costs), abs=1e-9)
+
+
+def assert_violated_cut(problem: FlowProblem, inside):
+    """``inside`` must ship out more than its outgoing capacity, by at most the max-flow shortfall."""
+    assert inside is not None, flow_debug_dict(problem)
+    leaving = inside[problem.tail] & ~inside[problem.head]
+    violation = float(problem.supply[inside].sum() - problem.capacity[leaving].sum())
+    undeliverable, _ = max_flow_cut(problem)
+    scale = float(np.abs(problem.supply).sum())
+    assert 0 < violation <= undeliverable + 1e-9 * scale, flow_debug_dict(problem)
 
 
 def test_single_arc():
@@ -107,8 +123,9 @@ def test_infeasible_capacity_shortfall():
     )
     sol = solve_mcf(problem)
     assert sol.status == "infeasible"
-    assert not check_flow_feasibility(problem)
+    assert not max_flow_feasible(problem)
     assert brute_force_mcf(problem).status == "infeasible"
+    assert farkas_cut(problem, sol.ray).tolist() == [True, False]
 
 
 def test_disconnected_demand_is_infeasible():
@@ -116,10 +133,10 @@ def test_disconnected_demand_is_infeasible():
         node_count=3, supply=[1.0, -1.0, 0.0], **arcs((0, 2, 1.0, INFINITE_CAPACITY))
     )
     assert solve_mcf(problem).status == "infeasible"
-    assert not check_flow_feasibility(problem)
+    assert not max_flow_feasible(problem)
     no_arcs = FlowProblem(node_count=2, supply=[1.0, -1.0], **arcs())
     assert solve_mcf(no_arcs).status == "infeasible"
-    assert not check_flow_feasibility(no_arcs)
+    assert not max_flow_feasible(no_arcs)
 
 
 def test_parallel_and_antiparallel_arcs():
@@ -155,7 +172,9 @@ def test_matches_bruteforce_on_random_problems():
             assert abs(sol.objective - oracle.objective) <= tol, flow_debug_dict(problem, sol)
             assert not residual_negative_cycle(problem, sol)
             checked += 1
-        assert check_flow_feasibility(problem) == (sol.status == "optimal")
+        else:
+            assert_violated_cut(problem, farkas_cut(problem, sol.ray))
+        assert max_flow_feasible(problem) == (sol.status == "optimal")
     assert checked >= 40  # the draw must exercise the optimal path often enough
 
 
@@ -251,7 +270,7 @@ def linprog_highs(node_count, tail, head, cost, capacity, supply):
     "n,seed,taxi_fraction", [(5, 0, 1.0), (14, 1, 1.0), (50, 2, 1.0), (14, 0, 0.5)]
 )
 def test_binding_agrees_with_linprog(monkeypatch, make_instance, n, seed, taxi_fraction):
-    """Every LP the solver hands HiGHS: alpha, beta and the feasibility cut."""
+    """Every LP the solver hands HiGHS: alpha and beta, feasible or not."""
     lps = []
 
     def recording(*args):
@@ -264,9 +283,8 @@ def test_binding_agrees_with_linprog(monkeypatch, make_instance, n, seed, taxi_f
     beta = driver_flow_problem(net, d)
     solve_mcf(vehicle_flow_problem(net, d))
     beta_status = solve_mcf(beta).status
-    feasibility_cut(beta)
     assert beta_status == ("infeasible" if taxi_fraction < 1 else "optimal")
-    assert len(lps) == 3
+    assert len(lps) == 2
     for args in lps:
         status, x, duals = _highs(*args)
         want_status, want_x, want_duals = linprog_highs(*args)

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fleetbalance import mincostflow
 from fleetbalance.errors import RebalanceInfeasibleError
 from fleetbalance.generate import GeneratorConfig, generate_instance
 from fleetbalance.network import StationNetwork, compute_imbalance, fleet_sizes, validate_assignment
 from fleetbalance.rebalance import (
-    cancel_two_cycles,
     driver_flow_problem,
     solve_driver_rebalancing,
     solve_rebalancing,
@@ -17,7 +17,7 @@ from fleetbalance.rebalance import (
 from fleetbalance.mincostflow import INFINITE_CAPACITY
 
 from conftest import build_two_station
-from oracles import brute_force_mcf
+from oracles import brute_force_mcf, max_flow_cut, max_flow_feasible
 
 
 def test_two_station_hand_solution(two_station):
@@ -141,7 +141,9 @@ def test_relabelling_stations_permutes_the_solution(make_instance, taxi_fraction
         assert moved.vehicle_objective == pytest.approx(sol.vehicle_objective, rel=1e-12)
         if sol.status != "optimal":
             infeasible += 1
-            # the witness is the source side of the unique minimal minimum cut
+            # the witness is the most violated level set of the Farkas ray, ties
+            # to the smaller set and then the lowest stations; the ray follows
+            # the relabelling, so the witness does too
             witness = tuple(sorted(int(perm[k]) for k in moved.infeasibility.witness))
             assert witness == sol.infeasibility.witness
             assert moved.infeasibility.demand == pytest.approx(sol.infeasibility.demand, rel=1e-12)
@@ -205,23 +207,82 @@ def test_flow_problem_construction(two_station):
     assert caps[(1, 0)] == pytest.approx(0.1)
 
 
-def test_cancel_two_cycles():
-    rates = np.array([[0.0, 0.5, 0.0], [0.2, 0.0, 0.1], [0.0, 0.0, 0.0]])
-    out = cancel_two_cycles(rates)
-    assert out == pytest.approx(np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0]]))
-    # net per-station flow is preserved
-    assert out.sum(axis=1) - out.sum(axis=0) == pytest.approx(
-        rates.sum(axis=1) - rates.sum(axis=0)
-    )
-
-
 def test_no_opposing_flow_in_solutions(make_instance):
+    # a certified optimum never ships both ways on a pair: the two reduced
+    # costs would add up to the round trip's positive travel time
     for seed in range(8):
-        net = make_instance(10, seed)
-        sol = solve_rebalancing(net)
-        a, b = sol.assignment.vehicle_rates, sol.assignment.driver_rates
-        assert np.all(np.minimum(a, a.T) < 1e-12)
-        assert np.all(np.minimum(b, b.T) < 1e-12)
+        for taxi_fraction in (1.0, 2.0):
+            net = make_instance(4 + 3 * seed, seed, taxi_fraction=taxi_fraction)
+            sol = solve_rebalancing(net)
+            a, b = sol.assignment.vehicle_rates, sol.assignment.driver_rates
+            assert np.all(np.minimum(a, a.T) == 0.0)
+            assert np.all(np.minimum(b, b.T) == 0.0)
+
+
+def witness_violation(net: StationNetwork, witness) -> float:
+    """Driver demand of the witness stations minus the taxi capacity leaving them."""
+    inside = np.zeros(net.n, dtype=bool)
+    inside[list(witness)] = True
+    demand = float(-compute_imbalance(net).surplus[inside].sum())
+    return demand - float(net.taxi_capacity()[np.ix_(inside, ~inside)].sum())
+
+
+@pytest.mark.parametrize("taxi_fraction", [0.5, 1.0])
+@pytest.mark.parametrize("n", [5, 14, 24, 40, 100])
+def test_witness_agrees_with_max_flow_oracle(make_instance, n, taxi_fraction):
+    infeasible = 0
+    for seed in range(6):
+        net = make_instance(n, seed, taxi_fraction=taxi_fraction)
+        d = compute_imbalance(net)
+        problem = driver_flow_problem(net, d)
+        feasible = max_flow_feasible(problem)
+        assert (mincostflow.solve_mcf(problem).status == "optimal") == feasible
+        if feasible:
+            solve_driver_rebalancing(net, d)
+            continue
+        infeasible += 1
+        with pytest.raises(RebalanceInfeasibleError) as exc:
+            solve_driver_rebalancing(net, d)
+        err = exc.value
+        assert err.demand - err.capacity == pytest.approx(witness_violation(net, err.witness), rel=1e-12)
+        undeliverable, _ = max_flow_cut(problem)
+        assert 0 < err.demand - err.capacity <= undeliverable + 1e-9 * net.arrival_rate.sum()
+    assert (infeasible > 0) == (taxi_fraction < 1)
+
+
+@pytest.mark.parametrize("ray", ["zero", "random"])
+@pytest.mark.parametrize("taxi_fraction", [0.5, 1.0])
+def test_wrong_ray_gives_no_wrong_witness(monkeypatch, make_instance, ray, taxi_fraction):
+    # every LP reports "infeasible" with a made-up ray, feasible programs included
+    rng = np.random.default_rng(5)
+    fake = np.zeros if ray == "zero" else rng.standard_normal
+    monkeypatch.setattr(mincostflow, "_highs", lambda n, *args: ("infeasible", None, fake(n)))
+    for seed in range(5):
+        net = make_instance(14, seed, taxi_fraction=taxi_fraction)
+        with pytest.raises(RebalanceInfeasibleError) as exc:
+            solve_driver_rebalancing(net)
+        if ray == "zero" or taxi_fraction == 1.0:
+            # a zero ray has no level sets; a feasible program has no violated set
+            assert exc.value.witness is None
+        elif exc.value.witness is not None:
+            # a random ray may still hit a violated set, but only a true one
+            assert witness_violation(net, exc.value.witness) > 0
+
+
+def test_infeasible_diagnosis_solves_one_lp(monkeypatch, make_instance):
+    calls = []
+    real = mincostflow._highs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mincostflow, "_highs", counting)
+    net = make_instance(40, 0, taxi_fraction=0.5)
+    with pytest.raises(RebalanceInfeasibleError) as exc:
+        solve_driver_rebalancing(net)
+    assert exc.value.witness
+    assert len(calls) == 1
 
 
 def test_balanced_network_needs_no_rebalancing():
