@@ -14,7 +14,7 @@ stations (``generate_instance(n, SEED)``):
   h = min T / 10, for n <= 100 only;
 
 plus ``fresh_import_cli``, the wall time of a new process that runs
-``import fleetbalance.cli``.  Each figure is the median of ``--repeats``
+``import fleetbalance.cli``.  Each figure is the median of ``REPEATS``
 calls, after one untimed call that pays lazy imports.  The output,
 ``BENCH_<label>.json``, also records the machine, the Python, numpy
 and scipy versions and the git commit of the checkout measured.
@@ -63,12 +63,13 @@ from fleetbalance import (  # noqa: E402
 SIZES = (25, 50, 100, 200, 300)
 SIM_MAX_N = 100
 SEED = 1
+REPEATS = 7
 
 
-def median_ms(call, repeats: int) -> float:
+def median_ms(call) -> float:
     call()  # lazy imports and first-touch allocations stay out of the figure
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         started = time.perf_counter()
         call()
         samples.append(time.perf_counter() - started)
@@ -84,19 +85,19 @@ def diagnose(net) -> bool:
     raise RuntimeError(f"driver program at n={net.n} was feasible; the diagnosis needs an infeasible draw")
 
 
-def layers(n: int, repeats: int) -> dict:
+def layers(n: int) -> dict:
     net = generate_instance(n, SEED)
     d = compute_imbalance(net)
     vehicle, driver = vehicle_flow_problem(net, d), driver_flow_problem(net, d)
     tight = generate_instance(n, SEED, GeneratorConfig(taxi_fraction=0.5))
     row = {
-        "generate": median_ms(lambda: generate_instance(n, SEED), repeats),
-        "imbalance": median_ms(lambda: compute_imbalance(net), repeats),
-        "vehicle_problem": median_ms(lambda: vehicle_flow_problem(net, d), repeats),
-        "driver_problem": median_ms(lambda: driver_flow_problem(net, d), repeats),
-        "alpha_lp": median_ms(lambda: solve_mcf(vehicle), repeats),
-        "beta_lp": median_ms(lambda: solve_mcf(driver), repeats),
-        "infeasible_diagnosis": median_ms(lambda: diagnose(tight), repeats),
+        "generate": median_ms(lambda: generate_instance(n, SEED)),
+        "imbalance": median_ms(lambda: compute_imbalance(net)),
+        "vehicle_problem": median_ms(lambda: vehicle_flow_problem(net, d)),
+        "driver_problem": median_ms(lambda: driver_flow_problem(net, d)),
+        "alpha_lp": median_ms(lambda: solve_mcf(vehicle)),
+        "beta_lp": median_ms(lambda: solve_mcf(driver)),
+        "infeasible_diagnosis": median_ms(lambda: diagnose(tight)),
         "infeasible_witness": diagnose(tight),
     }
     if n <= SIM_MAX_N:
@@ -105,14 +106,14 @@ def layers(n: int, repeats: int) -> dict:
         state = equilibrium_state(
             net, a.vehicle_rates, a.driver_rates, np.zeros(n), np.ones(n), np.ones(n), h
         )
-        row["sim_step"] = median_ms(lambda: step(state, net, a.vehicle_rates, a.driver_rates, h), repeats)
+        row["sim_step"] = median_ms(lambda: step(state, net, a.vehicle_rates, a.driver_rates, h))
     return row
 
 
-def fresh_import_ms(repeats: int) -> float:
+def fresh_import_ms() -> float:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     command = [sys.executable, "-c", "import fleetbalance.cli"]
-    return median_ms(lambda: subprocess.run(command, env=env, check=True, timeout=120), repeats)
+    return median_ms(lambda: subprocess.run(command, env=env, check=True, timeout=120))
 
 
 def git_commit() -> dict:
@@ -137,11 +138,8 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="output file is BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=7, help="timed calls per figure (median taken)")
     parser.add_argument("--out-dir", type=Path, default=ROOT, help="directory of the output file")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
     report = {
         "label": args.label,
@@ -152,14 +150,14 @@ def main(argv=None) -> int:
             "numpy": metadata.version("numpy"),
             "scipy": metadata.version("scipy"),
         },
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "seed": SEED,
         "unit": "ms, median of repeats",
-        "fresh_import_cli": fresh_import_ms(args.repeats),
+        "fresh_import_cli": fresh_import_ms(),
         "layers": {},
     }
     for n in SIZES:
-        report["layers"][str(n)] = layers(n, args.repeats)
+        report["layers"][str(n)] = layers(n)
         print(f"n={n}: {report['layers'][str(n)]}", file=sys.stderr)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")

@@ -32,7 +32,6 @@ from .mincostflow import (
     INFINITE_CAPACITY,
     FlowProblem,
     FlowSolution,
-    farkas_cut,
     solve_mcf,
 )
 from .network import (

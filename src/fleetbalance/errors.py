@@ -18,8 +18,9 @@ class RebalanceInfeasibleError(ValueError):
 
     Attributes:
         witness: station index tuple whose outgoing taxi capacity is too
-            small for the driver flow it must emit, or None if the
-            minimum cut found none (a program infeasible only within
+            small for the driver flow it must emit, or None if no
+            superlevel set of the LP's Farkas ray is a violated cut (no
+            ray, a wrong ray, or a program infeasible only within
             rounding).
         demand: driver outflow the witness set must emit.
         capacity: total taxi capacity leaving the witness set.

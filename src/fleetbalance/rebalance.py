@@ -78,6 +78,16 @@ def driver_flow_problem(net: StationNetwork, imbalance: ImbalanceVector) -> Flow
 
 
 def _solved_matrix(net: StationNetwork, solution: FlowSolution) -> tuple[np.ndarray, float]:
+    """Rate matrix and objective of a certified optimum, taken as returned.
+
+    Where a pair's round trip ``T_ij + T_ji`` exceeds ``2 * OPTIMALITY_TOL``
+    of the longest travel time, the optimum carries flow one way only:
+    the two reduced costs sum to the round trip, and an arc with flow has
+    reduced cost at most ``OPTIMALITY_TOL`` (costs scaled to at most 1).
+    A pair with zero travel time both ways may carry flow both ways at no
+    cost in the capacitated driver program (seen on an all-zero-time
+    instance); the objective and fleet sizes do not change.
+    """
     rates = _matrix_from_flows(net.n, solution.flow)
     objective = float(np.sum(net.travel_time * rates))
     return rates, objective
