@@ -106,7 +106,7 @@ def layers(n: int) -> dict:
         state = equilibrium_state(
             net, a.vehicle_rates, a.driver_rates, np.zeros(n), np.ones(n), np.ones(n), h
         )
-        row["sim_step"] = median_ms(lambda: step(state, net, a.vehicle_rates, a.driver_rates, h))
+        row["sim_step"] = median_ms(lambda: step(state, net, a.vehicle_rates, a.driver_rates))
     return row
 
 

@@ -53,21 +53,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientFleetError, InvalidStateError, ValidationError
-from .network import StationNetwork, compute_imbalance
+from .network import StationNetwork, _rate_matrix, compute_imbalance
 from .rebalance import RebalanceSolution
 
 ZERO_EVENT_CAP = 100_000
-
-
-def _check_rates(name: str, value, n: int) -> np.ndarray:
-    arr = np.array(value, dtype=float, copy=True)
-    if arr.shape != (n, n):
-        raise ValidationError(f"{name} must be an {n}x{n} matrix")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValidationError(f"{name} must be finite and nonnegative")
-    if np.any(np.abs(np.diagonal(arr)) > 0):
-        raise ValidationError(f"{name} must have a zero diagonal")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +200,8 @@ def equilibrium_state(
     time.
     """
     n = net.n
-    alpha = _check_rates("alpha", vehicle_rates, n)
-    beta = _check_rates("beta", driver_rates, n)
+    alpha = _rate_matrix("alpha", vehicle_rates, n)
+    beta = _rate_matrix("beta", driver_rates, n)
     legs = _Legs.build(net, float(h))
     veh_rate = net.arrival_rate[legs.tail] * net.dest_prob[legs.tail, legs.head] + alpha[
         legs.tail, legs.head
@@ -255,7 +244,12 @@ class SimTrace:
 
 
 class _Engine:
-    """Mutable working copy of a state; advances it step by step."""
+    """Mutable working copy of a state; advances it step by step.
+
+    Idle vehicles and idle drivers follow the same queue-and-transit
+    dynamics, so they are stacked: ``idle`` is ``(2, n)`` and ``cal`` is
+    ``(2, D, n)``, fleet 0 the vehicles and fleet 1 the drivers.
+    """
 
     QUANTITIES = ("customers", "vehicles", "drivers")
 
@@ -263,8 +257,8 @@ class _Engine:
         n = net.n
         if state.n != n:
             raise InvalidStateError(f"state has {state.n} stations, network has {n}")
-        alpha = _check_rates("alpha", vehicle_rates, n)
-        beta = _check_rates("beta", driver_rates, n)
+        alpha = _rate_matrix("alpha", vehicle_rates, n)
+        beta = _rate_matrix("beta", driver_rates, n)
         legs = state.legs
         shape = (legs.depth, n)
         if state.vehicle_buffer.shape != shape or state.driver_buffer.shape != shape:
@@ -289,22 +283,17 @@ class _Engine:
                     f"station {i} has queued customers but p row {i} does not sum to 1"
                 )
 
-        self.net = net
         self.n = n
         self.h = state.h
         self.legs = legs
         self.c = state.customers.copy()
-        self.v = state.vehicles.copy()
-        self.r = state.drivers.copy()
-        self.veh_cal = state.vehicle_buffer.copy()
-        self.drv_cal = state.driver_buffer.copy()
+        self.idle = np.array((state.vehicles, state.drivers))
+        self.cal = np.array((state.vehicle_buffer, state.driver_buffer))
         # in-transit rate sums: the state's full sums plus a running net
         # change (+ each step's writes, - its reads), kept apart so its
         # rounding scales with the change and not with the whole sum
-        self.veh_transit = float(self.veh_cal.sum())
-        self.drv_transit = float(self.drv_cal.sum())
-        self.veh_moved = 0.0
-        self.drv_moved = 0.0
+        self.transit = self.cal.reshape(2, -1).sum(axis=1)
+        self.moved = np.zeros(2)
         self.step_index = state.step_index
         self.zero = self._zero_mask()
 
@@ -314,12 +303,15 @@ class _Engine:
         self.beta_leg = beta[legs.tail, legs.head]
         self.p_leg = net.dest_prob[legs.tail, legs.head]
         self.taxi_leg = net.taxi_fraction[legs.tail, legs.head]
+        # (delay, head) groups of the vehicle legs, then of the driver legs
+        groups = legs.group_cell.size
+        self.fleet_group = np.concatenate((legs.group, legs.group + groups))
         self.events: list = []
         self.events_dropped = 0
 
     def _zero_mask(self) -> np.ndarray:
         """Rows customers, vehicles, drivers: True where the level is 0."""
-        return np.array((self.c, self.v, self.r)) <= 0
+        return np.vstack((self.c, self.idle)) <= 0
 
     def _log_events(self, before: np.ndarray, after: np.ndarray, time: float) -> None:
         for q, i in zip(*np.nonzero(before != after)):
@@ -329,44 +321,31 @@ class _Engine:
             direction = "hit_zero" if after[q, i] else "left_zero"
             self.events.append((time, self.QUANTITIES[q], int(i), direction))
 
-    def _post(self, calendar: np.ndarray, leg_rate: np.ndarray) -> float:
-        """Add departures into their arrival rows; returns the rate written."""
-        legs = self.legs
-        by_cell = np.bincount(legs.group, weights=leg_rate, minlength=legs.group_cell.size)
-        cells = (self.step_index * self.n + legs.group_cell) % legs.total_slots
-        calendar.reshape(-1)[cells] += by_cell
-        return float(by_cell.sum())
-
     def advance(self) -> None:
         h, n, legs = self.h, self.n, self.legs
-        c, v, r = self.c, self.v, self.r
+        c, idle = self.c, self.idle
 
         row = self.step_index % legs.depth
-        arrive_v = self.veh_cal[row].copy()
-        arrive_r = self.drv_cal[row].copy()
-        self.veh_cal[row] = 0.0
-        self.drv_cal[row] = 0.0
+        arrive = self.cal[:, row].copy()
+        self.cal[:, row] = 0.0
 
-        cpos, vpos, rpos = ~self.zero
+        _, vpos, rpos = ~self.zero
         # customer departures: mu while a queue drains (capped so c lands
-        # exactly at 0), lambda when the queue is empty, 0 without vehicles
-        cust_dep = np.where(
-            vpos, np.where(cpos, np.minimum(self.mu, self.lam + c / h), self.lam), 0.0
-        )
+        # exactly at 0; an empty queue caps them at lambda, below mu), 0
+        # without vehicles
+        cust_dep = np.where(vpos, np.minimum(self.mu, self.lam + c / h), 0.0)
         gate = (vpos & rpos)[legs.tail]
         reb = np.where(gate, self.alpha_leg, 0.0)
         ret = np.where(gate, self.beta_leg, 0.0)
 
-        out_v = cust_dep + np.bincount(legs.tail, weights=reb, minlength=n)
-        out_r = np.bincount(legs.tail, weights=reb + ret, minlength=n)
-
+        out = np.array((
+            cust_dep + np.bincount(legs.tail, weights=reb, minlength=n),
+            np.bincount(legs.tail, weights=reb + ret, minlength=n),
+        ))
         # pro-rata scale-down of queues that would go negative; a queue can
-        # only go negative with a positive outflow, so the divisions are safe
-        sv = np.divide(
-            v / h + arrive_v, out_v, out=np.ones(n), where=v + h * (arrive_v - out_v) < 0
-        )
-        sr = np.divide(
-            r / h + arrive_r, out_r, out=np.ones(n), where=r + h * (arrive_r - out_r) < 0
+        # only go negative with a positive outflow, so the division is safe
+        sv, sr = np.divide(
+            idle / h + arrive, out, out=np.ones((2, n)), where=idle + h * (arrive - out) < 0
         )
 
         cust_f = cust_dep * sv
@@ -375,14 +354,19 @@ class _Engine:
         ret_f = np.minimum(ret * sr[legs.tail], self.taxi_leg * (cust_f[legs.tail] * self.p_leg))
 
         self.c = np.maximum(c + h * (self.lam - cust_f), 0.0)
-        out_v_f = cust_f + np.bincount(legs.tail, weights=reb_f, minlength=n)
-        self.v = np.maximum(v + h * (arrive_v - out_v_f), 0.0)
-        out_r_f = np.bincount(legs.tail, weights=reb_f + ret_f, minlength=n)
-        self.r = np.maximum(r + h * (arrive_r - out_r_f), 0.0)
+        out_f = np.array((
+            cust_f + np.bincount(legs.tail, weights=reb_f, minlength=n),
+            np.bincount(legs.tail, weights=reb_f + ret_f, minlength=n),
+        ))
+        self.idle = np.maximum(idle + h * (arrive - out_f), 0.0)
 
-        veh_dep = cust_f[legs.tail] * self.p_leg + reb_f
-        self.veh_moved += self._post(self.veh_cal, veh_dep) - float(arrive_v.sum())
-        self.drv_moved += self._post(self.drv_cal, reb_f + ret_f) - float(arrive_r.sum())
+        # departures into their arrival rows, legs that share a fleet, a
+        # delay and a head summed first so the fancy-index add sees unique cells
+        dep = np.concatenate((cust_f[legs.tail] * self.p_leg + reb_f, reb_f + ret_f))
+        by_cell = np.bincount(self.fleet_group, weights=dep).reshape(2, -1)
+        cells = (self.step_index * n + legs.group_cell) % legs.total_slots
+        self.cal.reshape(2, -1)[:, cells] += by_cell
+        self.moved += by_cell.sum(axis=1) - arrive.sum(axis=1)
         self.step_index += 1
 
         after = self._zero_mask()
@@ -393,34 +377,26 @@ class _Engine:
     def snapshot(self) -> FluidState:
         return FluidState(
             customers=self.c.copy(),
-            vehicles=self.v.copy(),
-            drivers=self.r.copy(),
-            vehicle_buffer=self.veh_cal.copy(),
-            driver_buffer=self.drv_cal.copy(),
+            vehicles=self.idle[0].copy(),
+            drivers=self.idle[1].copy(),
+            vehicle_buffer=self.cal[0].copy(),
+            driver_buffer=self.cal[1].copy(),
             step_index=self.step_index,
             h=self.h,
             legs=self.legs,
         )
 
-    def totals(self) -> tuple[float, float]:
-        """Fleet totals from the running in-transit sums, O(n)."""
-        return (
-            float(self.v.sum()) + (self.veh_transit + self.veh_moved) * self.h,
-            float(self.r.sum()) + (self.drv_transit + self.drv_moved) * self.h,
-        )
+    def totals(self) -> np.ndarray:
+        """Vehicle and driver totals from the running in-transit sums, O(n)."""
+        return self.idle.sum(axis=1) + (self.transit + self.moved) * self.h
 
-    def full_totals(self) -> tuple[float, float]:
-        """Fleet totals from full calendar sums, O(D n)."""
-        return (
-            float(self.v.sum()) + float(self.veh_cal.sum()) * self.h,
-            float(self.r.sum()) + float(self.drv_cal.sum()) * self.h,
-        )
+    def full_totals(self) -> np.ndarray:
+        """Vehicle and driver totals from full calendar sums, O(D n)."""
+        return self.idle.sum(axis=1) + self.cal.reshape(2, -1).sum(axis=1) * self.h
 
 
-def step(state: FluidState, net: StationNetwork, vehicle_rates, driver_rates, h: float) -> FluidState:
-    """Advance one Euler step; returns a new state, the input is untouched."""
-    if abs(float(h) - state.h) > 0:
-        raise InvalidStateError(f"step size {h!r} does not match the state's h={state.h!r}")
+def step(state: FluidState, net: StationNetwork, vehicle_rates, driver_rates) -> FluidState:
+    """Advance one Euler step of ``state.h``; returns a new state, the input is untouched."""
     engine = _Engine(net, vehicle_rates, driver_rates, state)
     engine.advance()
     return engine.snapshot()
@@ -432,17 +408,15 @@ def simulate(
     driver_rates,
     init: FluidState,
     horizon: float,
-    h: float,
     sample_every: int = 1,
 ) -> SimTrace:
-    """Run until ``horizon`` (rounded to whole steps), sampling the trajectory."""
-    if abs(float(h) - init.h) > 0:
-        raise InvalidStateError(f"step size {h!r} does not match the state's h={init.h!r}")
+    """Run steps of ``init.h`` until ``horizon`` (rounded to whole steps), sampling the trajectory."""
     if horizon <= 0:
         raise ValidationError(f"horizon must be positive, got {horizon!r}")
     if sample_every < 1:
         raise ValidationError("sample_every must be >= 1")
     engine = _Engine(net, vehicle_rates, driver_rates, init)
+    h = init.h
     steps = max(1, int(round(horizon / h)))
 
     sample_steps = list(range(0, steps + 1, sample_every))
@@ -460,8 +434,7 @@ def simulate(
         if k == sample_steps[cursor]:
             times[cursor] = init.time + k * h
             c_out[cursor] = engine.c
-            v_out[cursor] = engine.v
-            r_out[cursor] = engine.r
+            v_out[cursor], r_out[cursor] = engine.idle
             # the ends come from full sums, so a leak in the running
             # sums still shows as drift
             ends = k == 0 or k == steps
@@ -490,8 +463,8 @@ class StabilityReport:
     ``passed`` requires: customers cleared (every station at or below
     ``tol_customers`` from ``drain_time`` through the horizon), idle
     vehicles and idle drivers staying at or above ``tol_positive`` after
-    the customer drain (driver levels at perfectly balanced stations only
-    need to stay nonnegative), and both totals conserved within
+    the customer drain (driver levels at perfectly balanced stations are
+    not checked: no level goes below 0), and both totals conserved within
     ``10 * h * total rate``.
     """
 
@@ -572,9 +545,7 @@ def stability_probe(
     init = equilibrium_state(
         net, assignment.vehicle_rates, assignment.driver_rates, c0, v0, r0, h
     )
-    trace = simulate(
-        net, assignment.vehicle_rates, assignment.driver_rates, init, horizon, h
-    )
+    trace = simulate(net, assignment.vehicle_rates, assignment.driver_rates, init, horizon)
 
     below = np.max(trace.customers, axis=1) <= tol_customers
     drained = np.flatnonzero(below)
@@ -586,18 +557,13 @@ def stability_probe(
         drain_time = None
         customers_cleared = False
 
+    # the last sample is always in post
     post = trace.times >= (drain_time if drain_time is not None else trace.times[-1])
-    min_v = float(np.min(trace.vehicles[post])) if np.any(post) else float("nan")
-    # compute_imbalance sets balanced stations to exactly 0, relative to sum(lambda)
-    balanced = compute_imbalance(net).surplus == 0
-    drivers_mat = trace.drivers[post]
-    if np.any(balanced):
-        need_pos = drivers_mat[:, ~balanced]
-        min_r = float(np.min(need_pos)) if need_pos.size else float("inf")
-        drivers_ok = min_r >= tol_positive and bool(np.all(drivers_mat[:, balanced] >= 0))
-    else:
-        min_r = float(np.min(drivers_mat)) if drivers_mat.size else float("nan")
-        drivers_ok = min_r >= tol_positive
+    min_v = float(np.min(trace.vehicles[post]))
+    # compute_imbalance sets balanced stations to exactly 0, relative to
+    # sum(lambda); they need no idle drivers, and no level goes below 0
+    need_pos = trace.drivers[post][:, compute_imbalance(net).surplus != 0]
+    min_r = float(np.min(need_pos)) if need_pos.size else float("inf")
 
     total_v0 = float(trace.vehicles_total[0])
     total_r0 = float(trace.drivers_total[0])
@@ -607,7 +573,8 @@ def stability_probe(
     r_bound = 10.0 * h * float(assignment.vehicle_rates.sum() + assignment.driver_rates.sum())
     conserved = vehicle_drift <= v_bound and driver_drift <= r_bound
 
-    vehicles_ok = min_v >= tol_positive if np.any(post) else False
+    vehicles_ok = min_v >= tol_positive
+    drivers_ok = min_r >= tol_positive
     passed = customers_cleared and vehicles_ok and drivers_ok and conserved
     return StabilityReport(
         passed=passed,

@@ -69,6 +69,17 @@ def _first_negative(name: str, arr: np.ndarray) -> None:
         raise ValidationError(f"{name}[{pos}] is negative")
 
 
+def _rate_matrix(name: str, value, n: int) -> np.ndarray:
+    """A finite, nonnegative ``n x n`` station-to-station rate matrix with a zero diagonal."""
+    arr = _as_matrix(name, value, n)
+    _first_negative(name, arr)
+    diag = np.diagonal(arr)
+    if np.any(diag != 0):
+        i = int(np.flatnonzero(diag)[0])
+        raise ValidationError(f"{name}[{i},{i}] is {diag[i]:.6g}; {name} must have a zero diagonal")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class StationNetwork:
     """Immutable description of one rebalancing problem instance.
@@ -218,18 +229,11 @@ class RebalanceAssignment:
     min_drivers: float
 
     def __post_init__(self):
-        a = np.array(self.vehicle_rates, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError(f"vehicle_rates must be square, got shape {a.shape}")
-        n = a.shape[0]
-        b = _as_matrix("beta", self.driver_rates, n)
-        a.setflags(write=False)
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("alpha contains non-finite entries")
-        _first_negative("alpha", a)
-        _first_negative("beta", b)
-        if np.any(np.abs(np.diagonal(a)) > 0) or np.any(np.abs(np.diagonal(b)) > 0):
-            raise ValidationError("alpha and beta must have zero diagonals")
+        shape = np.shape(self.vehicle_rates)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValidationError(f"vehicle_rates must be square, got shape {shape}")
+        a = _rate_matrix("alpha", self.vehicle_rates, shape[0])
+        b = _rate_matrix("beta", self.driver_rates, shape[0])
         for name, val in (("v_alpha", self.min_vehicles), ("r_alpha_beta", self.min_drivers)):
             if not np.isfinite(val) or val < 0:
                 raise ValidationError(f"{name} must be a nonnegative real, got {val!r}")

@@ -187,7 +187,7 @@ def _conservation_runs():
     rate_sum = float(balanced.arrival_rate.sum())
     for h in (0.1, 0.05):
         init = initial_state(balanced, [0.0, 0.0], [2.0, 2.0], [0.0, 0.0], h=h)
-        trace = simulate(balanced, zero, zero, init, 10 * balanced.max_travel_time(), h)
+        trace = simulate(balanced, zero, zero, init, 10 * balanced.max_travel_time())
         drift = max(
             float(np.max(np.abs(trace.vehicles_total - trace.vehicles_total[0]))),
             float(np.max(np.abs(trace.drivers_total - trace.drivers_total[0]))),
@@ -211,7 +211,7 @@ def _conservation_runs():
             np.full(10, idle_r / 10),
             h=h,
         )
-        trace = simulate(net, a.vehicle_rates, a.driver_rates, init, 10 * net.max_travel_time(), h)
+        trace = simulate(net, a.vehicle_rates, a.driver_rates, init, 10 * net.max_travel_time())
         drift = max(
             float(np.max(np.abs(trace.vehicles_total - trace.vehicles_total[0]))),
             float(np.max(np.abs(trace.drivers_total - trace.drivers_total[0]))),

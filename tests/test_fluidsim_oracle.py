@@ -133,7 +133,7 @@ def test_simulate_matches_ring_on_generated_instances(make_instance, n, seed):
     assert init.total_vehicles() == pytest.approx(ring.totals()[0], rel=RTOL)
     assert init.total_drivers() == pytest.approx(ring.totals()[1], rel=RTOL)
 
-    trace = simulate(net, a.vehicle_rates, a.driver_rates, init, steps * h, h)
+    trace = simulate(net, a.vehicle_rates, a.driver_rates, init, steps * h)
     assert trace.times.shape == (steps + 1,)
     assert_trace_matches(trace, ring_run(ring, steps), scale)
 
@@ -154,7 +154,7 @@ def test_repeated_steps_match_ring_far_from_equilibrium(make_instance):
     state = initial_state(net, c0, v0, r0, h)
     scale = float(np.sum(ring.totals()) + c0.sum())
     for k in range(int(round(4 * net.max_travel_time() / h))):
-        state = step(state, net, a.vehicle_rates, a.driver_rates, h)
+        state = step(state, net, a.vehicle_rates, a.driver_rates)
         ring.advance()
         label = f"step {k + 1}"
         assert_close(state.customers, ring.c, scale, label)
@@ -175,10 +175,10 @@ def test_resumed_snapshot_matches_ring(make_instance):
     # stop mid-delay so the calendar rows are out of phase with step 0
     first = int(ring.steps.max()) // 2 + 3
     for _ in range(first):
-        state = step(state, net, a.vehicle_rates, a.driver_rates, h)
+        state = step(state, net, a.vehicle_rates, a.driver_rates)
     assert state.step_index == first
     more = int(round(2 * net.max_travel_time() / h))
-    trace = simulate(net, a.vehicle_rates, a.driver_rates, state, more * h, h)
+    trace = simulate(net, a.vehicle_rates, a.driver_rates, state, more * h)
     assert trace.times[0] == pytest.approx(first * h)
 
     cols = ring_run(ring, first + more)
