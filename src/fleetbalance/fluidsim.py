@@ -330,10 +330,11 @@ class _Engine:
         self.cal[:, row] = 0.0
 
         _, vpos, rpos = ~self.zero
-        # customer departures: mu while a queue drains (capped so c lands
-        # exactly at 0; an empty queue caps them at lambda, below mu), 0
-        # without vehicles
-        cust_dep = np.where(vpos, np.minimum(self.mu, self.lam + c / h), 0.0)
+        # customer departures: mu while a queue drains (capped at drain, the
+        # rate that empties it this step; an empty queue caps them at
+        # lambda, below mu), 0 without vehicles
+        drain = self.lam + c / h
+        cust_dep = np.where(vpos, np.minimum(self.mu, drain), 0.0)
         gate = (vpos & rpos)[legs.tail]
         reb = np.where(gate, self.alpha_leg, 0.0)
         ret = np.where(gate, self.beta_leg, 0.0)
@@ -353,7 +354,9 @@ class _Engine:
         # return rides can only use customer trips that actually depart
         ret_f = np.minimum(ret * sr[legs.tail], self.taxi_leg * (cust_f[legs.tail] * self.p_leg))
 
-        self.c = np.maximum(c + h * (self.lam - cust_f), 0.0)
+        # a queue served at its drain rate lands on exactly 0, not on the
+        # rounding noise of c + h * (lam - drain)
+        self.c = np.where(cust_f >= drain, 0.0, np.maximum(c + h * (self.lam - cust_f), 0.0))
         out_f = np.array((
             cust_f + np.bincount(legs.tail, weights=reb_f, minlength=n),
             np.bincount(legs.tail, weights=reb_f + ret_f, minlength=n),
