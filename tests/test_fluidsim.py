@@ -235,6 +235,29 @@ def test_state_validation(two_station):
         initial_state(two_station, [0, 0, 0], [1, 1], [1, 1], h=2.0)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([[0.0, -0.1], [0.3, 0.0]], r"\[0,1\] is negative"),
+        ([[0.0, np.nan], [0.3, 0.0]], r"\[0,1\] is not finite"),
+        (np.zeros((3, 3)), " must be an 2x2 matrix"),
+        ([[0.1, 0.0], [0.3, 0.0]], " must have a zero diagonal"),
+    ],
+)
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+@pytest.mark.parametrize("entry", ["equilibrium_state", "step", "simulate"])
+def test_bad_rate_matrices_rejected(two_station, bad, message, which, entry):
+    rates = {"alpha": ALPHA, "beta": BETA, which: bad}
+    state = initial_state(two_station, [0, 0], [1, 1], [1, 1], h=2.0)
+    run = {
+        "equilibrium_state": lambda a, b: equilibrium_state(two_station, a, b, [0, 0], [1, 1], [1, 1], 2.0),
+        "step": lambda a, b: step(state, two_station, a, b),
+        "simulate": lambda a, b: simulate(two_station, a, b, state, 10.0),
+    }[entry]
+    with pytest.raises(ValidationError, match=which + message):
+        run(rates["alpha"], rates["beta"])
+
+
 def test_simulate_argument_validation(two_station):
     state = initial_state(two_station, [0, 0], [1, 1], [1, 1], h=2.0)
     with pytest.raises(ValidationError, match="horizon"):
