@@ -24,7 +24,7 @@ from .experiments import (
 from .fluidsim import stability_probe, write_trace_csv
 from .generate import GeneratorConfig, generate_instance
 from .rebalance import solve_rebalancing
-from .storage import load_assignment, load_instance, save_assignment, save_instance
+from .storage import load_assignment, load_instance, read_json_object, save_assignment, save_instance
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -173,13 +173,7 @@ def _load_sweep_config(path, defaults: SweepConfig, workers) -> SweepConfig:
     if path is None:
         config = defaults
     else:
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: sweep config must be a JSON object")
+        raw = read_json_object(path)
         known = {"sizes", "trials_per_size", "base_seed", "f_values", "generator"}
         extra = sorted(set(raw) - known)
         if extra:

@@ -55,6 +55,18 @@ def _matrix(name: str, value, n: int, path: PathLike) -> np.ndarray:
     return arr
 
 
+def read_json_object(path: PathLike) -> dict:
+    """The top-level object of a JSON file; ``ValidationError`` if it holds anything else."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object")
+    return data
+
+
 def _write_json(data: dict, path: PathLike) -> None:
     # json.dumps without indent runs the C encoder; json.dump to a file never does
     with open(path, "w") as fh:
@@ -75,13 +87,7 @@ def save_instance(net: StationNetwork, path: PathLike) -> None:
 
 
 def load_instance(path: PathLike) -> StationNetwork:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: top level must be a JSON object")
+    data = read_json_object(path)
     n = _require(data, "n", path)
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"{path}: field 'n' must be a positive integer")
@@ -134,13 +140,7 @@ def save_assignment(solution: RebalanceSolution, path: PathLike, meta: dict | No
 
 
 def load_assignment(path: PathLike) -> RebalanceSolution:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: top level must be a JSON object")
+    data = read_json_object(path)
     alpha_raw = _require(data, "alpha", path)
     try:
         alpha = np.array(alpha_raw, dtype=float)

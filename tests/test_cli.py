@@ -195,6 +195,11 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
 
     config.write_text("{broken")
     assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+    config.write_text("[5]")
+    assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+    assert "top level must be a JSON object" in capsys.readouterr().err
 
 
 def test_unknown_command_and_missing_args_exit_2(capsys):
