@@ -11,7 +11,11 @@ stations (``generate_instance(n, SEED)``):
   draw at ``taxi_fraction=0.5``, up to the ``RebalanceInfeasibleError``
   and its witness;
 * ``sim_step``: one ``fluidsim.step`` from the equilibrium state at
-  h = min T / 10, for n <= 100 only;
+  h = min T / 10, for n <= 100 only.  A ``step`` call also validates the
+  state and the rates and copies the calendars in and out;
+* ``sim_run_step``: the cost per step inside ``fluidsim.simulate``, a run
+  of ``SIM_RUN_STEPS`` steps from the same state divided by that count,
+  for n <= 100 only: what a stability probe pays per step;
 
 plus ``fresh_import_cli``, the wall time of a new process that runs
 ``import fleetbalance.cli``.  Each figure is the median of ``REPEATS``
@@ -56,12 +60,14 @@ from fleetbalance import (  # noqa: E402
     solve_driver_rebalancing,
     solve_mcf,
     solve_rebalancing,
+    simulate,
     step,
     vehicle_flow_problem,
 )
 
 SIZES = (25, 50, 100, 200, 300)
 SIM_MAX_N = 100
+SIM_RUN_STEPS = 200
 SEED = 1
 REPEATS = 7
 
@@ -107,6 +113,8 @@ def layers(n: int) -> dict:
             net, a.vehicle_rates, a.driver_rates, np.zeros(n), np.ones(n), np.ones(n), h
         )
         row["sim_step"] = median_ms(lambda: step(state, net, a.vehicle_rates, a.driver_rates))
+        run = median_ms(lambda: simulate(net, a.vehicle_rates, a.driver_rates, state, SIM_RUN_STEPS * h))
+        row["sim_run_step"] = round(run / SIM_RUN_STEPS, 4)
     return row
 
 
