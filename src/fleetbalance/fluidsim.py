@@ -366,10 +366,10 @@ class _Engine:
         # departures into their arrival rows, legs that share a fleet, a
         # delay and a head summed first so the fancy-index add sees unique cells
         dep = np.concatenate((cust_f[legs.tail] * self.p_leg + reb_f, reb_f + ret_f))
-        by_cell = np.bincount(self.fleet_group, weights=dep).reshape(2, -1)
+        by_cell = np.bincount(self.fleet_group, weights=dep)
         cells = (self.step_index * n + legs.group_cell) % legs.total_slots
-        self.cal.reshape(2, -1)[:, cells] += by_cell
-        self.moved += by_cell.sum(axis=1) - arrive.sum(axis=1)
+        self.cal.reshape(-1)[np.concatenate((cells, cells + legs.total_slots))] += by_cell
+        self.moved += by_cell.reshape(2, -1).sum(axis=1) - arrive.sum(axis=1)
         self.step_index += 1
 
         after = self._zero_mask()
