@@ -377,18 +377,6 @@ class _Engine:
             self._log_events(self.zero, after, self.step_index * h)
         self.zero = after
 
-    def snapshot(self) -> FluidState:
-        return FluidState(
-            customers=self.c.copy(),
-            vehicles=self.idle[0].copy(),
-            drivers=self.idle[1].copy(),
-            vehicle_buffer=self.cal[0].copy(),
-            driver_buffer=self.cal[1].copy(),
-            step_index=self.step_index,
-            h=self.h,
-            legs=self.legs,
-        )
-
     def totals(self) -> np.ndarray:
         """Vehicle and driver totals from the running in-transit sums, O(n)."""
         return self.idle.sum(axis=1) + (self.transit + self.moved) * self.h
@@ -402,7 +390,17 @@ def step(state: FluidState, net: StationNetwork, vehicle_rates, driver_rates) ->
     """Advance one Euler step of ``state.h``; returns a new state, the input is untouched."""
     engine = _Engine(net, vehicle_rates, driver_rates, state)
     engine.advance()
-    return engine.snapshot()
+    # the engine ends here, so the new state takes its arrays without copies
+    return FluidState(
+        customers=engine.c,
+        vehicles=engine.idle[0],
+        drivers=engine.idle[1],
+        vehicle_buffer=engine.cal[0],
+        driver_buffer=engine.cal[1],
+        step_index=engine.step_index,
+        h=state.h,
+        legs=state.legs,
+    )
 
 
 def simulate(
