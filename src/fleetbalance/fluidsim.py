@@ -14,9 +14,14 @@ calendars (see Integration).  The dynamics are threshold-gated rate equations:
   departure flow actually happening on that leg this step.
 
 Gates read "present" as strictly positive: a level exactly 0 emits
-nothing.
+nothing.  A customer queue served at its drain rate ``lambda + c / h``
+lands on exactly 0 at the step it drains, not on the rounding noise of
+``c + h * (lambda - drain)``.  Idle vehicle and driver levels can still
+land on such noise, which keeps their gates open.
 
-Integration: explicit Euler with a fixed step ``h``.  Travel times are
+Integration: explicit Euler with a fixed step ``h``, fixed when a state
+is built (``initial_state``, ``equilibrium_state``); ``step`` and
+``simulate`` advance by the state's own ``h``.  Travel times are
 rounded to whole steps: what leaves ``i`` for ``j`` at step ``k``
 arrives at ``j`` at step ``k + d``, ``d = round(T[i, j] / h)``; the
 construction requires ``h <= min positive T / 4`` so every leg is at
@@ -30,6 +35,11 @@ head station.  Legs that share a delay and a head are summed first, so
 a step costs O(legs + n) whatever the ratio of longest to shortest
 travel time.  In-transit totals are running sums (plus what a step
 writes, minus what it reads), so reading them is O(1).
+
+Idle vehicles and idle drivers follow the same queue-and-transit
+dynamics, so both fleets go through one code path: the engine stacks
+their idle levels as one ``(2, n)`` array and their calendars as one
+``(2, D, n)`` array, and each step clamps, posts and sums both at once.
 
 Clamping: when a step would drive a queue negative, all outbound flows
 from that queue are scaled down so the queue lands at zero, and the
@@ -246,9 +256,8 @@ class SimTrace:
 class _Engine:
     """Mutable working copy of a state; advances it step by step.
 
-    Idle vehicles and idle drivers follow the same queue-and-transit
-    dynamics, so they are stacked: ``idle`` is ``(2, n)`` and ``cal`` is
-    ``(2, D, n)``, fleet 0 the vehicles and fleet 1 the drivers.
+    ``idle`` is ``(2, n)`` and ``cal`` is ``(2, D, n)``: fleet 0 the
+    vehicles, fleet 1 the drivers.
     """
 
     QUANTITIES = ("customers", "vehicles", "drivers")
