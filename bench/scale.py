@@ -12,7 +12,7 @@ stations (``generate_instance(n, SEED)``):
   and its witness;
 * ``sim_step``: one ``fluidsim.step`` from the equilibrium state at
   h = min T / 10, for n <= 100 only.  A ``step`` call also validates the
-  state and the rates and copies the calendars in and out;
+  state and the rates and copies the calendars in;
 * ``sim_run_step``: the cost per step inside ``fluidsim.simulate``, a run
   of ``SIM_RUN_STEPS`` steps from the same state divided by that count,
   for n <= 100 only: what a stability probe pays per step;
@@ -57,10 +57,10 @@ from fleetbalance import (  # noqa: E402
     driver_flow_problem,
     equilibrium_state,
     generate_instance,
+    simulate,
     solve_driver_rebalancing,
     solve_mcf,
     solve_rebalancing,
-    simulate,
     step,
     vehicle_flow_problem,
 )

@@ -170,18 +170,11 @@ def test_drivers_frozen_without_assignment(two_station):
     assert np.all(state.driver_buffer == 0.0)
 
 
-@pytest.mark.parametrize(
-    "queue,h,drained_at",
-    [
-        (0.5, 0.5, 1.5),
-        # c + h * (lambda - (lambda + c / h)) rounds to 5.6e-17 here, not 0
-        (0.3, 1.0, 1.0),
-    ],
-)
-def test_zero_crossing_events(two_station, queue, h, drained_at):
+def test_zero_crossing_events(two_station):
+    h = 0.5
     init = equilibrium_state(
         two_station, np.zeros((2, 2)), np.zeros((2, 2)),
-        customers=[queue, 0.0], vehicles=[2.0, 2.0], drivers=[0.0, 0.0], h=h,
+        customers=[0.5, 0.0], vehicles=[2.0, 2.0], drivers=[0.0, 0.0], h=h,
     )
     trace = simulate(two_station, np.zeros((2, 2)), np.zeros((2, 2)), init, 3.0)
     kinds = {(name, station, direction) for _, name, station, direction in trace.events}
@@ -189,9 +182,20 @@ def test_zero_crossing_events(two_station, queue, h, drained_at):
     assert not any(name == "vehicles" for _, name, _, _ in trace.events)
     assert trace.events_dropped == 0
     times = [t for t, name, station, _ in trace.events if (name, station) == ("customers", 0)]
-    assert times == [drained_at]
-    # a served queue lands on exactly 0 and stays there
-    assert np.all(trace.customers[trace.times >= drained_at, 0] == 0.0)
+    assert times and abs(times[0] - 1.5) <= h + 1e-9
+
+
+def test_drained_queue_lands_on_exact_zero(two_station):
+    # the queue of 0.3 drains in the first step at rate lambda + c / h =
+    # 0.7 <= mu, and c + h * (lambda - 0.7) rounds to 5.6e-17, not 0
+    h = 1.0
+    init = equilibrium_state(
+        two_station, np.zeros((2, 2)), np.zeros((2, 2)),
+        customers=[0.3, 0.0], vehicles=[2.0, 2.0], drivers=[0.0, 0.0], h=h,
+    )
+    trace = simulate(two_station, np.zeros((2, 2)), np.zeros((2, 2)), init, 3.0)
+    assert np.all(trace.customers[1:] == 0.0)
+    assert [e for e in trace.events if e[1] == "customers"] == [(1.0, "customers", 0, "hit_zero")]
 
 
 def test_queued_customers_need_destinations():
