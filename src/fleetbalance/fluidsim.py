@@ -63,7 +63,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientFleetError, InvalidStateError, ValidationError
-from .network import StationNetwork, _rate_matrix, compute_imbalance
+from .network import PROB_TOL, StationNetwork, _checked_array, _rate_matrix, compute_imbalance
 from .rebalance import RebalanceSolution
 
 ZERO_EVENT_CAP = 100_000
@@ -169,12 +169,7 @@ class FluidState:
 
 
 def _state_vector(name: str, value, n: int) -> np.ndarray:
-    arr = np.array(value, dtype=float, copy=True)
-    if arr.shape != (n,):
-        raise InvalidStateError(f"{name} must be a length-{n} vector")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise InvalidStateError(f"{name} must be finite and nonnegative")
-    return arr
+    return _checked_array(name, value, (n,), nonnegative=True, error=InvalidStateError).copy()
 
 
 def initial_state(net: StationNetwork, customers, vehicles, drivers, h: float) -> FluidState:
@@ -269,24 +264,15 @@ class _Engine:
         alpha = _rate_matrix("alpha", vehicle_rates, n)
         beta = _rate_matrix("beta", driver_rates, n)
         legs = state.legs
-        shape = (legs.depth, n)
-        if state.vehicle_buffer.shape != shape or state.driver_buffer.shape != shape:
-            raise InvalidStateError("state buffers do not match leg geometry")
-        for name, arr in (
-            ("customers", state.customers),
-            ("vehicles", state.vehicles),
-            ("drivers", state.drivers),
-            ("vehicle_buffer", state.vehicle_buffer),
-            ("driver_buffer", state.driver_buffer),
-        ):
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise InvalidStateError(f"state field {name} must be finite and nonnegative")
+        for name in ("customers", "vehicles", "drivers", "vehicle_buffer", "driver_buffer"):
+            shape = (legs.depth, n) if name.endswith("_buffer") else (n,)
+            _checked_array(name, getattr(state, name), shape, nonnegative=True, error=InvalidStateError)
         # queued customers depart along dest_prob rows; an unnormalized row
         # would leak vehicle mass out of the conservation ledger
         queued = state.customers > 0
         if np.any(queued):
             sums = net.dest_prob[queued].sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-9):
+            if np.any(np.abs(sums - 1.0) > PROB_TOL):
                 i = int(np.flatnonzero(queued)[np.argmax(np.abs(sums - 1.0))])
                 raise InvalidStateError(
                     f"station {i} has queued customers but p row {i} does not sum to 1"

@@ -22,6 +22,11 @@ driver-return rides on customer trips.  This module computes the
 imbalance, the fleet sizes a given assignment pins in transit, and the
 residuals by which an assignment misses the balance and capacity
 constraints.
+
+Every input array is checked once, by ``_checked_array``, where it is
+used: in :class:`StationNetwork`, :class:`RebalanceAssignment`,
+:func:`fleet_sizes` and the simulator's state builders and engine.
+``storage`` reads only the file format and leaves values to these.
 """
 
 from __future__ import annotations
@@ -40,39 +45,41 @@ CAP_TOL = 1e-9       # allowed slack above driver-trip capacities, relative to t
 SUM_RTOL = 1e-9      # imbalance rounding: relative to sum(|surplus|), or to the total customer rate
 
 
-def _as_vector(name: str, value, n: int) -> np.ndarray:
-    arr = np.array(value, dtype=float, copy=True)
-    if arr.shape != (n,):
-        raise ValidationError(f"{name} must be a length-{n} vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValidationError(f"{name}[{bad}] is not finite")
-    arr.setflags(write=False)
+def _checked_array(name: str, value, shape: tuple, nonnegative: bool = False, error=ValidationError) -> np.ndarray:
+    """``value`` as a float array of ``shape``, finite and, if asked, nonnegative.
+
+    The one check of every input array; ``None`` in ``shape`` takes any
+    length.  A float array is read in place, not copied, so a type that
+    keeps the result takes its own copy.  ``error`` is raised with a
+    message that names ``name`` and, for a bad value, its first entry.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} is not numeric: {exc}") from exc
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        dims = "x".join("n" if k is None else str(k) for k in shape)
+        wanted = f"a length-{dims} vector" if len(shape) == 1 else f"an {dims} matrix"
+        raise error(f"{name} must be {wanted}, got shape {arr.shape}")
+    bad, what = ~np.isfinite(arr), "is not finite"
+    if nonnegative and not bad.any():
+        bad, what = arr < 0, "is negative"
+    if bad.any():
+        pos = ",".join(str(int(k)) for k in np.argwhere(bad)[0])
+        raise error(f"{name}[{pos}] {what}")
     return arr
 
 
-def _as_matrix(name: str, value, n: int) -> np.ndarray:
-    arr = np.array(value, dtype=float, copy=True)
-    if arr.shape != (n, n):
-        raise ValidationError(f"{name} must be an {n}x{n} matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        i, j = (int(k[0]) for k in np.nonzero(~np.isfinite(arr)))
-        raise ValidationError(f"{name}[{i},{j}] is not finite")
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy, so a frozen type shares no memory with its caller."""
+    arr = arr.copy()
     arr.setflags(write=False)
     return arr
-
-
-def _first_negative(name: str, arr: np.ndarray) -> None:
-    if np.any(arr < 0):
-        idx = np.argwhere(arr < 0)[0]
-        pos = ",".join(str(int(k)) for k in idx)
-        raise ValidationError(f"{name}[{pos}] is negative")
 
 
 def _rate_matrix(name: str, value, n: int) -> np.ndarray:
     """A finite, nonnegative ``n x n`` station-to-station rate matrix with a zero diagonal."""
-    arr = _as_matrix(name, value, n)
-    _first_negative(name, arr)
+    arr = _checked_array(name, value, (n, n), nonnegative=True)
     diag = np.diagonal(arr)
     if np.any(diag != 0):
         i = int(np.flatnonzero(diag)[0])
@@ -102,19 +109,17 @@ class StationNetwork:
             raise ValidationError(f"n must be a positive integer, got {self.n!r}")
         n = int(self.n)
         object.__setattr__(self, "n", n)
-        lam = _as_vector("lambda", self.arrival_rate, n)
-        mu = _as_vector("mu", self.service_rate, n)
-        p = _as_matrix("p", self.dest_prob, n)
-        tt = _as_matrix("T", self.travel_time, n)
-        f = _as_matrix("f", self.taxi_fraction, n)
+        lam = _checked_array("lambda", self.arrival_rate, (n,), nonnegative=True)
+        mu = _checked_array("mu", self.service_rate, (n,))
+        p = _checked_array("p", self.dest_prob, (n, n), nonnegative=True)
+        tt = _checked_array("T", self.travel_time, (n, n), nonnegative=True)
+        f = _checked_array("f", self.taxi_fraction, (n, n), nonnegative=True)
 
-        _first_negative("lambda", lam)
         if np.any(mu <= lam):
             i = int(np.flatnonzero(mu <= lam)[0])
             raise ValidationError(
                 f"mu[{i}]={mu[i]:.6g} must exceed lambda[{i}]={lam[i]:.6g}"
             )
-        _first_negative("p", p)
         if np.any(p > 1 + PROB_TOL):
             i, j = np.argwhere(p > 1 + PROB_TOL)[0]
             raise ValidationError(f"p[{i},{j}]={p[i, j]:.6g} exceeds 1")
@@ -128,18 +133,16 @@ class StationNetwork:
                 raise ValidationError(
                     f"p row {i} sums to {sums[i]:.6g}, expected 1 within {PROB_TOL:g}"
                 )
-        _first_negative("T", tt)
         tdiag = np.abs(np.diagonal(tt))
         if np.any(tdiag > 1e-12):
             i = int(np.flatnonzero(tdiag > 1e-12)[0])
             raise ValidationError(f"T[{i},{i}] must be 0")
-        _first_negative("f", f)
 
-        object.__setattr__(self, "arrival_rate", lam)
-        object.__setattr__(self, "service_rate", mu)
-        object.__setattr__(self, "dest_prob", p)
-        object.__setattr__(self, "travel_time", tt)
-        object.__setattr__(self, "taxi_fraction", f)
+        object.__setattr__(self, "arrival_rate", _frozen(lam))
+        object.__setattr__(self, "service_rate", _frozen(mu))
+        object.__setattr__(self, "dest_prob", _frozen(p))
+        object.__setattr__(self, "travel_time", _frozen(tt))
+        object.__setattr__(self, "taxi_fraction", _frozen(f))
 
     def min_offdiag_travel_time(self) -> float:
         """Smallest strictly positive travel time between distinct stations."""
@@ -172,16 +175,11 @@ class ImbalanceVector:
     surplus: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.surplus, dtype=float, copy=True)
-        if arr.ndim != 1:
-            raise ValidationError(f"surplus must be a vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("surplus contains non-finite entries")
+        arr = _checked_array("surplus", self.surplus, (None,))
         total = float(arr.sum())
         if abs(total) > SUM_RTOL * float(np.abs(arr).sum()):
             raise ValidationError(f"surplus must sum to 0, got {total:.3g}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "surplus", arr)
+        object.__setattr__(self, "surplus", _frozen(arr))
 
     @property
     def n(self) -> int:
@@ -229,16 +227,14 @@ class RebalanceAssignment:
     min_drivers: float
 
     def __post_init__(self):
-        shape = np.shape(self.vehicle_rates)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValidationError(f"vehicle_rates must be square, got shape {shape}")
-        a = _rate_matrix("alpha", self.vehicle_rates, shape[0])
-        b = _rate_matrix("beta", self.driver_rates, shape[0])
+        n = _checked_array("alpha", self.vehicle_rates, (None, None)).shape[0]
+        a = _rate_matrix("alpha", self.vehicle_rates, n)
+        b = _rate_matrix("beta", self.driver_rates, n)
         for name, val in (("v_alpha", self.min_vehicles), ("r_alpha_beta", self.min_drivers)):
             if not np.isfinite(val) or val < 0:
                 raise ValidationError(f"{name} must be a nonnegative real, got {val!r}")
-        object.__setattr__(self, "vehicle_rates", a)
-        object.__setattr__(self, "driver_rates", b)
+        object.__setattr__(self, "vehicle_rates", _frozen(a))
+        object.__setattr__(self, "driver_rates", _frozen(b))
         object.__setattr__(self, "min_vehicles", float(self.min_vehicles))
         object.__setattr__(self, "min_drivers", float(self.min_drivers))
 
@@ -257,10 +253,8 @@ def fleet_sizes(net: StationNetwork, vehicle_rates, driver_rates) -> tuple[float
     these numbers.
     """
     n = net.n
-    alpha = _as_matrix("alpha", vehicle_rates, n)
-    beta = _as_matrix("beta", driver_rates, n)
-    _first_negative("alpha", alpha)
-    _first_negative("beta", beta)
+    alpha = _checked_array("alpha", vehicle_rates, (n, n), nonnegative=True)
+    beta = _checked_array("beta", driver_rates, (n, n), nonnegative=True)
     trips = net.dest_prob * net.arrival_rate[:, None]
     min_vehicles = float(np.sum(net.travel_time * (trips + alpha)))
     min_drivers = float(np.sum(net.travel_time * (alpha + beta)))

@@ -1,11 +1,14 @@
 """JSON serialization for instances and assignments.
 
-Instance files carry ``n``, ``lambda``, ``mu``, ``p``, ``T``, ``f`` and
-an optional ``meta`` object; matrices are written as nested row-major
-lists and may be read back either nested or flat (length n*n).  ``f``
-may also be a single scalar, which broadcasts to every leg with a zero
-diagonal.  Assignment files carry ``alpha``, ``beta``, ``v_alpha``,
-``r_alpha_beta``, ``objective_alpha``, ``objective_beta``.
+This module owns only the file format.  Instance files carry ``n``,
+``lambda``, ``mu``, ``p``, ``T``, ``f`` and an optional ``meta``
+object; matrices are written as nested row-major lists and may be read
+back flat (length n*n), and ``f`` may be one scalar for every leg (zero
+diagonal).  Assignment files carry ``alpha`` (always nested: its rows
+give n), ``beta``, ``v_alpha``, ``r_alpha_beta``, ``objective_alpha``
+and ``objective_beta``.  The arrays go as read to
+:class:`StationNetwork` and :class:`RebalanceAssignment`, which check
+every value; their messages come back prefixed with the file's path.
 
 Each file is one line of compact JSON.  Floats are written with full
 ``repr`` precision (the default for ``json``), so ``load(save(x))``
@@ -34,25 +37,11 @@ def _require(data: dict, key: str, path: PathLike):
     return data[key]
 
 
-def _vector(name: str, value, n: int, path: PathLike) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: field '{name}' is not numeric: {exc}") from exc
-    if arr.shape != (n,):
-        raise ValidationError(f"{path}: field '{name}' must have length {n}")
-    return arr
-
-def _matrix(name: str, value, n: int, path: PathLike) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: field '{name}' is not numeric: {exc}") from exc
-    if arr.shape == (n * n,):
-        arr = arr.reshape(n, n)
-    if arr.shape != (n, n):
-        raise ValidationError(f"{path}: field '{name}' must be an {n}x{n} row-major matrix")
-    return arr
+def _rows(value, n: int):
+    """A flat row-major list of ``n*n`` entries as ``n`` rows; any other value as it is."""
+    if isinstance(value, list) and n > 0 and len(value) == n * n and not isinstance(value[0], list):
+        return [value[i * n:(i + 1) * n] for i in range(n)]
+    return value
 
 
 def read_json_object(path: PathLike) -> dict:
@@ -91,19 +80,10 @@ def load_instance(path: PathLike) -> StationNetwork:
     n = _require(data, "n", path)
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"{path}: field 'n' must be a positive integer")
-
-    lam = _vector("lambda", _require(data, "lambda", path), n, path)
-    mu = _vector("mu", _require(data, "mu", path), n, path)
-    p = _matrix("p", _require(data, "p", path), n, path)
-    tt = _matrix("T", _require(data, "T", path), n, path)
-
-    f_raw = _require(data, "f", path)
-    if isinstance(f_raw, (int, float)):
-        f = np.full((n, n), float(f_raw))
+    lam, mu, p, tt, f = (_require(data, key, path) for key in ("lambda", "mu", "p", "T", "f"))
+    if isinstance(f, (int, float)):
+        f = np.full((n, n), float(f))
         np.fill_diagonal(f, 0.0)
-    else:
-        f = _matrix("f", f_raw, n, path)
-
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValidationError(f"{path}: field 'meta' must be an object")
@@ -112,9 +92,9 @@ def load_instance(path: PathLike) -> StationNetwork:
             n=n,
             arrival_rate=lam,
             service_rate=mu,
-            dest_prob=p,
-            travel_time=tt,
-            taxi_fraction=f,
+            dest_prob=_rows(p, n),
+            travel_time=_rows(tt, n),
+            taxi_fraction=_rows(f, n),
             meta=meta,
         )
     except ValidationError as exc:
@@ -141,15 +121,6 @@ def save_assignment(solution: RebalanceSolution, path: PathLike, meta: dict | No
 
 def load_assignment(path: PathLike) -> RebalanceSolution:
     data = read_json_object(path)
-    alpha_raw = _require(data, "alpha", path)
-    try:
-        alpha = np.array(alpha_raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: field 'alpha' is not numeric: {exc}") from exc
-    if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
-        raise ValidationError(f"{path}: field 'alpha' must be a square matrix")
-    n = alpha.shape[0]
-    beta = _matrix("beta", _require(data, "beta", path), n, path)
 
     def _scalar(key):
         val = _require(data, key, path)
@@ -157,12 +128,16 @@ def load_assignment(path: PathLike) -> RebalanceSolution:
             raise ValidationError(f"{path}: field '{key}' must be a number")
         return float(val)
 
+    alpha, beta = _require(data, "alpha", path), _require(data, "beta", path)
+    # alpha is always nested, so its rows give n for a flat beta
+    n = len(alpha) if isinstance(alpha, list) else 0
+    v_alpha, r_alpha_beta = _scalar("v_alpha"), _scalar("r_alpha_beta")
     try:
         assignment = RebalanceAssignment(
             vehicle_rates=alpha,
-            driver_rates=beta,
-            min_vehicles=_scalar("v_alpha"),
-            min_drivers=_scalar("r_alpha_beta"),
+            driver_rates=_rows(beta, n),
+            min_vehicles=v_alpha,
+            min_drivers=r_alpha_beta,
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
