@@ -239,6 +239,19 @@ def test_state_validation(two_station):
         initial_state(two_station, [0, 0, 0], [1, 1], [1, 1], h=2.0)
 
 
+@pytest.mark.parametrize("bad", [["x", 0.0], [0.0, [1.0, 2.0]]], ids=["non-numeric", "ragged"])
+@pytest.mark.parametrize("which", ["customers", "vehicles", "drivers"])
+@pytest.mark.parametrize("builder", ["initial_state", "equilibrium_state"])
+def test_state_vectors_must_be_numeric(two_station, bad, which, builder):
+    levels = {"customers": [0, 0], "vehicles": [1, 1], "drivers": [1, 1], which: bad}
+    build = {
+        "initial_state": lambda c, v, r: initial_state(two_station, c, v, r, h=2.0),
+        "equilibrium_state": lambda c, v, r: equilibrium_state(two_station, ALPHA, BETA, c, v, r, 2.0),
+    }[builder]
+    with pytest.raises(InvalidStateError, match=which + " is not numeric"):
+        build(levels["customers"], levels["vehicles"], levels["drivers"])
+
+
 @pytest.mark.parametrize(
     "bad,message",
     [
@@ -246,6 +259,8 @@ def test_state_validation(two_station):
         ([[0.0, np.nan], [0.3, 0.0]], r"\[0,1\] is not finite"),
         (np.zeros((3, 3)), " must be an 2x2 matrix"),
         ([[0.1, 0.0], [0.3, 0.0]], " must have a zero diagonal"),
+        ([[0.0, "x"], [0.3, 0.0]], " is not numeric"),
+        ([[0.0, 0.1], [0.3]], " is not numeric"),
     ],
 )
 @pytest.mark.parametrize("which", ["alpha", "beta"])

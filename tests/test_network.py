@@ -72,6 +72,10 @@ def test_imbalance_vector_rejects_nonzero_sum():
         ("travel_time", [[0.0, -1.0], [10.0, 0.0]], "T[0,1]"),
         ("taxi_fraction", [[0.0, -0.5], [1.0, 0.0]], "f[0,1]"),
         ("travel_time", [[0.0, np.inf], [10.0, 0.0]], "not finite"),
+        ("arrival_rate", ["x", 0.1], "lambda is not numeric"),
+        ("service_rate", [0.8, [0.2, 0.3]], "mu is not numeric"),
+        ("dest_prob", [[0.0, 1.0], [1.0]], "p is not numeric"),
+        ("taxi_fraction", [[0.0, "x"], [1.0, 0.0]], "f is not numeric"),
     ],
 )
 def test_network_validation_errors(field, value, fragment):
@@ -224,6 +228,30 @@ def test_assignment_rejects_negative_and_diagonal():
             min_vehicles=1.0,
             min_drivers=1.0,
         )
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([[0.0, "x"], [0.0, 0.0]], " is not numeric"),
+        ([[0.0, 0.1], [0.0]], " is not numeric"),
+        ("x", " is not numeric"),
+        (np.zeros((2, 3)), " must be an 2x2 matrix"),
+    ],
+    ids=["non-numeric", "ragged", "string", "not-square"],
+)
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+@pytest.mark.parametrize("entry", ["RebalanceAssignment", "fleet_sizes"])
+def test_rate_matrices_must_be_numeric_arrays(two_station, bad, message, which, entry):
+    rates = {"alpha": np.zeros((2, 2)), "beta": np.zeros((2, 2)), which: bad}
+    run = {
+        "RebalanceAssignment": lambda a, b: RebalanceAssignment(
+            vehicle_rates=a, driver_rates=b, min_vehicles=1.0, min_drivers=1.0
+        ),
+        "fleet_sizes": lambda a, b: fleet_sizes(two_station, a, b),
+    }[entry]
+    with pytest.raises(ValidationError, match=which + message):
+        run(rates["alpha"], rates["beta"])
 
 
 def test_feasibility_bruteforce_two_station(two_station, two_station_tight):

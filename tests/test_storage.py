@@ -74,6 +74,7 @@ def test_flat_matrices_accepted(tmp_path):
         (lambda d: d.update(n=0), "'n' must be a positive integer"),
         (lambda d: d.update(meta=[1, 2]), "'meta' must be an object"),
         (lambda d: d.update({"lambda": ["x", "y"]}), "lambda is not numeric"),
+        (lambda d: d.update(p=[[0.0, 1.0], [1.0]]), "p is not numeric"),
     ],
 )
 def test_load_instance_errors_name_the_file(tmp_path, mutate, fragment):
@@ -163,3 +164,43 @@ def test_load_assignment_errors(tmp_path):
     )
     with pytest.raises(ValidationError, match="'v_alpha' must be a number"):
         load_assignment(path)
+
+
+def _assignment_file(path, alpha, beta):
+    path.write_text(
+        json.dumps(
+            {
+                "alpha": alpha,
+                "beta": beta,
+                "v_alpha": 8.0,
+                "r_alpha_beta": 6.0,
+                "objective_alpha": 3.0,
+                "objective_beta": 3.0,
+            }
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,fragment",
+    [
+        ([[0.0, 0.0], [0.3, 0.0]], [[0.0, 0.3], [0.0]], "beta is not numeric"),
+        ([[0.0, "x"], [0.3, 0.0]], [[0.0, 0.3], [0.0, 0.0]], "alpha is not numeric"),
+        ([0.0, 0.0, 0.3, 0.0], [[0.0, 0.3], [0.0, 0.0]], "alpha must be an nxn matrix"),
+        ([[0.0, 0.0], [0.3, 0.0]], [[0.0, 0.3, 0.0], [0.0, 0.0, 0.0]], "beta must be an 2x2 matrix"),
+    ],
+)
+def test_load_assignment_array_errors_name_the_file(tmp_path, alpha, beta, fragment):
+    path = tmp_path / "assign.json"
+    _assignment_file(path, alpha, beta)
+    with pytest.raises(ValidationError) as exc:
+        load_assignment(path)
+    msg = str(exc.value)
+    assert fragment in msg
+    assert "assign.json" in msg
+
+
+def test_flat_beta_accepted(tmp_path):
+    path = tmp_path / "assign.json"
+    _assignment_file(path, [[0.0, 0.0], [0.3, 0.0]], [0.0, 0.3, 0.0, 0.0])
+    assert np.array_equal(load_assignment(path).assignment.driver_rates, [[0.0, 0.3], [0.0, 0.0]])
