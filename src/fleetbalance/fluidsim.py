@@ -457,11 +457,15 @@ class StabilityReport:
     """Outcome of a perturbed-equilibrium run.
 
     ``passed`` requires: customers cleared (every station at or below
-    ``tol_customers`` from ``drain_time`` through the horizon), idle
-    vehicles and idle drivers staying at or above ``tol_positive`` after
-    the customer drain (driver levels at perfectly balanced stations are
-    not checked: no level goes below 0), and both totals conserved within
-    ``10 * h * total rate``.
+    4e-4 times the idle vehicle stock per station from ``drain_time``
+    through the horizon), idle vehicles and idle drivers staying at or
+    above 4e-6 times their fleet's idle stock per station after the
+    customer drain (driver levels at perfectly balanced stations are not
+    checked: no level goes below 0), and both totals conserved within
+    ``10 * h * total rate``.  Every threshold scales with the data, so
+    the verdict does not change with the unit of rates or of time.  At
+    an idle stock of 0.25 per station, typical of generated instances at
+    20 % slack, the two thresholds are 1e-4 and 1e-6.
     """
 
     passed: bool
@@ -494,8 +498,6 @@ def stability_probe(
     h: float,
     seed: int = 0,
     horizon: Optional[float] = None,
-    tol_customers: float = 1e-4,
-    tol_positive: float = 1e-6,
 ) -> StabilityReport:
     """Perturb an equilibrium and check the run settles back onto it.
 
@@ -543,7 +545,7 @@ def stability_probe(
     )
     trace = simulate(net, assignment.vehicle_rates, assignment.driver_rates, init, horizon)
 
-    below = np.max(trace.customers, axis=1) <= tol_customers
+    below = np.max(trace.customers, axis=1) <= 4e-4 * idle_v / n
     drained = np.flatnonzero(below)
     if drained.size:
         k0 = int(drained[0])
@@ -569,8 +571,8 @@ def stability_probe(
     r_bound = 10.0 * h * float(assignment.vehicle_rates.sum() + assignment.driver_rates.sum())
     conserved = vehicle_drift <= v_bound and driver_drift <= r_bound
 
-    vehicles_ok = min_v >= tol_positive
-    drivers_ok = min_r >= tol_positive
+    vehicles_ok = min_v >= 4e-6 * idle_v / n
+    drivers_ok = min_r >= 4e-6 * idle_r / n
     passed = customers_cleared and vehicles_ok and drivers_ok and conserved
     return StabilityReport(
         passed=passed,

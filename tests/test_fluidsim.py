@@ -371,10 +371,7 @@ def test_probe_is_invariant_under_rate_scaling(make_instance):
     )
     h = net.min_offdiag_travel_time() / 4
     base = stability_probe(net, solve_rebalancing(net), 0.2, 0.2, 0.1, h=h, seed=4)
-    scaled = stability_probe(
-        small, solve_rebalancing(small), 0.2, 0.2, 0.1, h=h, seed=4,
-        tol_customers=1e-4 * s, tol_positive=1e-6 * s,
-    )
+    scaled = stability_probe(small, solve_rebalancing(small), 0.2, 0.2, 0.1, h=h, seed=4)
     assert np.isfinite(base.min_idle_drivers)
     assert scaled.passed == base.passed
     assert scaled.drain_time == base.drain_time
