@@ -197,16 +197,29 @@ def _sweep(config: SweepConfig, f_values: tuple) -> SweepReport:
 
 
 def run_station_sweep(config: SweepConfig) -> SweepReport:
-    """Solve every (size, trial) cell; taxi fraction must be pinned to 1."""
+    """Solve every (size, trial) cell; taxi fraction must be pinned to 1, ``f_values`` left at (1,)."""
     if config.generator.taxi_fraction != 1.0:
         raise ValidationError(
             f"station sweep requires taxi_fraction=1, got {config.generator.taxi_fraction:g}"
+        )
+    if config.f_values != (1.0,):
+        raise ValidationError(
+            f"station sweep solves at taxi_fraction=1 and reads no f_values, got {config.f_values!r}"
         )
     return _sweep(config, (None,))
 
 
 def run_f_sweep(config: SweepConfig) -> SweepReport:
-    """Re-solve the same instances at each taxi fraction (one network size)."""
+    """Re-solve the same instances at each taxi fraction (one network size).
+
+    The fractions come from ``f_values`` alone, so the generator's
+    ``taxi_fraction`` must stay at its default of 1.
+    """
+    if config.generator.taxi_fraction != 1.0:
+        raise ValidationError(
+            "taxi-fraction sweep sets every leg from f_values and reads no "
+            f"generator taxi_fraction, got {config.generator.taxi_fraction:g}"
+        )
     if len(config.sizes) != 1:
         raise ValidationError(f"taxi-fraction sweep needs exactly one size, got {config.sizes!r}")
     if any(not (1.0 <= f <= 4.0) for f in config.f_values):

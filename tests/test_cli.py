@@ -202,6 +202,15 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert "top level must be a JSON object" in capsys.readouterr().err
 
 
+def test_sweep_rejects_f_values(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"sizes": [6], "trials_per_size": 2, "base_seed": 1, "f_values": [2.5]}))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+    assert "reads no f_values" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_unknown_command_and_missing_args_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["gen", "--n", "5"]) == 2

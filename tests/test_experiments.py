@@ -94,6 +94,17 @@ def test_station_sweep_requires_full_taxi_fraction():
         run_station_sweep(config)
 
 
+def test_each_sweep_rejects_the_field_it_ignores():
+    with pytest.raises(ValidationError, match="reads no f_values"):
+        run_station_sweep(SweepConfig(sizes=(6,), trials_per_size=1, f_values=(2.5,)))
+    with pytest.raises(ValidationError, match="reads no generator taxi_fraction"):
+        run_f_sweep(
+            SweepConfig(
+                sizes=(6,), trials_per_size=1, f_values=(1.0, 2.0), generator=GeneratorConfig(taxi_fraction=2.0)
+            )
+        )
+
+
 def test_injected_instance_provider(monkeypatch):
     monkeypatch.setattr(experiments, "generate_instance", lambda size, seed, gen: build_two_station())
     config = SweepConfig(sizes=(2,), trials_per_size=1)
