@@ -4,6 +4,8 @@ Times each layer of a solve on its own, at n = 25, 50, 100, 200 and 300
 stations (``generate_instance(n, SEED)``):
 
 * ``generate``: ``generate_instance``;
+* ``load_instance``: reading the same instance back from the JSON file
+  ``save_instance`` writes, which includes every check of its arrays;
 * ``imbalance``: ``compute_imbalance``;
 * ``vehicle_problem``, ``driver_problem``: building the two flow problems;
 * ``alpha_lp``, ``beta_lp``: ``solve_mcf`` on each of them;
@@ -40,6 +42,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import metadata
 from pathlib import Path
@@ -57,6 +60,8 @@ from fleetbalance import (  # noqa: E402
     driver_flow_problem,
     equilibrium_state,
     generate_instance,
+    load_instance,
+    save_instance,
     simulate,
     solve_driver_rebalancing,
     solve_mcf,
@@ -96,8 +101,13 @@ def layers(n: int) -> dict:
     d = compute_imbalance(net)
     vehicle, driver = vehicle_flow_problem(net, d), driver_flow_problem(net, d)
     tight = generate_instance(n, SEED, GeneratorConfig(taxi_fraction=0.5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        save_instance(net, path)
+        loaded = median_ms(lambda: load_instance(path))
     row = {
         "generate": median_ms(lambda: generate_instance(n, SEED)),
+        "load_instance": loaded,
         "imbalance": median_ms(lambda: compute_imbalance(net)),
         "vehicle_problem": median_ms(lambda: vehicle_flow_problem(net, d)),
         "driver_problem": median_ms(lambda: driver_flow_problem(net, d)),
