@@ -23,8 +23,8 @@ imbalance, the fleet sizes a given assignment pins in transit, and the
 residuals by which an assignment misses the balance and capacity
 constraints.
 
-Every input array is checked once, by ``_checked_array``, where it is
-used: in :class:`StationNetwork`, :class:`RebalanceAssignment`,
+Every input array is checked once, by ``_checked_array``, in the code
+that owns it: :class:`StationNetwork`, :class:`RebalanceAssignment`,
 :func:`fleet_sizes` and the simulator's state builders and engine.
 ``storage`` reads only the file format and leaves values to these.
 """
@@ -61,13 +61,14 @@ def _checked_array(name: str, value, shape: tuple, nonnegative: bool = False, er
         dims = "x".join("n" if k is None else str(k) for k in shape)
         wanted = f"a length-{dims} vector" if len(shape) == 1 else f"an {dims} matrix"
         raise error(f"{name} must be {wanted}, got shape {arr.shape}")
-    bad, what = ~np.isfinite(arr), "is not finite"
-    if nonnegative and not bad.any():
+    if not np.isfinite(arr).all():
+        bad, what = ~np.isfinite(arr), "is not finite"
+    elif nonnegative and (arr < 0).any():
         bad, what = arr < 0, "is negative"
-    if bad.any():
-        pos = ",".join(str(int(k)) for k in np.argwhere(bad)[0])
-        raise error(f"{name}[{pos}] {what}")
-    return arr
+    else:
+        return arr
+    pos = ",".join(str(int(k)) for k in np.argwhere(bad)[0])
+    raise error(f"{name}[{pos}] {what}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -227,9 +228,9 @@ class RebalanceAssignment:
     min_drivers: float
 
     def __post_init__(self):
-        n = _checked_array("alpha", self.vehicle_rates, (None, None)).shape[0]
-        a = _rate_matrix("alpha", self.vehicle_rates, n)
-        b = _rate_matrix("beta", self.driver_rates, n)
+        a = _checked_array("alpha", self.vehicle_rates, (None, None))
+        a = _rate_matrix("alpha", a, a.shape[0])
+        b = _rate_matrix("beta", self.driver_rates, a.shape[0])
         for name, val in (("v_alpha", self.min_vehicles), ("r_alpha_beta", self.min_drivers)):
             if not np.isfinite(val) or val < 0:
                 raise ValidationError(f"{name} must be a nonnegative real, got {val!r}")
