@@ -45,7 +45,9 @@ CAP_TOL = 1e-9       # allowed slack above driver-trip capacities, relative to t
 SUM_RTOL = 1e-9      # imbalance rounding: relative to sum(|surplus|), or to the total customer rate
 
 
-def _checked_array(name: str, value, shape: tuple, nonnegative: bool = False, error=ValidationError) -> np.ndarray:
+def _checked_array(
+    name: str, value, shape: tuple, nonnegative: bool = False, error=ValidationError
+) -> np.ndarray:
     """``value`` as a float array of ``shape``, finite and, if asked, nonnegative.
 
     The one check of every input array; ``None`` in ``shape`` takes any

@@ -100,7 +100,10 @@ def test_each_sweep_rejects_the_field_it_ignores():
     with pytest.raises(ValidationError, match="reads no generator taxi_fraction"):
         run_f_sweep(
             SweepConfig(
-                sizes=(6,), trials_per_size=1, f_values=(1.0, 2.0), generator=GeneratorConfig(taxi_fraction=2.0)
+                sizes=(6,),
+                trials_per_size=1,
+                f_values=(1.0, 2.0),
+                generator=GeneratorConfig(taxi_fraction=2.0),
             )
         )
 
