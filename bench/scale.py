@@ -18,6 +18,10 @@ stations (``generate_instance(n, SEED)``):
 * ``sim_run_step``: the cost per step inside ``fluidsim.simulate``, a run
   of ``SIM_RUN_STEPS`` steps from the same state divided by that count,
   for n <= 100 only: what a stability probe pays per step;
+* ``sim_probe``: one ``stability_probe`` of the solved assignment at
+  h = min T / 10, slack ``PROBE_SLACK`` on both fleets and perturbation
+  ``PROBE_PERTURBATION``, for n <= 100 only; ``sim_probe_steps`` is its
+  step count;
 
 plus ``fresh_import_cli``, the wall time of a new process that runs
 ``import fleetbalance.cli``.  Each figure is the median of ``REPEATS``
@@ -66,6 +70,7 @@ from fleetbalance import (  # noqa: E402
     solve_driver_rebalancing,
     solve_mcf,
     solve_rebalancing,
+    stability_probe,
     step,
     vehicle_flow_problem,
 )
@@ -73,6 +78,8 @@ from fleetbalance import (  # noqa: E402
 SIZES = (25, 50, 100, 200, 300)
 SIM_MAX_N = 100
 SIM_RUN_STEPS = 200
+PROBE_SLACK = 0.2
+PROBE_PERTURBATION = 0.1
 SEED = 1
 REPEATS = 7
 
@@ -117,7 +124,8 @@ def layers(n: int) -> dict:
         "infeasible_witness": diagnose(tight),
     }
     if n <= SIM_MAX_N:
-        a = solve_rebalancing(net).assignment
+        sol = solve_rebalancing(net)
+        a = sol.assignment
         h = net.min_offdiag_travel_time() / 10.0
         state = equilibrium_state(
             net, a.vehicle_rates, a.driver_rates, np.zeros(n), np.ones(n), np.ones(n), h
@@ -125,6 +133,12 @@ def layers(n: int) -> dict:
         row["sim_step"] = median_ms(lambda: step(state, net, a.vehicle_rates, a.driver_rates))
         run = median_ms(lambda: simulate(net, a.vehicle_rates, a.driver_rates, state, SIM_RUN_STEPS * h))
         row["sim_run_step"] = round(run / SIM_RUN_STEPS, 4)
+
+        def probe():
+            return stability_probe(net, sol, PROBE_SLACK, PROBE_SLACK, PROBE_PERTURBATION, h)
+
+        row["sim_probe"] = median_ms(probe)
+        row["sim_probe_steps"] = probe().trace.times.size - 1
     return row
 
 

@@ -31,15 +31,20 @@ motion: rebalancing trips plus return rides), each of shape ``(D, n)``
 with ``D`` the longest delay in steps.  Row ``k % D`` holds the rate
 arriving at each station at step ``k``: a step reads and clears that
 row, then adds each leg's departure rate into row ``(k + d) % D`` of its
-head station.  Legs that share a delay and a head are summed first, so
-a step costs O(legs + n) whatever the ratio of longest to shortest
-travel time.  In-transit totals are running sums (plus what a step
-writes, minus what it reads), so reading them is O(1).
+head station.  Legs that share a delay and a head are summed first.
+Customer trips run on all n(n-1) legs, but rebalancing trips and
+return rides only on the support of ``alpha + beta`` (n - 1 to ~20 % of
+the legs for solved assignments), so a step costs O(n^2) for customer
+legs plus O(|support|) for rebalancing legs, whatever the ratio of
+longest to shortest travel time.  In-transit totals are running sums
+(plus what a step withdraws from the idle levels, minus what it
+reads), so reading them is O(1).
 
 Idle vehicles and idle drivers follow the same queue-and-transit
 dynamics, so both fleets go through one code path: the engine stacks
-their idle levels as one ``(2, n)`` array and their calendars as one
-``(2, D, n)`` array, and each step clamps, posts and sums both at once.
+customers, idle vehicles and idle drivers as one ``(3, n)`` array and
+both calendars as one ``(2, D, n)`` array, and each step clamps, posts
+and sums both fleets at once.
 
 Clamping: when a step would drive a queue negative, all outbound flows
 from that queue are scaled down so the queue lands at zero, and the
@@ -50,9 +55,10 @@ slightly above zero but never below.  Because calendar writes always
 equal queue withdrawals and every write is read back exactly once, one
 delay later, total vehicle and driver mass is conserved to float
 rounding; there is no scheme-level drift term.  The running in-transit
-sums only reorder that rounding, and ``simulate`` takes the first and
-last samples of its totals from full calendar sums, so a bookkeeping
-leak would still show as drift in the trace.
+sums follow the withdrawals, not the calendar writes, and ``simulate``
+takes the first and last samples of its totals from full calendar sums,
+so a write that differs from its withdrawal would still show as drift
+in the trace.
 """
 
 from __future__ import annotations
@@ -67,6 +73,16 @@ from .network import PROB_TOL, StationNetwork, _checked_array, _rate_matrix, com
 from .rebalance import RebalanceSolution
 
 ZERO_EVENT_CAP = 100_000
+
+
+def _on_legs(matrix: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of an ``n x n`` matrix, in leg order (row-major).
+
+    Dropping the first entry of the flat matrix puts every diagonal entry
+    at the end of a row of ``n + 1``, so one slice and one copy suffice.
+    """
+    n = matrix.shape[0]
+    return matrix.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,14 +105,13 @@ class _Legs:
     @staticmethod
     def build(net: StationNetwork, h: float) -> "_Legs":
         n = net.n
-        tt = net.travel_time
+        tt = _on_legs(net.travel_time)
         if n > 1:
-            off = tt[~np.eye(n, dtype=bool)]
-            if np.any(off <= 0):
+            if np.any(tt <= 0):
                 raise ValidationError(
                     "simulation requires positive travel times between distinct stations"
                 )
-            min_tt = float(off.min())
+            min_tt = float(tt.min())
             if not (0 < h <= min_tt / 4):
                 raise ValidationError(
                     f"step h={h:g} must satisfy 0 < h <= min travel time / 4 = {min_tt / 4:g}"
@@ -104,7 +119,7 @@ class _Legs:
         elif h <= 0:
             raise ValidationError(f"step h={h:g} must be positive")
         tails, heads = np.nonzero(~np.eye(n, dtype=bool))
-        steps = np.rint(tt[tails, heads] / h).astype(np.int64)
+        steps = np.rint(tt / h).astype(np.int64)
         depth = int(steps.max()) if steps.size else 1
         cells, group = np.unique(steps * n + heads, return_inverse=True)
         return _Legs(
@@ -208,10 +223,9 @@ def equilibrium_state(
     alpha = _rate_matrix("alpha", vehicle_rates, n)
     beta = _rate_matrix("beta", driver_rates, n)
     legs = _Legs.build(net, float(h))
-    veh_rate = net.arrival_rate[legs.tail] * net.dest_prob[legs.tail, legs.head] + alpha[
-        legs.tail, legs.head
-    ]
-    drv_rate = alpha[legs.tail, legs.head] + beta[legs.tail, legs.head]
+    alpha_leg = _on_legs(alpha)
+    veh_rate = net.arrival_rate[legs.tail] * _on_legs(net.dest_prob) + alpha_leg
+    drv_rate = alpha_leg + _on_legs(beta)
     return FluidState(
         customers=_state_vector("customers", customers, n),
         vehicles=_state_vector("vehicles", vehicles, n),
@@ -251,8 +265,11 @@ class SimTrace:
 class _Engine:
     """Mutable working copy of a state; advances it step by step.
 
-    ``idle`` is ``(2, n)`` and ``cal`` is ``(2, D, n)``: fleet 0 the
-    vehicles, fleet 1 the drivers.
+    ``levels`` is ``(3, n)``: customers, idle vehicles, idle drivers.
+    ``cal`` is ``(2, D, n)``: fleet 0 the vehicles, fleet 1 the drivers.
+    Rebalancing trips and return rides only run on the support of
+    ``alpha + beta``, so the engine keeps those legs apart; customer
+    trips run on every leg.
     """
 
     QUANTITIES = ("customers", "vehicles", "drivers")
@@ -281,32 +298,54 @@ class _Engine:
         self.n = n
         self.h = state.h
         self.legs = legs
-        self.c = state.customers.copy()
-        self.idle = np.array((state.vehicles, state.drivers))
+        self.levels = np.array((state.customers, state.vehicles, state.drivers))
         self.cal = np.array((state.vehicle_buffer, state.driver_buffer))
         # in-transit rate sums: the state's full sums plus a running net
-        # change (+ each step's writes, - its reads), kept apart so its
-        # rounding scales with the change and not with the whole sum
+        # change (+ each step's withdrawals, - its arrivals), kept apart so
+        # its rounding scales with the change and not with the whole sum
         self.transit = self.cal.reshape(2, -1).sum(axis=1)
         self.moved = np.zeros(2)
         self.step_index = state.step_index
-        self.zero = self._zero_mask()
+        self.zero = self.levels <= 0
+        self.ones = np.ones((2, n))
 
         self.lam = net.arrival_rate
         self.mu = net.service_rate
-        self.alpha_leg = alpha[legs.tail, legs.head]
-        self.beta_leg = beta[legs.tail, legs.head]
-        self.p_leg = net.dest_prob[legs.tail, legs.head]
-        self.taxi_leg = net.taxi_fraction[legs.tail, legs.head]
-        # (delay, head) groups of the vehicle legs, then of the driver legs
+        self.p_leg = _on_legs(net.dest_prob)
+        # the support: legs with alpha or beta > 0, in leg order
+        alpha_leg, beta_leg = _on_legs(alpha), _on_legs(beta)
+        self.sup = np.flatnonzero(alpha_leg + beta_leg > 0)
+        tail = legs.tail[self.sup]
+        # each leg's tail in the (2, n) station arrays: fleet 0, then fleet 1
+        self.sup_station = np.concatenate((tail, tail + n))
+        self.sup_rates = np.array((alpha_leg[self.sup], beta_leg[self.sup]))
+        self.sup_taxi = _on_legs(net.taxi_fraction)[self.sup]
+        # per tail station: alpha out and (alpha + beta) out, summed in leg
+        # order as a step sums its legs, so gating a whole station by 0 or
+        # 1 gives the sums of its gated legs bit for bit
+        both = self.sup_rates.copy()
+        both[1] += both[0]
+        self.gated_out = self._station_sums(both)
+        # calendar writes: every vehicle (delay, head) group, then the
+        # driver groups that legs of the support write, numbered in order
         groups = legs.group_cell.size
-        self.fleet_group = np.concatenate((legs.group, legs.group + groups))
+        sup_group = legs.group[self.sup]
+        used = np.zeros(groups, dtype=bool)
+        used[sup_group] = True
+        self.fleet_group = np.concatenate((legs.group, groups - 1 + np.cumsum(used)[sup_group]))
+        self.fleet_cell = np.concatenate((legs.group_cell, legs.group_cell[used]))
+        # a step's departures per leg: customer trips plus rebalancing on
+        # every vehicle leg, then rebalancing plus return rides on the support
+        self.dep = np.empty(legs.tail.size + self.sup.size)
+        self.vehicle_dep, self.driver_dep = self.dep[: legs.tail.size], self.dep[legs.tail.size :]
         self.events: list = []
         self.events_dropped = 0
 
-    def _zero_mask(self) -> np.ndarray:
-        """Rows customers, vehicles, drivers: True where the level is 0."""
-        return np.vstack((self.c, self.idle)) <= 0
+    def _station_sums(self, sup_flows: np.ndarray) -> np.ndarray:
+        """``(2, n)`` sums by tail station of ``(2, |support|)`` leg flows, in leg order."""
+        sums = np.bincount(self.sup_station, weights=sup_flows.reshape(-1), minlength=2 * self.n)
+        # an empty support has no weights, and bincount then counts in int64
+        return sums.astype(float, copy=False).reshape(2, self.n)
 
     def _log_events(self, before: np.ndarray, after: np.ndarray, time: float) -> None:
         for q, i in zip(*np.nonzero(before != after)):
@@ -317,68 +356,69 @@ class _Engine:
             self.events.append((time, self.QUANTITIES[q], int(i), direction))
 
     def advance(self) -> None:
-        h, n, legs = self.h, self.n, self.legs
-        c, idle = self.c, self.idle
+        h, n, k, legs = self.h, self.n, self.step_index, self.legs
+        levels, cal = self.levels, self.cal
+        c, idle = levels[0], levels[1:]
 
-        row = self.step_index % legs.depth
-        arrive = self.cal[:, row].copy()
-        self.cal[:, row] = 0.0
+        row = k % legs.depth
+        arrive = cal[:, row].copy()
+        cal[:, row] = 0.0
 
-        _, vpos, rpos = ~self.zero
+        pos = ~self.zero
         # customer departures: mu while a queue drains (capped at drain, the
         # rate that empties it this step; an empty queue caps them at
         # lambda, below mu), 0 without vehicles
         drain = self.lam + c / h
-        cust_dep = np.where(vpos, np.minimum(self.mu, drain), 0.0)
-        gate = (vpos & rpos)[legs.tail]
-        reb = np.where(gate, self.alpha_leg, 0.0)
-        ret = np.where(gate, self.beta_leg, 0.0)
-
-        out = np.array((
-            cust_dep + np.bincount(legs.tail, weights=reb, minlength=n),
-            np.bincount(legs.tail, weights=reb + ret, minlength=n),
-        ))
+        cust_dep = np.where(pos[1], np.minimum(self.mu, drain), 0.0)
+        gate = pos[1] & pos[2]
+        out = gate * self.gated_out
+        out[0] += cust_dep
         # pro-rata scale-down of queues that would go negative; a queue can
         # only go negative with a positive outflow, so the division is safe
-        sv, sr = np.divide(
-            idle / h + arrive, out, out=np.ones((2, n)), where=idle + h * (arrive - out) < 0
+        scale = np.divide(
+            idle / h + arrive, out, out=self.ones.copy(), where=idle + h * (arrive - out) < 0
         )
-
-        cust_f = cust_dep * sv
-        reb_f = reb * np.minimum(sv, sr)[legs.tail]
+        cust_f = cust_dep * scale[0]
+        # rebalancing trips draw on both queues, return rides on drivers
+        np.minimum(scale[0], scale[1], out=scale[0])
+        flows = self.sup_rates * (gate * scale).reshape(-1)[self.sup_station].reshape(2, -1)
+        trips = np.multiply(cust_f[legs.tail], self.p_leg, out=self.vehicle_dep)
+        sup_trips = trips[self.sup]
         # return rides can only use customer trips that actually depart
-        ret_f = np.minimum(ret * sr[legs.tail], self.taxi_leg * (cust_f[legs.tail] * self.p_leg))
+        np.minimum(flows[1], self.sup_taxi * sup_trips, out=flows[1])
+        flows[1] += flows[0]
 
         # a queue served at its drain rate lands on exactly 0, not on the
         # rounding noise of c + h * (lam - drain)
-        self.c = np.where(cust_f >= drain, 0.0, np.maximum(c + h * (self.lam - cust_f), 0.0))
-        out_f = np.array((
-            cust_f + np.bincount(legs.tail, weights=reb_f, minlength=n),
-            np.bincount(legs.tail, weights=reb_f + ret_f, minlength=n),
-        ))
-        self.idle = np.maximum(idle + h * (arrive - out_f), 0.0)
+        levels[0] = np.where(cust_f >= drain, 0.0, np.maximum(c + h * (self.lam - cust_f), 0.0))
+        out_f = self._station_sums(flows)
+        out_f[0] += cust_f
+        net_in = arrive - out_f
+        np.maximum(idle + h * net_in, 0.0, out=idle)
+        self.moved -= net_in.sum(axis=1)
 
         # departures into their arrival rows, legs that share a fleet, a
         # delay and a head summed first so the fancy-index add sees unique cells
-        dep = np.concatenate((cust_f[legs.tail] * self.p_leg + reb_f, reb_f + ret_f))
-        by_cell = np.bincount(self.fleet_group, weights=dep)
-        cells = (self.step_index * n + legs.group_cell) % legs.total_slots
-        self.cal.reshape(-1)[np.concatenate((cells, cells + legs.total_slots))] += by_cell
-        self.moved += by_cell.reshape(2, -1).sum(axis=1) - arrive.sum(axis=1)
-        self.step_index += 1
+        trips[self.sup] = sup_trips + flows[0]
+        self.driver_dep[:] = flows[1]
+        by_cell = np.bincount(self.fleet_group, weights=self.dep)
+        cells = (k * n + self.fleet_cell) % legs.total_slots
+        cells[legs.group_cell.size :] += legs.total_slots
+        cal.reshape(-1)[cells] += by_cell
+        self.step_index = k + 1
 
-        after = self._zero_mask()
-        if not np.array_equal(after, self.zero):
+        after = levels <= 0
+        if (after != self.zero).any():
             self._log_events(self.zero, after, self.step_index * h)
         self.zero = after
 
     def totals(self) -> np.ndarray:
         """Vehicle and driver totals from the running in-transit sums, O(n)."""
-        return self.idle.sum(axis=1) + (self.transit + self.moved) * self.h
+        return self.levels[1:].sum(axis=1) + (self.transit + self.moved) * self.h
 
     def full_totals(self) -> np.ndarray:
         """Vehicle and driver totals from full calendar sums, O(D n)."""
-        return self.idle.sum(axis=1) + self.cal.reshape(2, -1).sum(axis=1) * self.h
+        return self.levels[1:].sum(axis=1) + self.cal.reshape(2, -1).sum(axis=1) * self.h
 
 
 def step(state: FluidState, net: StationNetwork, vehicle_rates, driver_rates) -> FluidState:
@@ -386,10 +426,11 @@ def step(state: FluidState, net: StationNetwork, vehicle_rates, driver_rates) ->
     engine = _Engine(net, vehicle_rates, driver_rates, state)
     engine.advance()
     # the engine ends here, so the new state takes its arrays without copies
+    customers, vehicles, drivers = engine.levels
     return FluidState(
-        customers=engine.c,
-        vehicles=engine.idle[0],
-        drivers=engine.idle[1],
+        customers=customers,
+        vehicles=vehicles,
+        drivers=drivers,
         vehicle_buffer=engine.cal[0],
         driver_buffer=engine.cal[1],
         step_index=engine.step_index,
@@ -418,34 +459,28 @@ def simulate(
     sample_steps = list(range(0, steps + 1, sample_every))
     if sample_steps[-1] != steps:
         sample_steps.append(steps)
-    times = np.empty(len(sample_steps))
-    c_out = np.empty((len(sample_steps), net.n))
-    v_out = np.empty_like(c_out)
-    r_out = np.empty_like(c_out)
-    v_tot = np.empty(len(sample_steps))
-    r_tot = np.empty(len(sample_steps))
-
-    cursor = 0
-    for k in range(steps + 1):
-        if k == sample_steps[cursor]:
-            times[cursor] = init.time + k * h
-            c_out[cursor] = engine.c
-            v_out[cursor], r_out[cursor] = engine.idle
-            # the ends come from full sums, so a leak in the running
-            # sums still shows as drift
-            ends = k == 0 or k == steps
-            v_tot[cursor], r_tot[cursor] = engine.full_totals() if ends else engine.totals()
-            cursor += 1
-        if k < steps:
+    levels = np.empty((len(sample_steps), 3, net.n))
+    moved = np.empty((len(sample_steps), 2))
+    first = engine.full_totals()
+    done = 0
+    for i, k in enumerate(sample_steps):
+        for _ in range(k - done):
             engine.advance()
+        done = k
+        levels[i] = engine.levels
+        moved[i] = engine.moved
 
+    totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
+    # the ends come from full sums, so a leak in the running sums still
+    # shows as drift
+    totals[0], totals[-1] = first, engine.full_totals()
     return SimTrace(
-        times=times,
-        customers=c_out,
-        vehicles=v_out,
-        drivers=r_out,
-        vehicles_total=v_tot,
-        drivers_total=r_tot,
+        times=init.time + np.array(sample_steps) * h,
+        customers=levels[:, 0],
+        vehicles=levels[:, 1],
+        drivers=levels[:, 2],
+        vehicles_total=totals[:, 0],
+        drivers_total=totals[:, 1],
         h=h,
         events=engine.events,
         events_dropped=engine.events_dropped,

@@ -233,13 +233,17 @@ class RebalanceAssignment:
         a = _checked_array("alpha", self.vehicle_rates, (None, None))
         a = _rate_matrix("alpha", a, a.shape[0])
         b = _rate_matrix("beta", self.driver_rates, a.shape[0])
-        for name, val in (("v_alpha", self.min_vehicles), ("r_alpha_beta", self.min_drivers)):
+        for name, attr in (("v_alpha", "min_vehicles"), ("r_alpha_beta", "min_drivers")):
+            raw = getattr(self, attr)
+            try:
+                val = float(raw)
+            except (TypeError, ValueError):
+                val = float("nan")  # not a number: fails the check below
             if not np.isfinite(val) or val < 0:
-                raise ValidationError(f"{name} must be a nonnegative real, got {val!r}")
+                raise ValidationError(f"{name} must be a nonnegative real, got {raw!r}")
+            object.__setattr__(self, attr, val)
         object.__setattr__(self, "vehicle_rates", _frozen(a))
         object.__setattr__(self, "driver_rates", _frozen(b))
-        object.__setattr__(self, "min_vehicles", float(self.min_vehicles))
-        object.__setattr__(self, "min_drivers", float(self.min_drivers))
 
     @property
     def n(self) -> int:

@@ -166,6 +166,37 @@ def test_repeated_steps_match_ring_far_from_equilibrium(make_instance):
     assert state.step_index == ring.k
 
 
+@pytest.mark.parametrize("support", ["empty", "every leg"])
+def test_support_extremes_match_ring_from_empty_roads(make_instance, support):
+    # alpha = beta = 0 leaves the engine no rebalancing legs at all (no
+    # driver departures, station sums over no legs); positive rates on
+    # every leg make the support all n(n-1) legs.  Three stations, as in
+    # the clamped run above, so both layouts round their arrivals alike.
+    net = make_instance(3, 5)
+    h = net.min_offdiag_travel_time() / 4
+    rng = np.random.default_rng(8)
+    if support == "empty":
+        alpha = beta = np.zeros((3, 3))
+    else:
+        off = 1.0 - np.eye(3)
+        alpha, beta = rng.uniform(0.05, 0.3, (2, 3, 3)) * off
+    c0, v0, r0 = rng.uniform(0, 2, 3), rng.uniform(0, 0.02, 3), rng.uniform(0, 0.01, 3)
+    ring = RingStepper(net, alpha, beta, h, c0, v0, r0, steady=False)
+    init = initial_state(net, c0, v0, r0, h)
+    steps = int(round(4 * net.max_travel_time() / h))
+
+    engine = _Engine(net, alpha, beta, init)
+    assert engine.sup.size == (0 if support == "empty" else 6)
+    for _ in range(steps):
+        engine.advance()
+    assert np.any(engine.cal[0] > 0)
+    assert np.all(engine.cal[1] == 0) == (support == "empty")
+
+    trace = simulate(net, alpha, beta, init, steps * h)
+    assert_trace_matches(trace, ring_run(ring, steps), float(np.sum(ring.totals()) + c0.sum()))
+    assert ring.clamped
+
+
 def test_resumed_snapshot_matches_ring(make_instance):
     net = make_instance(7, 9)
     h = net.min_offdiag_travel_time() / 4
