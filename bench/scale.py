@@ -24,10 +24,16 @@ stations (``generate_instance(n, SEED)``):
   step count;
 
 plus ``fresh_import_cli``, the wall time of a new process that runs
-``import fleetbalance.cli``.  Each figure is the median of ``REPEATS``
-calls, after one untimed call that pays lazy imports.  The output,
-``BENCH_<label>.json``, also records the machine, the Python, numpy
-and scipy versions and the git commit of the checkout measured.
+``import fleetbalance.cli``, and ``fresh_solve_cli``, a new process that
+does what ``fleetbalance solve`` does at n = ``SOLVE_N``, split into its
+phases: ``import_cli`` (``import fleetbalance.cli``), ``import_highs``
+(the first import of the HiGHS binding the solver calls), ``load``,
+``solve`` and ``save``; ``process`` is that process's wall time seen
+from outside, interpreter start-up included.  Each figure is the median
+of ``REPEATS`` calls, after one untimed call that pays lazy imports.
+The output, ``BENCH_<label>.json``, also records the machine, the
+Python, numpy and scipy versions and the git commit of the checkout
+measured.
 
 Run from the repository root, on whichever checkout is to be measured:
 
@@ -82,6 +88,26 @@ PROBE_SLACK = 0.2
 PROBE_PERTURBATION = 0.1
 SEED = 1
 REPEATS = 7
+SOLVE_N = 200
+
+# the phases of `fleetbalance solve --instance argv[1] --out argv[2]`,
+# timed inside one fresh interpreter; prints them in ms as one JSON object
+SOLVE_PHASES = """
+import json, sys, time
+started = time.perf_counter()
+import fleetbalance.cli as cli
+marks = [time.perf_counter()]
+import scipy.optimize._highspy._core  # what mincostflow._highs imports on its first solve
+marks.append(time.perf_counter())
+net = cli.load_instance(sys.argv[1])
+marks.append(time.perf_counter())
+solution = cli.solve_rebalancing(net)
+marks.append(time.perf_counter())
+cli.save_assignment(solution, sys.argv[2], meta={"instance": sys.argv[1]})
+marks.append(time.perf_counter())
+names = ("import_cli", "import_highs", "load", "solve", "save")
+print(json.dumps({k: 1e3 * (b - a) for k, a, b in zip(names, [started] + marks, marks)}))
+"""
 
 
 def median_ms(call) -> float:
@@ -148,6 +174,21 @@ def fresh_import_ms() -> float:
     return median_ms(lambda: subprocess.run(command, env=env, check=True, timeout=120))
 
 
+def fresh_solve_ms() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, out = Path(tmp) / "net.json", Path(tmp) / "plan.json"
+        save_instance(generate_instance(SOLVE_N, SEED), instance)
+        command = [sys.executable, "-c", SOLVE_PHASES, str(instance), str(out)]
+        for _ in range(REPEATS + 1):  # the first run is dropped, as in median_ms
+            started = time.perf_counter()
+            done = subprocess.run(command, env=env, check=True, timeout=300, capture_output=True, text=True)
+            runs.append(dict(json.loads(done.stdout), process=1e3 * (time.perf_counter() - started)))
+    runs = runs[1:]
+    return {"n": SOLVE_N, **{k: round(statistics.median(r[k] for r in runs), 4) for k in runs[0]}}
+
+
 def git_commit() -> dict:
     def git(*args):
         done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
@@ -186,6 +227,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "unit": "ms, median of repeats",
         "fresh_import_cli": fresh_import_ms(),
+        "fresh_solve_cli": fresh_solve_ms(),
         "layers": {},
     }
     for n in SIZES:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .generate import GeneratorConfig, generate_instance
-from .network import ImbalanceVector, StationNetwork, assignment_residuals, compute_imbalance
+from .network import ImbalanceVector, StationNetwork, _from_legs, assignment_residuals, compute_imbalance
 from .rebalance import RebalanceSolution, _solve_against_vehicles, solve_vehicle_rebalancing
 
 ROW_FIELDS = ("group_key", "trial", "seed", "n", "f", "v_alpha", "r_alpha_beta", "ratio", "reb_fraction")
@@ -170,8 +170,7 @@ def _trial(args) -> list[TrialRow]:
         if f_value is None:
             net_f, group_key, f_value = net, f"n={size}", config.generator.taxi_fraction
         else:
-            taxi = np.full((size, size), float(f_value))
-            np.fill_diagonal(taxi, 0.0)
+            taxi = _from_legs(float(f_value), size)
             net_f, group_key = replace(net, taxi_fraction=taxi), f"f={f_value:g}"
         solution = _solve_against_vehicles(net_f, d, *alpha)
         rows.append(_row_from_solution(net_f, d, solution, group_key, trial, seed, f_value))

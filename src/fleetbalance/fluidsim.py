@@ -19,13 +19,13 @@ lands on exactly 0 at the step it drains, not on the rounding noise of
 ``c + h * (lambda - drain)``.  Idle vehicle and driver levels can still
 land on such noise, which keeps their gates open.
 
-Integration: explicit Euler with a fixed step ``h``, fixed when a state
-is built (``initial_state``, ``equilibrium_state``); ``step`` and
-``simulate`` advance by the state's own ``h``.  Travel times are
-rounded to whole steps: what leaves ``i`` for ``j`` at step ``k``
-arrives at ``j`` at step ``k + d``, ``d = round(T[i, j] / h)``; the
-construction requires ``h <= min positive T / 4`` so every leg is at
-least a few steps long.  In-transit mass lives in two arrival calendars
+Integration: explicit Euler with a fixed step ``h``.  A state is built
+(``initial_state``, ``equilibrium_state``) with its ``h`` and the travel
+times rounded to whole steps: what leaves ``i`` for ``j`` at step ``k``
+arrives at ``j`` at step ``k + d``, ``d = round(T[i, j] / h)``, and
+``h <= min positive T / 4``, so every leg is a few steps long.  ``step``
+and ``simulate`` advance by the state's ``h``, on a network with the
+same delays only.  In-transit mass lives in two arrival calendars
 (vehicles in motion: customer trips plus rebalancing trips; drivers in
 motion: rebalancing trips plus return rides), each of shape ``(D, n)``
 with ``D`` the longest delay in steps.  Row ``k % D`` holds the rate
@@ -63,31 +63,29 @@ in the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InsufficientFleetError, InvalidStateError, ValidationError
-from .network import PROB_TOL, StationNetwork, _checked_array, _rate_matrix, compute_imbalance
+from .network import (
+    PROB_TOL,
+    StationNetwork,
+    _checked_array,
+    _legs,
+    _on_legs,
+    _rate_matrix,
+    compute_imbalance,
+)
 from .rebalance import RebalanceSolution
 
 ZERO_EVENT_CAP = 100_000
 
 
-def _on_legs(matrix: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of an ``n x n`` matrix, in leg order (row-major).
-
-    Dropping the first entry of the flat matrix puts every diagonal entry
-    at the end of a row of ``n + 1``, so one slice and one copy suffice.
-    """
-    n = matrix.shape[0]
-    return matrix.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].reshape(-1)
-
-
 @dataclass(frozen=True, eq=False)
 class _Legs:
-    """Leg and calendar geometry shared by all states of one run.
+    """Leg and calendar geometry shared by all states of one run; legs in ``network``'s order.
 
     Legs with the same delay and head station write the same calendar
     cell each step; ``group`` numbers those (delay, head) pairs, and
@@ -95,7 +93,6 @@ class _Legs:
     """
 
     tail: np.ndarray    # leg tails, length n*(n-1)
-    head: np.ndarray
     steps: np.ndarray   # delay of each leg in steps, >= 1
     group: np.ndarray   # (delay, head) group of each leg
     group_cell: np.ndarray
@@ -118,30 +115,24 @@ class _Legs:
                 )
         elif h <= 0:
             raise ValidationError(f"step h={h:g} must be positive")
-        tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+        tails, heads = _legs(n)
         steps = np.rint(tt / h).astype(np.int64)
         depth = int(steps.max()) if steps.size else 1
         cells, group = np.unique(steps * n + heads, return_inverse=True)
         return _Legs(
-            tail=tails.astype(np.int64),
-            head=heads.astype(np.int64),
-            steps=steps,
-            group=group.astype(np.int64),
-            group_cell=cells.astype(np.int64),
-            depth=depth,
-            total_slots=depth * n,
+            tail=tails, steps=steps, group=group, group_cell=cells, depth=depth, total_slots=depth * n
         )
 
     def steady_calendar(self, leg_rate: np.ndarray, n: int) -> np.ndarray:
         """Calendar of legs that have run at ``leg_rate`` for a full delay.
 
         Row ``t`` holds, per head station, the rate of the legs still in
-        flight at step ``t``: those with delay > t.  Built as a suffix
-        sum over delays of nonnegative terms, so no entry goes negative.
+        flight at step ``t``: those with delay > t.  Summed per (delay, head)
+        group, then over delays as a suffix sum of nonnegative terms.
         """
-        by_delay = np.zeros((self.depth + 1, n))
-        np.add.at(by_delay, (self.steps, self.head), leg_rate)
-        return np.cumsum(by_delay[::-1], axis=0)[::-1][1:].copy()
+        by_delay = np.zeros((self.depth + 1) * n)
+        by_delay[self.group_cell] = np.bincount(self.group, weights=leg_rate)
+        return np.cumsum(by_delay.reshape(-1, n)[::-1], axis=0)[::-1][1:].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,19 +213,15 @@ def equilibrium_state(
     n = net.n
     alpha = _rate_matrix("alpha", vehicle_rates, n)
     beta = _rate_matrix("beta", driver_rates, n)
-    legs = _Legs.build(net, float(h))
+    state = initial_state(net, customers, vehicles, drivers, h)
+    legs = state.legs
     alpha_leg = _on_legs(alpha)
     veh_rate = net.arrival_rate[legs.tail] * _on_legs(net.dest_prob) + alpha_leg
     drv_rate = alpha_leg + _on_legs(beta)
-    return FluidState(
-        customers=_state_vector("customers", customers, n),
-        vehicles=_state_vector("vehicles", vehicles, n),
-        drivers=_state_vector("drivers", drivers, n),
+    return replace(
+        state,
         vehicle_buffer=legs.steady_calendar(veh_rate, n),
         driver_buffer=legs.steady_calendar(drv_rate, n),
-        step_index=0,
-        h=float(h),
-        legs=legs,
     )
 
 
@@ -281,6 +268,11 @@ class _Engine:
         alpha = _rate_matrix("alpha", vehicle_rates, n)
         beta = _rate_matrix("beta", driver_rates, n)
         legs = state.legs
+        if not np.array_equal(legs.steps, np.rint(_on_legs(net.travel_time) / state.h)):
+            raise InvalidStateError(
+                f"state was built for other travel times: its legs' delays in steps of "
+                f"h={state.h:g} are not the network's"
+            )
         for name in ("customers", "vehicles", "drivers", "vehicle_buffer", "driver_buffer"):
             shape = (legs.depth, n) if name.endswith("_buffer") else (n,)
             _checked_array(name, getattr(state, name), shape, nonnegative=True, error=InvalidStateError)
@@ -427,15 +419,14 @@ def step(state: FluidState, net: StationNetwork, vehicle_rates, driver_rates) ->
     engine.advance()
     # the engine ends here, so the new state takes its arrays without copies
     customers, vehicles, drivers = engine.levels
-    return FluidState(
+    return replace(
+        state,
         customers=customers,
         vehicles=vehicles,
         drivers=drivers,
         vehicle_buffer=engine.cal[0],
         driver_buffer=engine.cal[1],
         step_index=engine.step_index,
-        h=state.h,
-        legs=state.legs,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import StationNetwork
+from .network import StationNetwork, _from_legs
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,12 @@ def generate_instance(n: int, seed: int, config: GeneratorConfig = GeneratorConf
     lam = rng.uniform(0.0, config.lambda_max, size=n)
     raw = rng.uniform(size=(n, n - 1))
 
-    p = np.zeros((n, n))
-    off = ~np.eye(n, dtype=bool)
-    p[off] = raw.ravel()
+    p = _from_legs(raw.ravel(), n)
     p /= p.sum(axis=1, keepdims=True)
 
+    # the diagonal is exactly 0: each station's distance to itself
     diff = coords[:, None, :] - coords[None, :, :]
     travel = np.sqrt((diff ** 2).sum(axis=-1))
-    np.fill_diagonal(travel, 0.0)
-
-    taxi = np.full((n, n), float(config.taxi_fraction))
-    np.fill_diagonal(taxi, 0.0)
 
     meta = {"seed": int(seed), "generator_config": asdict(config)}
     return StationNetwork(
@@ -77,6 +72,6 @@ def generate_instance(n: int, seed: int, config: GeneratorConfig = GeneratorConf
         service_rate=config.mu_factor * lam,
         dest_prob=p,
         travel_time=travel,
-        taxi_fraction=taxi,
+        taxi_fraction=_from_legs(float(config.taxi_fraction), n),
         meta=meta,
     )

@@ -27,6 +27,10 @@ Every input array is checked once, by ``_checked_array``, in the code
 that owns it: :class:`StationNetwork`, :class:`RebalanceAssignment`,
 :func:`fleet_sizes` and the simulator's state builders and engine.
 ``storage`` reads only the file format and leaves values to these.
+
+The module also owns the leg layout shared by the flow programs' arcs
+and the simulator: leg ``k`` is the ``k``-th off-diagonal entry of an
+``n x n`` matrix, row-major (``_legs``, ``_on_legs``, ``_from_legs``).
 """
 
 from __future__ import annotations
@@ -71,6 +75,28 @@ def _checked_array(
         return arr
     pos = ",".join(str(int(k)) for k in np.argwhere(bad)[0])
     raise error(f"{name}[{pos}] {what}")
+
+
+def _legs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the n(n-1) legs, in leg order."""
+    return np.nonzero(~np.eye(n, dtype=bool))
+
+
+def _on_legs(matrix: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of an ``n x n`` matrix, in leg order.
+
+    Dropping the first entry of the flat matrix puts every diagonal entry
+    at the end of a row of ``n + 1``, so one slice and one copy suffice.
+    """
+    n = matrix.shape[0]
+    return matrix.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].reshape(-1)
+
+
+def _from_legs(values, n: int) -> np.ndarray:
+    """The ``n x n`` matrix with per-leg ``values`` (or one scalar on every leg), zero diagonal."""
+    out = np.zeros((n, n))
+    out[~np.eye(n, dtype=bool)] = values
+    return out
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -131,11 +157,12 @@ class StationNetwork:
             i = int(np.flatnonzero(diag > PROB_TOL)[0])
             raise ValidationError(f"p[{i},{i}] must be 0 (no self-loop trips)")
         sums = p.sum(axis=1)
-        for i in range(n):
-            if lam[i] > 0 and abs(sums[i] - 1.0) > PROB_TOL:
-                raise ValidationError(
-                    f"p row {i} sums to {sums[i]:.6g}, expected 1 within {PROB_TOL:g}"
-                )
+        bad = np.flatnonzero((lam > 0) & (np.abs(sums - 1.0) > PROB_TOL))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(
+                f"p row {i} sums to {sums[i]:.6g}, expected 1 within {PROB_TOL:g}"
+            )
         tdiag = np.abs(np.diagonal(tt))
         if np.any(tdiag > 1e-12):
             i = int(np.flatnonzero(tdiag > 1e-12)[0])
@@ -148,10 +175,8 @@ class StationNetwork:
         object.__setattr__(self, "taxi_fraction", _frozen(f))
 
     def min_offdiag_travel_time(self) -> float:
-        """Smallest strictly positive travel time between distinct stations."""
-        if self.n < 2:
-            return 0.0
-        off = self.travel_time[~np.eye(self.n, dtype=bool)]
+        """Smallest strictly positive travel time between distinct stations, 0 if there is none."""
+        off = _on_legs(self.travel_time)
         pos = off[off > 0]
         return float(pos.min()) if pos.size else 0.0
 

@@ -16,7 +16,8 @@ Both programs minimize the in-transit mass they pin down, i.e. total
 rate weighted by travel time.  They share no variables, so they are
 solved as two independent minimum-cost flow problems; minimizing the
 driver total (rebalancing trips plus return rides) and minimizing the
-rebalancing-vehicle total pull in the same direction.
+rebalancing-vehicle total pull in the same direction.  Arc ``k`` of
+both programs is leg ``k`` of the layout ``network`` owns.
 """
 
 from __future__ import annotations
@@ -38,43 +39,35 @@ from .network import (
     ImbalanceVector,
     RebalanceAssignment,
     StationNetwork,
+    _from_legs,
+    _legs,
+    _on_legs,
     compute_imbalance,
     fleet_sizes,
 )
 
 
-def _offdiag(n: int) -> np.ndarray:
-    """Mask of the station pairs (i, j), i != j; arc k of both programs is its k-th entry, row-major."""
-    return ~np.eye(n, dtype=bool)
-
-
-def _matrix_from_flows(n: int, flows: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, n))
-    out[_offdiag(n)] = flows
-    return out
-
-
-def _station_flow_problem(net: StationNetwork, supply: np.ndarray, capacity: np.ndarray) -> FlowProblem:
-    """One arc per ordered station pair, priced by travel time."""
-    tail, head = np.nonzero(_offdiag(net.n))
+def _station_flow_problem(net: StationNetwork, supply: np.ndarray, capacity) -> FlowProblem:
+    """One arc per leg, priced by travel time; ``capacity`` is per leg."""
+    tail, head = _legs(net.n)
     return FlowProblem(
         node_count=net.n,
         supply=supply,
         tail=tail,
         head=head,
-        cost=net.travel_time[tail, head],
-        capacity=capacity[tail, head],
+        cost=_on_legs(net.travel_time),
+        capacity=capacity,
     )
 
 
 def vehicle_flow_problem(net: StationNetwork, imbalance: ImbalanceVector) -> FlowProblem:
     """Uncapacitated program moving surplus vehicles to deficit stations."""
-    return _station_flow_problem(net, imbalance.surplus, np.full((net.n, net.n), INFINITE_CAPACITY))
+    return _station_flow_problem(net, imbalance.surplus, np.full(net.n * (net.n - 1), INFINITE_CAPACITY))
 
 
 def driver_flow_problem(net: StationNetwork, imbalance: ImbalanceVector) -> FlowProblem:
     """Capacitated program riding stranded drivers back on customer trips."""
-    return _station_flow_problem(net, -imbalance.surplus, net.taxi_capacity())
+    return _station_flow_problem(net, -imbalance.surplus, _on_legs(net.taxi_capacity()))
 
 
 def _solved_matrix(net: StationNetwork, solution: FlowSolution) -> tuple[np.ndarray, float]:
@@ -88,9 +81,8 @@ def _solved_matrix(net: StationNetwork, solution: FlowSolution) -> tuple[np.ndar
     cost in the capacitated driver program (seen on an all-zero-time
     instance); the objective and fleet sizes do not change.
     """
-    rates = _matrix_from_flows(net.n, solution.flow)
-    objective = float(np.sum(net.travel_time * rates))
-    return rates, objective
+    rates = _from_legs(solution.flow, net.n)
+    return rates, float(np.sum(net.travel_time * rates))
 
 
 def solve_vehicle_rebalancing(

@@ -22,10 +22,8 @@ import json
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from .errors import ValidationError
-from .network import RebalanceAssignment, StationNetwork
+from .network import RebalanceAssignment, StationNetwork, _from_legs
 from .rebalance import RebalanceSolution
 
 PathLike = Union[str, Path]
@@ -82,8 +80,7 @@ def load_instance(path: PathLike) -> StationNetwork:
         raise ValidationError(f"{path}: field 'n' must be a positive integer")
     lam, mu, p, tt, f = (_require(data, key, path) for key in ("lambda", "mu", "p", "T", "f"))
     if isinstance(f, (int, float)):
-        f = np.full((n, n), float(f))
-        np.fill_diagonal(f, 0.0)
+        f = _from_legs(float(f), n)
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValidationError(f"{path}: field 'meta' must be an object")

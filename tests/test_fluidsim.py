@@ -212,6 +212,31 @@ def test_queued_customers_need_destinations():
         step(state, net, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def test_state_runs_only_on_the_travel_times_it_was_built_for(make_instance):
+    from dataclasses import replace
+
+    net = make_instance(6, 1)
+    a = solve_rebalancing(net).assignment
+    h = net.min_offdiag_travel_time() / 10
+    state = equilibrium_state(net, a.vehicle_rates, a.driver_rates, np.zeros(6), np.ones(6), np.ones(6), h)
+    other = make_instance(6, 2)
+    # another network's delays, and delays so short that h > min T / 4
+    for wrong in (other, replace(net, travel_time=net.travel_time * 0.2)):
+        with pytest.raises(InvalidStateError, match="travel times"):
+            simulate(wrong, a.vehicle_rates, a.driver_rates, state, 5 * h)
+        with pytest.raises(InvalidStateError, match="travel times"):
+            step(state, wrong, a.vehicle_rates, a.driver_rates)
+    # the taxi-fraction sweep re-solves networks made with replace: p,
+    # lambda and f may differ from the state's network
+    for same_roads in (
+        replace(net, dest_prob=other.dest_prob),
+        replace(net, arrival_rate=0.5 * net.arrival_rate),
+        replace(net, taxi_fraction=0.5 * net.taxi_fraction),
+    ):
+        trace = simulate(same_roads, a.vehicle_rates, a.driver_rates, state, 5 * h)
+        assert trace.times.size == 6
+
+
 def test_step_size_validation(two_station):
     with pytest.raises(ValidationError, match="min travel time / 4"):
         initial_state(two_station, [0, 0], [1, 1], [1, 1], h=3.0)

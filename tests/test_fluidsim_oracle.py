@@ -256,14 +256,15 @@ def test_steady_calendar_rows(make_instance):
         net, a.vehicle_rates, a.driver_rates, np.zeros(5), np.ones(5), np.ones(5), h
     )
     legs = state.legs
-    drv = a.vehicle_rates[legs.tail, legs.head] + a.driver_rates[legs.tail, legs.head]
+    tail, head = np.nonzero(~np.eye(5, dtype=bool))
+    drv = a.vehicle_rates[tail, head] + a.driver_rates[tail, head]
     assert np.all(state.driver_buffer >= 0)
     for t in range(legs.depth):
         live = legs.steps > t
-        want = np.bincount(legs.head[live], weights=drv[live], minlength=5)
+        want = np.bincount(head[live], weights=drv[live], minlength=5)
         np.testing.assert_allclose(state.driver_buffer[t], want, rtol=RTOL, atol=0)
     # the last row only holds the longest legs; stations no such leg
     # enters are exactly empty there
     longest = legs.steps == legs.depth
-    assert np.all(state.driver_buffer[-1][~np.isin(np.arange(5), legs.head[longest])] == 0)
+    assert np.all(state.driver_buffer[-1][~np.isin(np.arange(5), head[longest])] == 0)
     assert state.in_transit_drivers() == pytest.approx(h * np.sum(legs.steps * drv), rel=RTOL)

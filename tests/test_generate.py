@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,24 @@ def test_same_seed_same_instance():
     for field in ("arrival_rate", "service_rate", "dest_prob", "travel_time", "taxi_fraction"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert a.meta == b.meta
+
+
+@pytest.mark.parametrize("n,seed", [(6, 11), (40, 3)])
+def test_documented_draw_order(n, seed):
+    cfg = GeneratorConfig(taxi_fraction=0.5)
+    net = generate_instance(n, seed, cfg)
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0.0, cfg.env_size, size=(n, 2)).T
+    lam = rng.uniform(0.0, cfg.lambda_max, size=n)
+    raw = rng.uniform(size=(n, n - 1))
+    travel = np.array(
+        [[math.sqrt((x[i] - x[j]) * (x[i] - x[j]) + (y[i] - y[j]) * (y[i] - y[j])) for j in range(n)] for i in range(n)]
+    )
+    rows = [np.insert(raw[i], i, 0.0) for i in range(n)]
+    assert np.array_equal(net.arrival_rate, lam)
+    assert np.array_equal(net.travel_time, travel)
+    assert np.array_equal(net.dest_prob, np.array([row / row.sum() for row in rows]))
+    assert np.array_equal(net.taxi_fraction, 0.5 * (1.0 - np.eye(n)))
 
 
 def test_different_seeds_differ():

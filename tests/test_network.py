@@ -6,6 +6,9 @@ from fleetbalance.network import (
     ImbalanceVector,
     RebalanceAssignment,
     StationNetwork,
+    _from_legs,
+    _legs,
+    _on_legs,
     compute_imbalance,
     fleet_sizes,
     validate_assignment,
@@ -103,6 +106,31 @@ def test_network_rejects_bad_n():
             travel_time=[[]],
             taxi_fraction=[[]],
         )
+
+
+def test_first_bad_probability_row_is_reported():
+    # row 0 has no arrivals, so only rows 1 and 2 count; row 1 comes first
+    with pytest.raises(ValidationError, match=r"^p row 1 sums to 0\.5, expected 1 within 1e-09$"):
+        StationNetwork(
+            n=3,
+            arrival_rate=[0.0, 0.1, 0.1],
+            service_rate=[0.2, 0.2, 0.2],
+            dest_prob=[[0.0, 0.1, 0.1], [0.5, 0.0, 0.0], [0.9, 0.0, 0.0]],
+            travel_time=np.ones((3, 3)) - np.eye(3),
+            taxi_fraction=np.ones((3, 3)) - np.eye(3),
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_leg_layout_round_trip(n):
+    matrix = np.random.default_rng(n).uniform(size=(n, n))
+    tail, head = np.nonzero(~np.eye(n, dtype=bool))
+    assert np.array_equal(_legs(n)[0], tail) and np.array_equal(_legs(n)[1], head)
+    assert np.array_equal(_on_legs(matrix), matrix[tail, head])
+    zeroed = matrix.copy()
+    np.fill_diagonal(zeroed, 0.0)
+    assert np.array_equal(_from_legs(_on_legs(matrix), n), zeroed)
+    assert np.array_equal(_from_legs(0.75, n), np.where(np.eye(n, dtype=bool), 0.0, 0.75))
 
 
 def test_zero_arrival_row_skips_probability_check():

@@ -6,7 +6,8 @@ import pytest
 from fleetbalance import mincostflow
 from fleetbalance.errors import RebalanceInfeasibleError
 from fleetbalance.generate import GeneratorConfig, generate_instance
-from fleetbalance.network import StationNetwork, compute_imbalance, fleet_sizes, validate_assignment
+from fleetbalance.fluidsim import _Legs
+from fleetbalance.network import StationNetwork, _legs, compute_imbalance, fleet_sizes, validate_assignment
 from fleetbalance.rebalance import (
     driver_flow_problem,
     solve_driver_rebalancing,
@@ -337,3 +338,18 @@ def test_driver_program_tightens_with_taxi_fraction(make_instance):
     except RebalanceInfeasibleError:
         return
     assert tight_obj >= loose - 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_flow_arcs_are_the_simulator_legs(n):
+    net = generate_instance(n, n)
+    d = compute_imbalance(net)
+    tail, head = _legs(n)
+    legs = _Legs.build(net, net.min_offdiag_travel_time() / 10)
+    for problem in (vehicle_flow_problem(net, d), driver_flow_problem(net, d)):
+        assert np.array_equal(problem.tail, tail) and np.array_equal(problem.head, head)
+        assert np.array_equal(problem.cost, net.travel_time[tail, head])
+    assert np.array_equal(legs.tail, tail)
+    # the simulator keeps each leg's head and delay in its calendar group
+    assert np.array_equal(legs.group_cell[legs.group] % n, head)
+    assert np.array_equal(legs.group_cell[legs.group] // n, legs.steps)
