@@ -17,7 +17,14 @@ stations (``generate_instance(n, SEED)``):
   state and the rates and copies the calendars in;
 * ``sim_run_step``: the cost per step inside ``fluidsim.simulate``, a run
   of ``SIM_RUN_STEPS`` steps from the same state divided by that count,
-  for n <= 100 only: what a stability probe pays per step;
+  for n <= 100 only.  That state has no queues and ample idle stock, so
+  the run is steady and goes in shortest-delay blocks, as most of a
+  stability probe does;
+* ``sim_cold_run_step``: the same per-step cost from a cold start: empty
+  roads, customers, idle vehicles and idle drivers drawn from U[0, 1),
+  U[0, 0.5) and U[0, 0.3) per station (``default_rng(SEED)``, in that
+  order), for n <= 100 only.  Queues build up, so every step is a
+  general one;
 * ``sim_probe``: one ``stability_probe`` of the solved assignment at
   h = min T / 10, slack ``PROBE_SLACK`` on both fleets and perturbation
   ``PROBE_PERTURBATION``, for n <= 100 only; ``sim_probe_steps`` is its
@@ -70,6 +77,7 @@ from fleetbalance import (  # noqa: E402
     driver_flow_problem,
     equilibrium_state,
     generate_instance,
+    initial_state,
     load_instance,
     save_instance,
     simulate,
@@ -159,6 +167,10 @@ def layers(n: int) -> dict:
         row["sim_step"] = median_ms(lambda: step(state, net, a.vehicle_rates, a.driver_rates))
         run = median_ms(lambda: simulate(net, a.vehicle_rates, a.driver_rates, state, SIM_RUN_STEPS * h))
         row["sim_run_step"] = round(run / SIM_RUN_STEPS, 4)
+        rng = np.random.default_rng(SEED)
+        cold = initial_state(net, rng.uniform(0, 1, n), rng.uniform(0, 0.5, n), rng.uniform(0, 0.3, n), h)
+        run = median_ms(lambda: simulate(net, a.vehicle_rates, a.driver_rates, cold, SIM_RUN_STEPS * h))
+        row["sim_cold_run_step"] = round(run / SIM_RUN_STEPS, 4)
 
         def probe():
             return stability_probe(net, sol, PROBE_SLACK, PROBE_SLACK, PROBE_PERTURBATION, h)

@@ -21,7 +21,6 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -187,6 +186,9 @@ def _sweep(config: SweepConfig, f_values: tuple) -> SweepReport:
         (config, size, trial, f_values) for size in config.sizes for trial in range(config.trials_per_size)
     ]
     if config.workers > 1:
+        # imported here: every CLI command imports this module, few run a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             per_trial = list(pool.map(_trial, specs))
     else:

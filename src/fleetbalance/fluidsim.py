@@ -40,6 +40,31 @@ longest to shortest travel time.  In-transit totals are running sums
 (plus what a step withdraws from the idle levels, minus what it
 reads), so reading them is O(1).
 
+Steady stretches run a block at a time.  A step that clamped nothing,
+left every customer queue at 0 and moved no level across 0 is steady:
+the steps after it have the same gates and the same departures until
+some idle level would be clamped or cross 0.  ``simulate`` repeats such
+a step's departures in blocks of up to ``d_min`` steps, ``d_min`` the
+shortest leg delay in steps (at least 4), and chains blocks until one
+stops early; the step after that is a general one again.  Blocks give
+the same floats as single steps, bit for bit:
+
+* calendar rows ``k .. k + d_min - 1`` are final once step ``k - 1`` has
+  run, because every leg writes at least ``d_min`` rows ahead;
+* one ``np.add.accumulate`` over the block's per-step level changes (and
+  one over its in-transit changes) adds them in step order, as the steps
+  do, and ``np.add.at`` posts the repeated departures cell by cell in
+  step order;
+* a block keeps the longest prefix of steps that pass the general step's
+  own clamp test, taken on the nominal outflow, and in which no idle
+  level crosses 0.  Where the taxi cap binds, the outflow that happens
+  is smaller than the nominal one, so a test on it would miss clamps.
+
+A block of ``d_min`` steps costs about 1.2 (n = 14) to 2 (n = 100)
+general steps.  A stability probe is steady for 95-98 % of its steps
+and runs about 5 times faster; a run whose queues never clear takes
+general steps only.  ``step`` is always one general step.
+
 Idle vehicles and idle drivers follow the same queue-and-transit
 dynamics, so both fleets go through one code path: the engine stacks
 customers, idle vehicles and idle drivers as one ``(3, n)`` array and
@@ -299,6 +324,9 @@ class _Engine:
         self.moved = np.zeros(2)
         self.step_index = state.step_index
         self.zero = self.levels <= 0
+        self.steady = False
+        # the shortest delay in steps: a steady stretch runs in blocks of this many steps
+        self.block_steps = int(legs.steps.min()) if legs.steps.size else 1
         self.ones = np.ones((2, n))
 
         self.lam = net.arrival_rate
@@ -367,9 +395,8 @@ class _Engine:
         out[0] += cust_dep
         # pro-rata scale-down of queues that would go negative; a queue can
         # only go negative with a positive outflow, so the division is safe
-        scale = np.divide(
-            idle / h + arrive, out, out=self.ones.copy(), where=idle + h * (arrive - out) < 0
-        )
+        short = idle + h * (arrive - out) < 0
+        scale = np.divide(idle / h + arrive, out, out=self.ones.copy(), where=short)
         cust_f = cust_dep * scale[0]
         # rebalancing trips draw on both queues, return rides on drivers
         np.minimum(scale[0], scale[1], out=scale[0])
@@ -400,9 +427,59 @@ class _Engine:
         self.step_index = k + 1
 
         after = levels <= 0
-        if (after != self.zero).any():
+        changed = (after != self.zero).any()
+        if changed:
             self._log_events(self.zero, after, self.step_index * h)
         self.zero = after
+        # a step that clamped nothing, left every customer queue at 0 and
+        # moved no level across 0 departs alike until some level would
+        self.steady = not changed and after[0].all() and not short.any()
+        self.out, self.out_f, self.by_cell = out, out_f, by_cell
+
+    def repeat(self, count: int) -> tuple:
+        """Advance up to ``count <= block_steps`` steps that repeat a steady step's departures.
+
+        Only valid while ``steady``.  Keeps the longest prefix of steps in
+        which no idle level is clamped or crosses 0, and returns the levels
+        and running sums after each kept step, ``(m, 3, n)`` and ``(m, 2)``;
+        ``steady`` stays set only if all ``count`` steps were kept.
+        """
+        h, n, k, legs, cal = self.h, self.n, self.step_index, self.legs, self.cal
+        # rows k .. k + count - 1 are final: the shortest leg writes count or more rows ahead
+        cal_rows = (k + np.arange(count)) % legs.depth
+        arrive = cal[:, cal_rows].swapaxes(0, 1)
+        net_in = arrive - self.out_f
+        levels = np.empty((count + 1, 3, n))
+        levels[0] = self.levels
+        levels[1:, 0] = 0.0
+        np.multiply(net_in, h, out=levels[1:, 1:])
+        # adds in step order, as the steps do: the same sums bit for bit
+        np.add.accumulate(levels, axis=0, out=levels)
+        idle = levels[:, 1:]
+        # the step's own clamp test, on the nominal outflow: where the taxi
+        # cap binds, the outflow that happens is smaller
+        keep = (idle[:-1] + h * (arrive - self.out) >= 0).all(axis=(1, 2))
+        keep &= ((idle[1:] <= 0) == self.zero[1:]).all(axis=(1, 2))
+        m = count if keep.all() else int(keep.argmin())
+        moved = np.empty((m + 1, 2))
+        moved[0] = self.moved
+        np.negative(net_in[:m].sum(axis=2), out=moved[1:])
+        np.add.accumulate(moved, axis=0, out=moved)
+
+        # clear the kept rows only, then post each kept step's departures in
+        # step order; add.at adds repeated cells one at a time, in that order
+        cal[:, cal_rows[:m]] = 0.0
+        # row * n + delay * n + head wraps at most once: one subtraction, not a modulo
+        cells = cal_rows[:m, None] * n + self.fleet_cell
+        np.subtract(cells, legs.total_slots, out=cells, where=cells >= legs.total_slots)
+        cells[:, legs.group_cell.size :] += legs.total_slots
+        # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to the wrong cells
+        np.add.at(cal.reshape(-1), cells.reshape(-1), np.tile(self.by_cell, m))
+        self.levels[:] = levels[m]
+        self.moved[:] = moved[m]
+        self.step_index = k + m
+        self.steady = m == count
+        return levels[1 : m + 1], moved[1:]
 
     def totals(self) -> np.ndarray:
         """Vehicle and driver totals from the running in-transit sums, O(n)."""
@@ -439,8 +516,8 @@ def simulate(
     sample_every: int = 1,
 ) -> SimTrace:
     """Run steps of ``init.h`` until ``horizon`` (rounded to whole steps), sampling the trajectory."""
-    if horizon <= 0:
-        raise ValidationError(f"horizon must be positive, got {horizon!r}")
+    if not 0 < horizon < np.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
     if sample_every < 1:
         raise ValidationError("sample_every must be >= 1")
     engine = _Engine(net, vehicle_rates, driver_rates, init)
@@ -453,13 +530,22 @@ def simulate(
     levels = np.empty((len(sample_steps), 3, net.n))
     moved = np.empty((len(sample_steps), 2))
     first = engine.full_totals()
-    done = 0
-    for i, k in enumerate(sample_steps):
-        for _ in range(k - done):
+    levels[0], moved[0] = engine.levels, engine.moved
+    # a general step updates these arrays in place: views of them are its rows
+    one_step = engine.levels[None], engine.moved[None]
+    i = done = 0
+    while done < steps:
+        if engine.steady:
+            rows, rows_moved = engine.repeat(min(engine.block_steps, steps - done))
+        else:
             engine.advance()
-        done = k
-        levels[i] = engine.levels
-        moved[i] = engine.moved
+            rows, rows_moved = one_step
+        done += len(rows)
+        # rows[-1] is step done, so step k is row k - done - 1
+        while i + 1 < len(sample_steps) and sample_steps[i + 1] <= done:
+            i += 1
+            levels[i] = rows[sample_steps[i] - done - 1]
+            moved[i] = rows_moved[sample_steps[i] - done - 1]
 
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
     # the ends come from full sums, so a leak in the running sums still
@@ -532,10 +618,14 @@ def stability_probe(
     by ``perturbation`` (relative, sum preserved).  Initial customer
     queues are ``perturbation`` times the idle vehicles.  Scenarios
     without strictly positive slack are rejected before any simulation
-    work, since no equilibrium exists there.
+    work, since no equilibrium exists there, and so is a non-finite
+    slack.
     """
     if solution.status != "optimal" or solution.assignment is None:
         raise ValidationError("stability probe needs an optimal rebalancing solution")
+    for name, slack in (("slack_vehicles", slack_vehicles), ("slack_drivers", slack_drivers)):
+        if not np.isfinite(slack):
+            raise ValidationError(f"{name} must be finite, got {slack!r}")
     if slack_vehicles <= 0:
         raise InsufficientFleetError(
             f"vehicle fleet must exceed the in-transit minimum (slack {slack_vehicles:g} <= 0)"

@@ -155,6 +155,24 @@ def test_simulate_mismatched_assignment(tmp_path, capsys):
     assert "2 stations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [("--horizon", "nan", "horizon"), ("--horizon", "inf", "horizon"),
+     ("--V", "nan", "slack_vehicles"), ("--R", "inf", "slack_drivers")],
+)
+def test_simulate_rejects_non_finite_input(tmp_path, capsys, flag, value, field):
+    net_path, assign_path = solve_first(tmp_path)
+    args = {"--V": "9.6", "--R": "7.2", "--horizon": "20", flag: value}
+    code = main(
+        ["simulate", "--instance", str(net_path), "--assignment", str(assign_path),
+         "--h", "1.0", "--trace-out", str(tmp_path / "t.csv"), *(x for kv in args.items() for x in kv)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err and value in err
+
+
 def test_sweep_with_config_file(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"sizes": [5, 7], "trials_per_size": 2, "base_seed": 3}))
@@ -227,7 +245,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # solver imports it on first use, so commands that never solve skip it.
     # scipy.sparse (~0.4 s with csgraph) is not imported by the package at all.
     src = Path(fleetbalance.__file__).resolve().parents[1]
-    code = "import sys, fleetbalance.cli; print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
+    # nor does the process pool, which only a sweep with workers > 1 starts
+    heavy = ("scipy.optimize", "scipy.sparse", "multiprocessing", "concurrent.futures.process")
+    code = f"import sys, fleetbalance.cli; print(*(m in sys.modules for m in {heavy!r}))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -236,4 +256,4 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         timeout=120,
         check=True,
     )
-    assert done.stdout.strip() == "False False"
+    assert done.stdout.split() == ["False"] * 4

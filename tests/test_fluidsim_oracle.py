@@ -5,13 +5,20 @@ owns ``round(T[i, j] / h)`` slots of departure rates, and step ``k``
 reads, then overwrites, slot ``k % steps`` of every leg.  It costs
 O(sum of slots) per step and memory, but its bookkeeping is direct, so
 it serves as the reference for ``simulate`` and ``step``.
+
+``stepwise_run`` is ``simulate`` without steady blocks: one general step
+at a time.  Blocks repeat a steady step's arithmetic in the same order,
+so ``simulate`` must match it bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from fleetbalance.fluidsim import _Engine, equilibrium_state, initial_state, simulate, step
+from fleetbalance.network import StationNetwork
 from fleetbalance.rebalance import solve_rebalancing
+
+from conftest import build_two_station
 
 RTOL = 1e-12
 
@@ -268,3 +275,143 @@ def test_steady_calendar_rows(make_instance):
     longest = legs.steps == legs.depth
     assert np.all(state.driver_buffer[-1][~np.isin(np.arange(5), head[longest])] == 0)
     assert state.in_transit_drivers() == pytest.approx(h * np.sum(legs.steps * drv), rel=RTOL)
+
+
+def stepwise_run(net, alpha, beta, init, horizon, sample_every=1):
+    """Times, levels, totals and events of ``simulate`` run one general step at a time."""
+    engine = _Engine(net, alpha, beta, init)
+    steps = max(1, int(round(horizon / init.h)))
+    sample = list(range(0, steps + 1, sample_every))
+    if sample[-1] != steps:
+        sample.append(steps)
+    first = engine.full_totals()
+    levels, moved = [], []
+    done = 0
+    for k in sample:
+        for _ in range(k - done):
+            engine.advance()
+        done = k
+        levels.append(engine.levels.copy())
+        moved.append(engine.moved.copy())
+    levels, moved = np.array(levels), np.array(moved)
+    totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * init.h
+    totals[0], totals[-1] = first, engine.full_totals()
+    return init.time + np.array(sample) * init.h, levels, totals, engine.events
+
+
+def assert_same_run(monkeypatch, net, alpha, beta, init, horizon, sample_every=1):
+    """``simulate`` equals ``stepwise_run``; returns its trace and how many general steps it took."""
+    times, levels, totals, events = stepwise_run(net, alpha, beta, init, horizon, sample_every)
+    calls = [0]
+    advance = _Engine.advance
+
+    def counted(self):
+        calls[0] += 1
+        advance(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Engine, "advance", counted)
+        trace = simulate(net, alpha, beta, init, horizon, sample_every)
+    assert np.array_equal(trace.times, times)
+    got = np.stack((trace.customers, trace.vehicles, trace.drivers), axis=1)
+    assert np.array_equal(got, levels)
+    assert np.array_equal(np.stack((trace.vehicles_total, trace.drivers_total), axis=1), totals)
+    assert trace.events == events
+    return trace, calls[0]
+
+
+@pytest.mark.parametrize("divisor,every", [(10, 1), (4, 1), (10, 4)])
+def test_blocks_match_single_steps_after_a_perturbation(make_instance, monkeypatch, divisor, every):
+    net = make_instance(8, 5)
+    h = net.min_offdiag_travel_time() / divisor
+    a, c0, v0, r0 = perturbed_start(net, 5)
+    init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
+    assert _Engine(net, a.vehicle_rates, a.driver_rates, init).block_steps == divisor
+    horizon = 3 * net.max_travel_time()
+    trace, general = assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, horizon, every)
+    # the queues drain early, and blocks run the rest
+    assert np.all(trace.customers[0] > 0) and np.all(trace.customers[-1] == 0)
+    assert general < 0.2 * int(round(horizon / h))
+
+
+def test_steady_run_takes_few_general_steps(make_instance, monkeypatch):
+    net = make_instance(8, 5)
+    h = net.min_offdiag_travel_time() / 10
+    a, _, v0, r0 = perturbed_start(net, 5)
+    init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, np.zeros(8), v0, r0, h)
+    trace, general = assert_same_run(
+        monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 3 * net.max_travel_time()
+    )
+    assert general < 0.2 * (trace.times.size - 1)
+
+
+@pytest.mark.parametrize("fleet", [1.5, 3.0])
+def test_blocks_match_single_steps_from_a_cold_start(make_instance, monkeypatch, fleet):
+    # empty roads and queues: at 1.5 times the minimum fleets the queues
+    # never clear, at 3 times they do and the run settles into blocks
+    net = make_instance(7, 1)
+    a = solve_rebalancing(net).assignment
+    rng = np.random.default_rng(1)
+    c0 = rng.uniform(0, 1, 7)
+    v0 = fleet * a.min_vehicles / 7 * rng.uniform(0.5, 1.5, 7)
+    r0 = fleet * a.min_drivers / 7 * rng.uniform(0.5, 1.5, 7)
+    init = initial_state(net, c0, v0, r0, net.min_offdiag_travel_time() / 10)
+    trace, general = assert_same_run(
+        monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 20 * net.max_travel_time()
+    )
+    assert {"hit_zero", "left_zero"} <= {way for *_, way in trace.events}
+    assert (general < 0.2 * (trace.times.size - 1)) == (fleet == 3.0)
+
+
+def test_blocks_keep_a_closed_gate_at_a_balanced_station(monkeypatch):
+    # station 2 receives as many customers as it sends: no rebalancing
+    # touches it, so it needs no idle drivers and its gate stays shut
+    net = StationNetwork(
+        n=3,
+        arrival_rate=np.array([2.0, 1.0, 1.0]),
+        service_rate=np.array([4.0, 2.0, 2.0]),
+        dest_prob=np.array([[0.0, 0.75, 0.25], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+        travel_time=np.array([[0.0, 4.0, 5.0], [4.0, 0.0, 3.0], [5.0, 3.0, 0.0]]),
+        taxi_fraction=1.0 - np.eye(3),
+    )
+    a = solve_rebalancing(net).assignment
+    assert np.all(a.vehicle_rates[2] == 0) and np.all(a.vehicle_rates[:, 2] == 0)
+    init = equilibrium_state(
+        net, a.vehicle_rates, a.driver_rates, np.zeros(3), np.ones(3), np.array([1.0, 1.0, 0.0]), 0.25
+    )
+    trace, general = assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 40.0)
+    assert np.all(trace.drivers[:, 2] == 0) and np.all(trace.drivers[:, :2] > 0)
+    assert general < 0.2 * (trace.times.size - 1)
+
+
+def test_blocks_end_on_the_nominal_outflow_clamp(two_station_tight, monkeypatch):
+    # return rides 0 -> 1 are asked at 0.3 but capped at f * 0.4 = 0.2, so
+    # drivers leave station 0 at 0.3 (with alpha 0.1), nominally 0.4.  On
+    # empty roads nothing arrives for 10 steps; at step 9, with
+    # 0.3 <= r_0 < 0.4, the step clamps on the nominal outflow although
+    # the capped one fits, and the clamp scales alpha down.  A test on the
+    # capped outflow alone would run that step unclamped.  From step 10 on,
+    # drivers arrive at 0.5 and no step clamps: the clamped departures of
+    # step 9 must not be repeated.
+    net = two_station_tight
+    alpha = np.array([[0.0, 0.1], [0.5, 0.0]])
+    beta = np.array([[0.0, 0.3], [0.0, 0.0]])
+    init = initial_state(net, np.zeros(2), np.full(2, 10.0), np.array([3.05, 10.0]), 1.0)
+    trace, general = assert_same_run(monkeypatch, net, alpha, beta, init, 30.0)
+    r0 = trace.drivers[:, 0]
+    assert np.flatnonzero((r0 >= 0.3) & (r0 < 0.4)).tolist() == [9]
+    # clamped: alpha left at 0.1 * r_0 / 0.4, so r_0 fell by less than 0.3
+    assert r0[9] - r0[10] == pytest.approx(0.1 * r0[9] / 0.4 + 0.2)
+    assert np.all(np.diff(r0[10:]) > 0)
+    assert general < 10
+
+
+def test_blocks_end_when_an_idle_level_leaves_zero(two_station, monkeypatch):
+    # no idle drivers at station 0: its gate is shut until the first
+    # rebalancing trip from station 1 lands, 10 steps in, and opens it
+    alpha = np.array([[0.0, 0.0], [0.3, 0.0]])
+    beta = np.array([[0.0, 0.3], [0.0, 0.0]])
+    init = initial_state(two_station, np.zeros(2), np.full(2, 10.0), np.array([0.0, 10.0]), 1.0)
+    trace, general = assert_same_run(monkeypatch, two_station, alpha, beta, init, 30.0)
+    assert trace.events == [(11.0, "drivers", 0, "left_zero")]
+    assert general < 10
