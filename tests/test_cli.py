@@ -244,10 +244,10 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds ~0.3 s and 16 MB to a fresh process; the flow
     # solver imports it on first use, so commands that never solve skip it.
     # scipy.sparse (~0.4 s with csgraph) is not imported by the package at all.
-    src = Path(fleetbalance.__file__).resolve().parents[1]
-    # nor does the process pool, which only a sweep with workers > 1 starts
+    # Nor is the process pool, which only a sweep with workers > 1 starts.
     heavy = ("scipy.optimize", "scipy.sparse", "multiprocessing", "concurrent.futures.process")
     code = f"import sys, fleetbalance.cli; print(*(m in sys.modules for m in {heavy!r}))"
+    src = Path(fleetbalance.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),
