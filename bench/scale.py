@@ -18,8 +18,8 @@ stations (``generate_instance(n, SEED)``):
 * ``sim_run_step``: the cost per step inside ``fluidsim.simulate``, a run
   of ``SIM_RUN_STEPS`` steps from the same state divided by that count,
   for n <= 100 only.  That state has no queues and ample idle stock, so
-  the run is steady and goes in shortest-delay blocks, as most of a
-  stability probe does;
+  the run is steady and goes in blocks that start at the shortest delay
+  and double, as most of a stability probe does;
 * ``sim_cold_run_step``: the same per-step cost from a cold start: empty
   roads, customers, idle vehicles and idle drivers drawn from U[0, 1),
   U[0, 0.5) and U[0, 0.3) per station (``default_rng(SEED)``, in that
@@ -28,7 +28,8 @@ stations (``generate_instance(n, SEED)``):
 * ``sim_probe``: one ``stability_probe`` of the solved assignment at
   h = min T / 10, slack ``PROBE_SLACK`` on both fleets and perturbation
   ``PROBE_PERTURBATION``, for n <= 100 only; ``sim_probe_steps`` is its
-  step count;
+  step count, ``sim_probe_general_steps`` how many of those ran one at a
+  time and ``sim_probe_blocks`` how many blocks ran the rest;
 
 plus ``fresh_import_cli``, the wall time of a new process that runs
 ``import fleetbalance.cli``, and ``fresh_solve_cli``, a new process that
@@ -63,6 +64,7 @@ import tempfile
 import time
 from importlib import metadata
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -88,6 +90,7 @@ from fleetbalance import (  # noqa: E402
     step,
     vehicle_flow_problem,
 )
+from fleetbalance.fluidsim import _Engine  # noqa: E402
 
 SIZES = (25, 50, 100, 200, 300)
 SIM_MAX_N = 100
@@ -176,7 +179,11 @@ def layers(n: int) -> dict:
             return stability_probe(net, sol, PROBE_SLACK, PROBE_SLACK, PROBE_PERTURBATION, h)
 
         row["sim_probe"] = median_ms(probe)
-        row["sim_probe_steps"] = probe().trace.times.size - 1
+        # the same probe once more, counting its general steps and blocks
+        with mock.patch.object(_Engine, "advance", autospec=True, side_effect=_Engine.advance) as advance, \
+                mock.patch.object(_Engine, "repeat", autospec=True, side_effect=_Engine.repeat) as repeat:
+            row["sim_probe_steps"] = probe().trace.times.size - 1
+        row["sim_probe_general_steps"], row["sim_probe_blocks"] = advance.call_count, repeat.call_count
     return row
 
 

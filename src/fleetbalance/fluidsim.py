@@ -40,30 +40,42 @@ longest to shortest travel time.  In-transit totals are running sums
 (plus what a step withdraws from the idle levels, minus what it
 reads), so reading them is O(1).
 
-Steady stretches run a block at a time.  A step that clamped nothing,
-left every customer queue at 0 and moved no level across 0 is steady:
-the steps after it have the same gates and the same departures until
-some idle level would be clamped or cross 0.  ``simulate`` repeats such
-a step's departures in blocks of up to ``d_min`` steps, ``d_min`` the
-shortest leg delay in steps (at least 4), and chains blocks until one
-stops early; the step after that is a general one again.  Blocks give
-the same floats as single steps, bit for bit:
+Steady stretches run a block at a time.  A step is steady when the
+next one repeats its departures: it clamped nothing, moved no level
+across 0 and served every customer queue it left above 0 at ``mu``, so a
+customer drain is steady too.  The steps after it depart alike until
+some level would be clamped or cross 0, or a queue would drain.
+``simulate`` repeats such a step's departures in blocks: the first as
+long as ``d_min``, the shortest leg delay in steps (at least 4), each
+next one twice as long, up to the length at which a block posts as many
+cells as the calendar has.  Blocks chain until one stops early; the step
+after that is a general one again.  Blocks give the same floats as
+single steps, bit for bit:
 
-* calendar rows ``k .. k + d_min - 1`` are final once step ``k - 1`` has
-  run, because every leg writes at least ``d_min`` rows ahead;
+* a block stages the calendar in a scratch one indexed by step, not by
+  ``k % D``: the ``D`` rows from step ``k`` on, then one zero row per
+  step of the block, as a row cleared by its read starts again from 0.0.
+  ``np.add.at`` posts every step's departures in step order, and a cell
+  gets at most one write per step, so each cell adds its writes in the
+  order the steps make them.  A step's arrivals are its scratch row,
+  which only earlier steps write;
 * one ``np.add.accumulate`` over the block's per-step level changes (and
   one over its in-transit changes) adds them in step order, as the steps
-  do, and ``np.add.at`` posts the repeated departures cell by cell in
-  step order;
+  do; a queue served at ``mu`` changes by ``h * (lambda - mu)`` a step;
 * a block keeps the longest prefix of steps that pass the general step's
-  own clamp test, taken on the nominal outflow, and in which no idle
-  level crosses 0.  Where the taxi cap binds, the outflow that happens
-  is smaller than the nominal one, so a test on it would miss clamps.
+  own clamp test, taken on the nominal outflow, in which no level crosses
+  0 and every queue's drain rate ``lambda + c / h`` stays above ``mu``.
+  Where the taxi cap binds, the outflow that happens is smaller than the
+  nominal one, so a test on it would miss clamps.  A block cut short is
+  staged again with its kept steps only, and its scratch rows go back
+  into the calendar.
 
-A block of ``d_min`` steps costs about 1.2 (n = 14) to 2 (n = 100)
-general steps.  A stability probe is steady for 95-98 % of its steps
-and runs about 5 times faster; a run whose queues never clear takes
-general steps only.  ``step`` is always one general step.
+A stability probe at h = min T / 10 with a T ratio of 120 (n = 14, about
+2 500 steps) takes some 20 general steps and 30 blocks.  Blocks of
+``d_min`` steps that stopped at every queue took about 100 and 240, and
+ran the probe 2.8 times slower.  A queue with no idle vehicle grows and
+keeps its steps general, so a cold start whose queues never clear takes
+mostly general steps.  ``step`` is always one general step.
 
 Idle vehicles and idle drivers follow the same queue-and-transit
 dynamics, so both fleets go through one code path: the engine stacks
@@ -325,8 +337,11 @@ class _Engine:
         self.step_index = state.step_index
         self.zero = self.levels <= 0
         self.steady = False
-        # the shortest delay in steps: a steady stretch runs in blocks of this many steps
-        self.block_steps = int(legs.steps.min()) if legs.steps.size else 1
+        # a steady stretch starts with a block of the shortest delay in steps
+        self.shortest = int(legs.steps.min()) if legs.steps.size else 1
+        self.block_steps = self.shortest
+        # a block's scratch calendar and post cells, made by the first block
+        self.scratch = self.block_cells = None
         self.ones = np.ones((2, n))
 
         self.lam = net.arrival_rate
@@ -354,6 +369,9 @@ class _Engine:
         used[sup_group] = True
         self.fleet_group = np.concatenate((legs.group, groups - 1 + np.cumsum(used)[sup_group]))
         self.fleet_cell = np.concatenate((legs.group_cell, legs.group_cell[used]))
+        # blocks double up to the length at which a block posts as many
+        # cells as the calendar has: its cell and post arrays stay that size
+        self.block_cap = max(self.shortest, self.cal.size // max(self.fleet_cell.size, 1))
         # a step's departures per leg: customer trips plus rebalancing on
         # every vehicle leg, then rebalancing plus return rides on the support
         self.dep = np.empty(legs.tail.size + self.sup.size)
@@ -409,7 +427,8 @@ class _Engine:
 
         # a queue served at its drain rate lands on exactly 0, not on the
         # rounding noise of c + h * (lam - drain)
-        levels[0] = np.where(cust_f >= drain, 0.0, np.maximum(c + h * (self.lam - cust_f), 0.0))
+        queue_in = h * (self.lam - cust_f)
+        levels[0] = np.where(cust_f >= drain, 0.0, np.maximum(c + queue_in, 0.0))
         out_f = self._station_sums(flows)
         out_f[0] += cust_f
         net_in = arrive - out_f
@@ -421,7 +440,9 @@ class _Engine:
         trips[self.sup] = sup_trips + flows[0]
         self.driver_dep[:] = flows[1]
         by_cell = np.bincount(self.fleet_group, weights=self.dep)
-        cells = (k * n + self.fleet_cell) % legs.total_slots
+        # row * n + delay * n + head wraps at most once: one subtraction, not a modulo
+        cells = row * n + self.fleet_cell
+        np.subtract(cells, legs.total_slots, out=cells, where=cells >= legs.total_slots)
         cells[legs.group_cell.size :] += legs.total_slots
         cal.reshape(-1)[cells] += by_cell
         self.step_index = k + 1
@@ -431,27 +452,31 @@ class _Engine:
         if changed:
             self._log_events(self.zero, after, self.step_index * h)
         self.zero = after
-        # a step that clamped nothing, left every customer queue at 0 and
-        # moved no level across 0 departs alike until some level would
-        self.steady = not changed and after[0].all() and not short.any()
-        self.out, self.out_f, self.by_cell = out, out_f, by_cell
+        # a step that clamped nothing, moved no level across 0 and served
+        # every customer queue left above 0 at mu departs alike until some
+        # level would
+        self.steady = not changed and not short.any() and (after[0] | (cust_dep == self.mu)).all()
+        self.block_steps = self.shortest
+        self.out, self.out_f, self.by_cell, self.queue_in = out, out_f, by_cell, queue_in
 
     def repeat(self, count: int) -> tuple:
-        """Advance up to ``count <= block_steps`` steps that repeat a steady step's departures.
+        """Advance up to ``count <= block_cap`` steps that repeat a steady step's departures.
 
         Only valid while ``steady``.  Keeps the longest prefix of steps in
-        which no idle level is clamped or crosses 0, and returns the levels
-        and running sums after each kept step, ``(m, 3, n)`` and ``(m, 2)``;
-        ``steady`` stays set only if all ``count`` steps were kept.
+        which no level is clamped or crosses 0 and no queue drains, and
+        returns the levels and running sums after each kept step,
+        ``(m, 3, n)`` and ``(m, 2)``.  ``steady`` stays set, and the next
+        block is twice as long, only if all ``count`` steps were kept.
         """
-        h, n, k, legs, cal = self.h, self.n, self.step_index, self.legs, self.cal
-        # rows k .. k + count - 1 are final: the shortest leg writes count or more rows ahead
-        cal_rows = (k + np.arange(count)) % legs.depth
-        arrive = cal[:, cal_rows].swapaxes(0, 1)
+        h, n, k, depth, cal = self.h, self.n, self.step_index, self.legs.depth, self.cal
+        self._stage(count)
+        # row t of the scratch calendar is final once the block's steps before t are posted
+        arrive = self.scratch[:, :count].swapaxes(0, 1)
         net_in = arrive - self.out_f
         levels = np.empty((count + 1, 3, n))
         levels[0] = self.levels
-        levels[1:, 0] = 0.0
+        # a queue at 0 stays there, one served at mu changes by h * (lam - mu) a step
+        levels[1:, 0] = np.where(self.zero[0], 0.0, self.queue_in)
         np.multiply(net_in, h, out=levels[1:, 1:])
         # adds in step order, as the steps do: the same sums bit for bit
         np.add.accumulate(levels, axis=0, out=levels)
@@ -459,27 +484,53 @@ class _Engine:
         # the step's own clamp test, on the nominal outflow: where the taxi
         # cap binds, the outflow that happens is smaller
         keep = (idle[:-1] + h * (arrive - self.out) >= 0).all(axis=(1, 2))
-        keep &= ((idle[1:] <= 0) == self.zero[1:]).all(axis=(1, 2))
+        keep &= ((levels[1:] <= 0) == self.zero).all(axis=(1, 2))
+        queued = ~self.zero[0]
+        if queued.any():
+            # a queue whose drain rate is not above mu is served at its drain rate
+            keep &= (self.lam[queued] + levels[:-1, 0, queued] / h > self.mu[queued]).all(axis=1)
         m = count if keep.all() else int(keep.argmin())
         moved = np.empty((m + 1, 2))
         moved[0] = self.moved
         np.negative(net_in[:m].sum(axis=2), out=moved[1:])
         np.add.accumulate(moved, axis=0, out=moved)
 
-        # clear the kept rows only, then post each kept step's departures in
-        # step order; add.at adds repeated cells one at a time, in that order
-        cal[:, cal_rows[:m]] = 0.0
-        # row * n + delay * n + head wraps at most once: one subtraction, not a modulo
-        cells = cal_rows[:m, None] * n + self.fleet_cell
-        np.subtract(cells, legs.total_slots, out=cells, where=cells >= legs.total_slots)
-        cells[:, legs.group_cell.size :] += legs.total_slots
-        # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to the wrong cells
-        np.add.at(cal.reshape(-1), cells.reshape(-1), np.tile(self.by_cell, m))
+        if m < count:
+            self._stage(m)
+        # scratch rows m .. m + D - 1 hold steps k + m .. k + m + D - 1
+        row = (k + m) % depth
+        cal[:, row:] = self.scratch[:, m : m + depth - row]
+        cal[:, :row] = self.scratch[:, m + depth - row : m + depth]
         self.levels[:] = levels[m]
         self.moved[:] = moved[m]
         self.step_index = k + m
         self.steady = m == count
+        self.block_steps = min(2 * count, self.block_cap)
         return levels[1 : m + 1], moved[1:]
+
+    def _stage(self, count: int) -> None:
+        """Copy the calendar into the scratch one, by step, and post ``count`` steps' departures.
+
+        Scratch row ``t`` holds the arrivals of step ``k + t``: the ``D``
+        calendar rows from step ``k`` on, then ``count`` new rows.  A new
+        row starts at 0.0, as a calendar row does once its step has read
+        and cleared it.  Each cell gets at most one write per step.
+        """
+        depth, n = self.legs.depth, self.n
+        if self.scratch is None:
+            rows = depth + self.block_cap
+            self.scratch = np.empty((2, rows, n))
+            self.block_cells = np.arange(self.block_cap)[:, None] * n + self.fleet_cell
+            self.block_cells[:, self.legs.group_cell.size :] += rows * n
+        row = self.step_index % depth
+        self.scratch[:, : depth - row] = self.cal[:, row:]
+        self.scratch[:, depth - row : depth] = self.cal[:, :row]
+        self.scratch[:, depth : depth + count] = 0.0
+        # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to
+        # the wrong cells; add.at adds repeated cells one at a time, in step order
+        posts = np.empty((count, self.by_cell.size))
+        posts[:] = self.by_cell
+        np.add.at(self.scratch.reshape(-1), self.block_cells[:count].reshape(-1), posts.reshape(-1))
 
     def totals(self) -> np.ndarray:
         """Vehicle and driver totals from the running in-transit sums, O(n)."""
@@ -524,16 +575,16 @@ def simulate(
     h = init.h
     steps = max(1, int(round(horizon / h)))
 
-    sample_steps = list(range(0, steps + 1, sample_every))
+    sample_steps = np.arange(0, steps + 1, sample_every)
     if sample_steps[-1] != steps:
-        sample_steps.append(steps)
-    levels = np.empty((len(sample_steps), 3, net.n))
-    moved = np.empty((len(sample_steps), 2))
+        sample_steps = np.append(sample_steps, steps)
+    levels = np.empty((sample_steps.size, 3, net.n))
+    moved = np.empty((sample_steps.size, 2))
     first = engine.full_totals()
     levels[0], moved[0] = engine.levels, engine.moved
     # a general step updates these arrays in place: views of them are its rows
     one_step = engine.levels[None], engine.moved[None]
-    i = done = 0
+    i, done = 1, 0
     while done < steps:
         if engine.steady:
             rows, rows_moved = engine.repeat(min(engine.block_steps, steps - done))
@@ -541,18 +592,22 @@ def simulate(
             engine.advance()
             rows, rows_moved = one_step
         done += len(rows)
-        # rows[-1] is step done, so step k is row k - done - 1
-        while i + 1 < len(sample_steps) and sample_steps[i + 1] <= done:
-            i += 1
-            levels[i] = rows[sample_steps[i] - done - 1]
-            moved[i] = rows_moved[sample_steps[i] - done - 1]
+        # samples i .. j - 1, steps sample_every * i and on, fall in these
+        # rows; rows[-1] is step done, so step k is row k - done - 1
+        j = done // sample_every + 1
+        if j > i:
+            at = slice(sample_every * i - done - 1, None, sample_every)
+            levels[i:j], moved[i:j] = rows[at], rows_moved[at]
+            i = j
+    # the last sample is the last step, also off the sampling grid
+    levels[-1], moved[-1] = engine.levels, engine.moved
 
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
     # the ends come from full sums, so a leak in the running sums still
     # shows as drift
     totals[0], totals[-1] = first, engine.full_totals()
     return SimTrace(
-        times=init.time + np.array(sample_steps) * h,
+        times=init.time + sample_steps * h,
         customers=levels[:, 0],
         vehicles=levels[:, 1],
         drivers=levels[:, 2],

@@ -11,6 +11,8 @@ at a time.  Blocks repeat a steady step's arithmetic in the same order,
 so ``simulate`` must match it bit for bit.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -415,3 +417,106 @@ def test_blocks_end_when_an_idle_level_leaves_zero(two_station, monkeypatch):
     trace, general = assert_same_run(monkeypatch, two_station, alpha, beta, init, 30.0)
     assert trace.events == [(11.0, "drivers", 0, "left_zero")]
     assert general < 10
+
+
+@contextlib.contextmanager
+def recorded_blocks(monkeypatch):
+    """Records every ``repeat`` of the runs inside: (engine, first step, count, steps kept)."""
+    blocks = []
+    repeat = _Engine.repeat
+
+    def recorded(self, count):
+        start = self.step_index
+        rows = repeat(self, count)
+        blocks.append((self, start, count, len(rows[0])))
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Engine, "repeat", recorded)
+        yield blocks
+
+
+def test_blocks_grow_past_the_shortest_delay_across_the_calendar_end(make_instance, monkeypatch):
+    net = make_instance(8, 5)
+    h = net.min_offdiag_travel_time() / 10
+    a, _, v0, r0 = perturbed_start(net, 5)
+    init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, np.zeros(8), v0, r0, h)
+    with recorded_blocks(monkeypatch) as blocks:
+        assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 3 * net.max_travel_time())
+    engine = blocks[0][0]
+    depth, shortest = engine.legs.depth, engine.shortest
+    # blocks start at the shortest delay and double; the kept steps of a
+    # long one run through calendar row D - 1 and on from row 0
+    assert blocks[0][2] == shortest and blocks[1][2] == 2 * shortest
+    assert any(kept > shortest and start // depth != (start + kept - 1) // depth for _, start, _, kept in blocks)
+
+
+def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch):
+    # drivers leave station 0 at 0.4 and come back at 0.1, so a steady run
+    # takes them down from 20 by 0.3 a step until the first clamp, 66
+    # steps in: the third block, 40 steps long, keeps 35.  The dropped
+    # steps' departures would arrive 10 to 40 steps later, inside the
+    # horizon.
+    net = StationNetwork(
+        n=2,
+        arrival_rate=np.array([0.4, 0.1]),
+        service_rate=np.array([0.8, 0.2]),
+        dest_prob=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        travel_time=np.array([[0.0, 10.0], [40.0, 0.0]]),
+        taxi_fraction=np.array([[0.0, 1.0], [1.0, 0.0]]),
+    )
+    alpha = np.array([[0.0, 0.1], [0.1, 0.0]])
+    beta = np.array([[0.0, 0.3], [0.0, 0.0]])
+    init = equilibrium_state(net, alpha, beta, np.zeros(2), np.full(2, 100.0), np.array([20.0, 1.0]), 1.0)
+    with recorded_blocks(monkeypatch) as blocks:
+        trace, _ = assert_same_run(monkeypatch, net, alpha, beta, init, 120.0)
+    assert [(start, count, kept) for _, start, count, kept in blocks[:3]] == [(1, 10, 10), (11, 20, 20), (31, 40, 35)]
+    assert trace.events[0] == (69.0, "drivers", 0, "hit_zero")
+
+
+def test_a_queue_draining_at_mu_runs_in_blocks(two_station, monkeypatch):
+    # station 0's queue of 20 is served at mu = 0.8 while 0.4 arrive: it
+    # drains over 50 steps, which blocks run
+    a = solve_rebalancing(two_station).assignment
+    init = equilibrium_state(
+        two_station, a.vehicle_rates, a.driver_rates, np.array([20.0, 0.0]), np.array([30.0, 5.0]), np.full(2, 5.0), 1.0
+    )
+    trace, general = assert_same_run(monkeypatch, two_station, a.vehicle_rates, a.driver_rates, init, 100.0)
+    assert np.all(trace.customers[:51, 0] > 0) and np.all(trace.customers[51:] == 0)
+    assert trace.events == [(51.0, "customers", 0, "hit_zero")]
+    assert general <= 3
+
+
+def test_a_block_ends_where_the_drain_rate_reaches_mu(monkeypatch):
+    # a queue of 2.5 served at mu = 0.47 while 0.22 arrive: after 9 steps
+    # it holds 0.25, and lam + c / h rounds to mu exactly, so step 9 is
+    # served at its drain rate and lands on 0, although c + h * (lam - mu)
+    # is 2.8e-17.  A block that checked only for crossings would keep it.
+    net = StationNetwork(
+        n=2,
+        arrival_rate=np.array([0.22, 0.1]),
+        service_rate=np.array([0.47, 0.2]),
+        dest_prob=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        travel_time=np.array([[0.0, 10.0], [10.0, 0.0]]),
+        taxi_fraction=np.array([[0.0, 1.0], [1.0, 0.0]]),
+    )
+    rates = np.zeros((2, 2))
+    init = equilibrium_state(net, rates, rates, np.array([2.5, 0.0]), np.full(2, 100.0), np.full(2, 5.0), 1.0)
+    trace, general = assert_same_run(monkeypatch, net, rates, rates, init, 30.0)
+    c = trace.customers[:, 0]
+    assert 0.22 + c[9] == 0.47 and c[9] + (0.22 - 0.47) > 0
+    assert c[10] == 0 and trace.events == [(10.0, "customers", 0, "hit_zero")]
+    assert general <= 3
+
+@pytest.mark.parametrize("n,seed", [(8, 5), (12, 3)])
+def test_blocks_never_exceed_the_calendar_sized_cap(make_instance, monkeypatch, n, seed):
+    net = make_instance(n, seed)
+    h = net.min_offdiag_travel_time() / 10
+    a, c0, v0, r0 = perturbed_start(net, seed)
+    init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
+    with recorded_blocks(monkeypatch) as blocks:
+        assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 3 * net.max_travel_time())
+    engine = blocks[0][0]
+    cap = max(engine.shortest, engine.cal.size // engine.fleet_cell.size)
+    counts = [count for _, _, count, _ in blocks]
+    assert max(counts) == cap > engine.shortest
