@@ -73,7 +73,7 @@ single steps, bit for bit:
 A stability probe at h = min T / 10 with a T ratio of 120 (n = 14, about
 2 500 steps) takes some 20 general steps and 30 blocks.  Blocks of
 ``d_min`` steps that stopped at every queue took about 100 and 240, and
-ran the probe 2.8 times slower.  A queue with no idle vehicle grows and
+ran the probe 2.9 times slower.  A queue with no idle vehicle grows and
 keeps its steps general, so a cold start whose queues never clear takes
 mostly general steps.  ``step`` is always one general step.
 
