@@ -12,19 +12,18 @@ stations (``generate_instance(n, SEED)``):
 * ``infeasible_diagnosis``: ``solve_driver_rebalancing`` on the same
   draw at ``taxi_fraction=0.5``, up to the ``RebalanceInfeasibleError``
   and its witness;
-* ``sim_step``: one ``fluidsim.step`` from the equilibrium state at
-  h = min T / 10, for n <= 100 only.  A ``step`` call also validates the
-  state and the rates and copies the calendars in;
 * ``sim_run_step``: the cost per step inside ``fluidsim.simulate``, a run
-  of ``SIM_RUN_STEPS`` steps from the same state divided by that count,
-  for n <= 100 only.  That state has no queues and ample idle stock, so
-  the run is steady and goes in blocks that start at the shortest delay
-  and double, as most of a stability probe does;
+  of ``SIM_RUN_STEPS`` steps from the equilibrium state at h = min T / 10
+  divided by that count, for n <= 100 only.  That state has no queues
+  and ample idle stock, so the run is steady and goes in blocks that
+  start at the shortest delay and double, as most of a stability probe
+  does;
 * ``sim_cold_run_step``: the same per-step cost from a cold start: empty
   roads, customers, idle vehicles and idle drivers drawn from U[0, 1),
   U[0, 0.5) and U[0, 0.3) per station (``default_rng(SEED)``, in that
   order), for n <= 100 only.  Queues build up, so every step is a
-  general one;
+  general one; ``sim_cold_zero_hits`` is that run's number of zero
+  crossings, ``zero_hits`` summed over its levels;
 * ``sim_probe``: one ``stability_probe`` of the solved assignment at
   h = min T / 10, slack ``PROBE_SLACK`` on both fleets and perturbation
   ``PROBE_PERTURBATION``, for n <= 100 only; ``sim_probe_steps`` is its
@@ -87,7 +86,6 @@ from fleetbalance import (  # noqa: E402
     solve_mcf,
     solve_rebalancing,
     stability_probe,
-    step,
     vehicle_flow_problem,
 )
 from fleetbalance.fluidsim import _Engine  # noqa: E402
@@ -167,13 +165,16 @@ def layers(n: int) -> dict:
         state = equilibrium_state(
             net, a.vehicle_rates, a.driver_rates, np.zeros(n), np.ones(n), np.ones(n), h
         )
-        row["sim_step"] = median_ms(lambda: step(state, net, a.vehicle_rates, a.driver_rates))
         run = median_ms(lambda: simulate(net, a.vehicle_rates, a.driver_rates, state, SIM_RUN_STEPS * h))
         row["sim_run_step"] = round(run / SIM_RUN_STEPS, 4)
         rng = np.random.default_rng(SEED)
         cold = initial_state(net, rng.uniform(0, 1, n), rng.uniform(0, 0.5, n), rng.uniform(0, 0.3, n), h)
-        run = median_ms(lambda: simulate(net, a.vehicle_rates, a.driver_rates, cold, SIM_RUN_STEPS * h))
-        row["sim_cold_run_step"] = round(run / SIM_RUN_STEPS, 4)
+
+        def cold_run():
+            return simulate(net, a.vehicle_rates, a.driver_rates, cold, SIM_RUN_STEPS * h)
+
+        row["sim_cold_run_step"] = round(median_ms(cold_run) / SIM_RUN_STEPS, 4)
+        row["sim_cold_zero_hits"] = int(cold_run().zero_hits.sum())
 
         def probe():
             return stability_probe(net, sol, PROBE_SLACK, PROBE_SLACK, PROBE_PERTURBATION, h)

@@ -24,7 +24,6 @@ from .fluidsim import (
     initial_state,
     simulate,
     stability_probe,
-    step,
     write_trace_csv,
 )
 from .generate import GeneratorConfig, generate_instance

@@ -23,9 +23,10 @@ Integration: explicit Euler with a fixed step ``h``.  A state is built
 (``initial_state``, ``equilibrium_state``) with its ``h`` and the travel
 times rounded to whole steps: what leaves ``i`` for ``j`` at step ``k``
 arrives at ``j`` at step ``k + d``, ``d = round(T[i, j] / h)``, and
-``h <= min positive T / 4``, so every leg is a few steps long.  ``step``
-and ``simulate`` advance by the state's ``h``, on a network with the
-same delays only.  In-transit mass lives in two arrival calendars
+``h <= min positive T / 4``, so every leg is a few steps long.
+``simulate`` advances a state by its ``h``, on a network with the same
+delays only, and returns the state after its last step, from which a
+next run resumes.  In-transit mass lives in two arrival calendars
 (vehicles in motion: customer trips plus rebalancing trips; drivers in
 motion: rebalancing trips plus return rides), each of shape ``(D, n)``
 with ``D`` the longest delay in steps.  Row ``k % D`` holds the rate
@@ -75,7 +76,7 @@ A stability probe at h = min T / 10 with a T ratio of 120 (n = 14, about
 ``d_min`` steps that stopped at every queue took about 100 and 240, and
 ran the probe 2.9 times slower.  A queue with no idle vehicle grows and
 keeps its steps general, so a cold start whose queues never clear takes
-mostly general steps.  ``step`` is always one general step.
+mostly general steps.  The first step of every run is a general one.
 
 Idle vehicles and idle drivers follow the same queue-and-transit
 dynamics, so both fleets go through one code path: the engine stacks
@@ -100,7 +101,7 @@ in the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -116,8 +117,6 @@ from .network import (
     compute_imbalance,
 )
 from .rebalance import RebalanceSolution
-
-ZERO_EVENT_CAP = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +263,15 @@ def equilibrium_state(
 
 @dataclass
 class SimTrace:
-    """Sampled trajectory of a run plus zero-crossing events.
+    """Sampled trajectory of a run, its zero summaries and its final state.
 
-    ``events`` holds ``(time, quantity, station, direction)`` tuples
-    where direction is "hit_zero" or "left_zero"; at most
-    ``ZERO_EVENT_CAP`` are kept (``events_dropped`` counts the rest).
+    The summaries are ``(3, n)``, rows customers, idle vehicles and idle
+    drivers: ``time_at_zero`` is ``h`` times the number of steps that
+    began with the level at or below 0 (its gate shut), ``zero_hits`` the
+    number of steps that took it from above 0 to 0 or below, and
+    ``first_zero`` the time of the first such step, NaN if none.
+    ``final`` is the state after the last step; the run leaves its
+    initial state as it was.
     """
 
     times: np.ndarray
@@ -278,8 +281,10 @@ class SimTrace:
     vehicles_total: np.ndarray
     drivers_total: np.ndarray
     h: float
-    events: list = field(default_factory=list)
-    events_dropped: int = 0
+    time_at_zero: np.ndarray
+    zero_hits: np.ndarray
+    first_zero: np.ndarray
+    final: FluidState
 
     @property
     def n(self) -> int:
@@ -295,8 +300,6 @@ class _Engine:
     ``alpha + beta``, so the engine keeps those legs apart; customer
     trips run on every leg.
     """
-
-    QUANTITIES = ("customers", "vehicles", "drivers")
 
     def __init__(self, net: StationNetwork, vehicle_rates, driver_rates, state: FluidState):
         n = net.n
@@ -336,6 +339,12 @@ class _Engine:
         self.moved = np.zeros(2)
         self.step_index = state.step_index
         self.zero = self.levels <= 0
+        # zero summaries; steps at zero are counted per stretch of one
+        # ``zero`` pattern, which began at step ``zero_from``
+        self.zero_steps = np.zeros((3, n), dtype=np.int64)
+        self.zero_from = self.step_index
+        self.zero_hits = np.zeros((3, n), dtype=np.int64)
+        self.first_zero = np.full((3, n), np.nan)
         self.steady = False
         # a steady stretch starts with a block of the shortest delay in steps
         self.shortest = int(legs.steps.min()) if legs.steps.size else 1
@@ -376,8 +385,6 @@ class _Engine:
         # every vehicle leg, then rebalancing plus return rides on the support
         self.dep = np.empty(legs.tail.size + self.sup.size)
         self.vehicle_dep, self.driver_dep = self.dep[: legs.tail.size], self.dep[legs.tail.size :]
-        self.events: list = []
-        self.events_dropped = 0
 
     def _station_sums(self, sup_flows: np.ndarray) -> np.ndarray:
         """``(2, n)`` sums by tail station of ``(2, |support|)`` leg flows, in leg order."""
@@ -385,13 +392,10 @@ class _Engine:
         # an empty support has no weights, and bincount then counts in int64
         return sums.astype(float, copy=False).reshape(2, self.n)
 
-    def _log_events(self, before: np.ndarray, after: np.ndarray, time: float) -> None:
-        for q, i in zip(*np.nonzero(before != after)):
-            if len(self.events) >= ZERO_EVENT_CAP:
-                self.events_dropped += 1
-                continue
-            direction = "hit_zero" if after[q, i] else "left_zero"
-            self.events.append((time, self.QUANTITIES[q], int(i), direction))
+    def count_zero(self) -> None:
+        """Add the steps since ``zero_from`` to the steps at zero of the levels ``zero`` marks."""
+        self.zero_steps += self.zero * (self.step_index - self.zero_from)
+        self.zero_from = self.step_index
 
     def advance(self) -> None:
         h, n, k, legs = self.h, self.n, self.step_index, self.legs
@@ -450,7 +454,10 @@ class _Engine:
         after = levels <= 0
         changed = (after != self.zero).any()
         if changed:
-            self._log_events(self.zero, after, self.step_index * h)
+            self.count_zero()
+            hit = after > self.zero
+            self.zero_hits += hit
+            self.first_zero[hit & np.isnan(self.first_zero)] = self.step_index * h
         self.zero = after
         # a step that clamped nothing, moved no level across 0 and served
         # every customer queue left above 0 at mu departs alike until some
@@ -541,23 +548,6 @@ class _Engine:
         return self.levels[1:].sum(axis=1) + self.cal.reshape(2, -1).sum(axis=1) * self.h
 
 
-def step(state: FluidState, net: StationNetwork, vehicle_rates, driver_rates) -> FluidState:
-    """Advance one Euler step of ``state.h``; returns a new state, the input is untouched."""
-    engine = _Engine(net, vehicle_rates, driver_rates, state)
-    engine.advance()
-    # the engine ends here, so the new state takes its arrays without copies
-    customers, vehicles, drivers = engine.levels
-    return replace(
-        state,
-        customers=customers,
-        vehicles=vehicles,
-        drivers=drivers,
-        vehicle_buffer=engine.cal[0],
-        driver_buffer=engine.cal[1],
-        step_index=engine.step_index,
-    )
-
-
 def simulate(
     net: StationNetwork,
     vehicle_rates,
@@ -606,16 +596,25 @@ def simulate(
     # the ends come from full sums, so a leak in the running sums still
     # shows as drift
     totals[0], totals[-1] = first, engine.full_totals()
+    engine.count_zero()
+    # the engine ends here, so the final state takes its arrays without copies
+    customers, vehicles, drivers = engine.levels
+    final = replace(
+        init, customers=customers, vehicles=vehicles, drivers=drivers,
+        vehicle_buffer=engine.cal[0], driver_buffer=engine.cal[1], step_index=engine.step_index,
+    )
     return SimTrace(
-        times=init.time + sample_steps * h,
+        times=(init.step_index + sample_steps) * h,
         customers=levels[:, 0],
         vehicles=levels[:, 1],
         drivers=levels[:, 2],
         vehicles_total=totals[:, 0],
         drivers_total=totals[:, 1],
         h=h,
-        events=engine.events,
-        events_dropped=engine.events_dropped,
+        time_at_zero=h * engine.zero_steps,
+        zero_hits=engine.zero_hits,
+        first_zero=engine.first_zero,
+        final=final,
     )
 
 
@@ -706,7 +705,7 @@ def stability_probe(
     r0 *= idle_r / r0.sum()
     c0 = perturbation * v0
 
-    drain_bound = float(np.max(c0 / (net.service_rate - net.arrival_rate))) if n else 0.0
+    drain_bound = float(np.max(c0 / (net.service_rate - net.arrival_rate)))
     max_tt = net.max_travel_time()
     if horizon is None:
         horizon = drain_bound + 2.0 * max_tt + 10.0 * h

@@ -181,7 +181,7 @@ class StationNetwork:
         return float(pos.min()) if pos.size else 0.0
 
     def max_travel_time(self) -> float:
-        return float(self.travel_time.max()) if self.n else 0.0
+        return float(self.travel_time.max())
 
     def taxi_capacity(self) -> np.ndarray:
         """Per-leg cap on driver-return rates: ``f[i,j] * lambda[i] * p[i,j]``."""

@@ -11,7 +11,6 @@ from fleetbalance.fluidsim import (
     initial_state,
     simulate,
     stability_probe,
-    step,
     write_trace_csv,
 )
 from fleetbalance.network import StationNetwork
@@ -28,8 +27,7 @@ def test_equilibrium_is_fixed_point(two_station):
         two_station, ALPHA, BETA, customers=[0.0, 0.0], vehicles=[1.0, 1.0],
         drivers=[0.5, 0.5], h=h,
     )
-    for _ in range(6):
-        state = step(state, two_station, ALPHA, BETA)
+    state = simulate(two_station, ALPHA, BETA, state, 6 * h).final
     assert state.customers == pytest.approx(np.zeros(2), abs=1e-12)
     assert state.vehicles == pytest.approx(np.array([1.0, 1.0]), abs=1e-12)
     assert state.drivers == pytest.approx(np.array([0.5, 0.5]), abs=1e-12)
@@ -48,13 +46,17 @@ def test_equilibrium_state_buffer_mass(two_station):
     assert state.total_drivers() == pytest.approx(7.0)
 
 
-def test_step_returns_new_state(two_station):
+def test_simulate_returns_a_new_final_state(two_station):
     state = initial_state(two_station, [0.2, 0.0], [1.0, 1.0], [0.5, 0.5], h=2.0)
-    before = state.customers.copy()
-    out = step(state, two_station, ALPHA, BETA)
+    arrays = ("customers", "vehicles", "drivers", "vehicle_buffer", "driver_buffer")
+    before = [getattr(state, name).copy() for name in arrays]
+    out = simulate(two_station, ALPHA, BETA, state, 3 * state.h).final
     assert out is not state
-    assert np.array_equal(state.customers, before)
-    assert state.step_index == 0 and out.step_index == 1
+    for name, was in zip(arrays, before):
+        assert np.array_equal(getattr(state, name), was), name
+    # the calendars filled up in the run, on arrays of its own
+    assert out.vehicle_buffer.sum() > 0 and out.driver_buffer.sum() > 0
+    assert state.step_index == 0 and out.step_index == 3
 
 
 def test_customer_drain_tracks_analytic_time(two_station):
@@ -79,8 +81,7 @@ def test_customer_drain_tracks_analytic_time(two_station):
 def test_no_vehicles_means_no_departures(two_station):
     h = 2.0
     state = initial_state(two_station, [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], h=h)
-    for k in range(4):
-        state = step(state, two_station, ALPHA, BETA)
+    state = simulate(two_station, ALPHA, BETA, state, 4 * h).final
     # customers pile up at rate lambda; nothing ever leaves
     assert state.customers == pytest.approx(4 * h * two_station.arrival_rate)
     assert np.all(state.vehicle_buffer == 0.0)
@@ -91,7 +92,7 @@ def test_no_vehicles_means_no_departures(two_station):
 def test_no_drivers_blocks_rebalancing_but_not_customers(two_station):
     h = 2.0
     state = initial_state(two_station, [0.0, 0.0], [5.0, 5.0], [0.0, 0.0], h=h)
-    state = step(state, two_station, ALPHA, BETA)
+    state = simulate(two_station, ALPHA, BETA, state, h).final
     # customer trips depart at lambda, rebalancing and returns are gated off
     assert np.all(state.driver_buffer == 0.0)
     assert state.drivers == pytest.approx(np.zeros(2))
@@ -102,7 +103,7 @@ def test_returns_capped_by_actual_customer_flow(two_station):
     # nominal beta 0.45 exceeds the taxi capacity 0.4 of the realized flow
     beta = np.array([[0.0, 0.45], [0.0, 0.0]])
     state = initial_state(two_station, [0.0, 0.0], [1.0, 1.0], [2.0, 2.0], h=2.5)
-    state = step(state, two_station, np.zeros((2, 2)), beta)
+    state = simulate(two_station, np.zeros((2, 2)), beta, state, state.h).final
     assert state.driver_buffer.sum() == pytest.approx(0.4)
 
 
@@ -112,7 +113,7 @@ def test_clamp_keeps_levels_nonnegative_and_mass_conserved(two_station):
     v_total = state.total_vehicles()
     r_total = state.total_drivers()
     for _ in range(12):
-        state = step(state, two_station, ALPHA, BETA)
+        state = simulate(two_station, ALPHA, BETA, state, h).final
         assert np.all(state.customers >= 0)
         assert np.all(state.vehicles >= 0)
         assert np.all(state.drivers >= 0)
@@ -164,8 +165,7 @@ def test_drivers_frozen_without_assignment(two_station):
     h = 1.0
     state = initial_state(two_station, [0.3, 0.0], [2.0, 2.0], [0.7, 0.2], h=h)
     zero = np.zeros((2, 2))
-    for _ in range(10):
-        state = step(state, two_station, zero, zero)
+    state = simulate(two_station, zero, zero, state, 10 * h).final
     assert state.drivers == pytest.approx(np.array([0.7, 0.2]), abs=0)
     assert np.all(state.driver_buffer == 0.0)
 
@@ -177,12 +177,11 @@ def test_zero_crossing_events(two_station):
         customers=[0.5, 0.0], vehicles=[2.0, 2.0], drivers=[0.0, 0.0], h=h,
     )
     trace = simulate(two_station, np.zeros((2, 2)), np.zeros((2, 2)), init, 3.0)
-    kinds = {(name, station, direction) for _, name, station, direction in trace.events}
-    assert ("customers", 0, "hit_zero") in kinds
-    assert not any(name == "vehicles" for _, name, _, _ in trace.events)
-    assert trace.events_dropped == 0
-    times = [t for t, name, station, _ in trace.events if (name, station) == ("customers", 0)]
-    assert times and abs(times[0] - 1.5) <= h + 1e-9
+    assert trace.time_at_zero.shape == trace.zero_hits.shape == trace.first_zero.shape == (3, 2)
+    assert trace.zero_hits[0, 0] == 1
+    assert np.all(trace.zero_hits[1] == 0) and np.all(trace.time_at_zero[1] == 0)
+    assert np.all(np.isnan(trace.first_zero[1]))
+    assert abs(trace.first_zero[0, 0] - 1.5) <= h + 1e-9
 
 
 def test_drained_queue_lands_on_exact_zero(two_station):
@@ -195,7 +194,10 @@ def test_drained_queue_lands_on_exact_zero(two_station):
     )
     trace = simulate(two_station, np.zeros((2, 2)), np.zeros((2, 2)), init, 3.0)
     assert np.all(trace.customers[1:] == 0.0)
-    assert [e for e in trace.events if e[1] == "customers"] == [(1.0, "customers", 0, "hit_zero")]
+    # station 0 hits 0 in step 1 and stays there, station 1 never leaves it
+    assert trace.zero_hits[0].tolist() == [1, 0]
+    assert trace.first_zero[0, 0] == 1.0 and np.isnan(trace.first_zero[0, 1])
+    assert trace.time_at_zero[0].tolist() == [2.0, 3.0]
 
 
 def test_queued_customers_need_destinations():
@@ -209,7 +211,7 @@ def test_queued_customers_need_destinations():
     )
     state = initial_state(net, [0.0, 0.5], [1.0, 1.0], [0.0, 0.0], h=2.0)
     with pytest.raises(InvalidStateError, match="p row 1"):
-        step(state, net, np.zeros((2, 2)), np.zeros((2, 2)))
+        simulate(net, np.zeros((2, 2)), np.zeros((2, 2)), state, 2.0)
 
 
 def test_state_runs_only_on_the_travel_times_it_was_built_for(make_instance):
@@ -224,8 +226,6 @@ def test_state_runs_only_on_the_travel_times_it_was_built_for(make_instance):
     for wrong in (other, replace(net, travel_time=net.travel_time * 0.2)):
         with pytest.raises(InvalidStateError, match="travel times"):
             simulate(wrong, a.vehicle_rates, a.driver_rates, state, 5 * h)
-        with pytest.raises(InvalidStateError, match="travel times"):
-            step(state, wrong, a.vehicle_rates, a.driver_rates)
     # the taxi-fraction sweep re-solves networks made with replace: p,
     # lambda and f may differ from the state's network
     for same_roads in (
@@ -289,13 +289,12 @@ def test_state_vectors_must_be_numeric(two_station, bad, which, builder):
     ],
 )
 @pytest.mark.parametrize("which", ["alpha", "beta"])
-@pytest.mark.parametrize("entry", ["equilibrium_state", "step", "simulate"])
+@pytest.mark.parametrize("entry", ["equilibrium_state", "simulate"])
 def test_bad_rate_matrices_rejected(two_station, bad, message, which, entry):
     rates = {"alpha": ALPHA, "beta": BETA, which: bad}
     state = initial_state(two_station, [0, 0], [1, 1], [1, 1], h=2.0)
     run = {
         "equilibrium_state": lambda a, b: equilibrium_state(two_station, a, b, [0, 0], [1, 1], [1, 1], 2.0),
-        "step": lambda a, b: step(state, two_station, a, b),
         "simulate": lambda a, b: simulate(two_station, a, b, state, 10.0),
     }[entry]
     with pytest.raises(ValidationError, match=which + message):

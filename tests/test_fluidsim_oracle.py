@@ -4,11 +4,11 @@
 owns ``round(T[i, j] / h)`` slots of departure rates, and step ``k``
 reads, then overwrites, slot ``k % steps`` of every leg.  It costs
 O(sum of slots) per step and memory, but its bookkeeping is direct, so
-it serves as the reference for ``simulate`` and ``step``.
+it serves as the reference for ``simulate``.
 
 ``stepwise_run`` is ``simulate`` without steady blocks: one general step
 at a time.  Blocks repeat a steady step's arithmetic in the same order,
-so ``simulate`` must match it bit for bit.
+so ``simulate`` must match it bit for bit, zero summaries included.
 """
 
 import contextlib
@@ -16,7 +16,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from fleetbalance.fluidsim import _Engine, equilibrium_state, initial_state, simulate, step
+from fleetbalance.fluidsim import _Engine, equilibrium_state, initial_state, simulate
 from fleetbalance.network import StationNetwork
 from fleetbalance.rebalance import solve_rebalancing
 
@@ -129,6 +129,16 @@ def perturbed_start(net, seed):
     return a, 0.1 * v0, v0, r0
 
 
+def state_levels(state):
+    """A state's customers, idle vehicles and idle drivers as one ``(3, n)`` array."""
+    return np.array((state.customers, state.vehicles, state.drivers))
+
+
+def trace_levels(trace):
+    """A trace's sampled levels as one ``(samples, 3, n)`` array."""
+    return np.stack((trace.customers, trace.vehicles, trace.drivers), axis=1)
+
+
 @pytest.mark.parametrize("n,seed", [(4, 7), (6, 13), (9, 21)])
 def test_simulate_matches_ring_on_generated_instances(make_instance, n, seed):
     net = make_instance(n, seed)
@@ -163,7 +173,7 @@ def test_repeated_steps_match_ring_far_from_equilibrium(make_instance):
     state = initial_state(net, c0, v0, r0, h)
     scale = float(np.sum(ring.totals()) + c0.sum())
     for k in range(int(round(4 * net.max_travel_time() / h))):
-        state = step(state, net, a.vehicle_rates, a.driver_rates)
+        state = simulate(net, a.vehicle_rates, a.driver_rates, state, h).final
         ring.advance()
         label = f"step {k + 1}"
         assert_close(state.customers, ring.c, scale, label)
@@ -214,8 +224,7 @@ def test_resumed_snapshot_matches_ring(make_instance):
     state = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
     # stop mid-delay so the calendar rows are out of phase with step 0
     first = int(ring.steps.max()) // 2 + 3
-    for _ in range(first):
-        state = step(state, net, a.vehicle_rates, a.driver_rates)
+    state = simulate(net, a.vehicle_rates, a.driver_rates, state, first * h).final
     assert state.step_index == first
     more = int(round(2 * net.max_travel_time() / h))
     trace = simulate(net, a.vehicle_rates, a.driver_rates, state, more * h)
@@ -223,6 +232,38 @@ def test_resumed_snapshot_matches_ring(make_instance):
 
     cols = ring_run(ring, first + more)
     assert_trace_matches(trace, [col[first:] for col in cols], float(np.sum(ring.totals())))
+
+
+@pytest.mark.parametrize("start", ["perturbed equilibrium", "cold"])
+def test_a_run_resumed_from_its_final_state_matches_one_run(make_instance, start):
+    net = make_instance(7, 1)
+    h = net.min_offdiag_travel_time() / 10
+    a, c0, v0, r0 = perturbed_start(net, 1)
+    if start == "cold":
+        # empty roads, long queues and three times the idle stock: idle
+        # levels keep crossing 0, so the run takes mostly general steps
+        init = initial_state(net, 10 * c0, 3 * v0, 3 * r0, h)
+    else:
+        init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
+    steps = int(round(4 * net.max_travel_time() / h))
+    whole = simulate(net, a.vehicle_rates, a.driver_rates, init, steps * h)
+    # split mid-delay, so the calendar rows are out of phase with step 0;
+    # from the equilibrium, the split falls inside one of whole's blocks
+    first = init.legs.depth // 2 + 3
+    head = simulate(net, a.vehicle_rates, a.driver_rates, init, first * h)
+    tail = simulate(net, a.vehicle_rates, a.driver_rates, head.final, (steps - first) * h)
+    assert head.final.step_index == first and tail.final.step_index == whole.final.step_index == steps
+    assert np.array_equal(np.concatenate((head.times, tail.times[1:])), whole.times)
+    assert np.array_equal(np.concatenate((trace_levels(head), trace_levels(tail)[1:])), trace_levels(whole))
+    assert np.array_equal(state_levels(tail.final), state_levels(whole.final))
+    assert np.array_equal(tail.final.vehicle_buffer, whole.final.vehicle_buffer)
+    assert np.array_equal(tail.final.driver_buffer, whole.final.driver_buffer)
+    assert np.array_equal(head.zero_hits + tail.zero_hits, whole.zero_hits)
+    assert np.array_equal(np.fmin(head.first_zero, tail.first_zero), whole.first_zero, equal_nan=True)
+    np.testing.assert_allclose(head.time_at_zero + tail.time_at_zero, whole.time_at_zero, rtol=RTOL)
+    # queues drain in both runs; idle levels hit 0 on the cold start only
+    assert np.all(whole.zero_hits[0] > 0)
+    assert np.any(whole.zero_hits[1:] > 0) == (start == "cold")
 
 
 def test_running_totals_equal_full_sums_under_clamping(make_instance):
@@ -237,8 +278,7 @@ def test_running_totals_equal_full_sums_under_clamping(make_instance):
         engine.advance()
         assert engine.totals() == pytest.approx(engine.full_totals(), rel=RTOL)
     # idle stock only reaches exactly zero through a clamp
-    clamped = {name for _, name, _, way in engine.events if way == "hit_zero"}
-    assert {"vehicles", "drivers"} <= clamped
+    assert np.all(engine.zero_hits[1:].any(axis=1))
 
 
 def test_calendar_cells_are_the_reported_slots(make_instance):
@@ -280,7 +320,10 @@ def test_steady_calendar_rows(make_instance):
 
 
 def stepwise_run(net, alpha, beta, init, horizon, sample_every=1):
-    """Times, levels, totals and events of ``simulate`` run one general step at a time."""
+    """Times, levels, totals and zero summaries of ``simulate`` run one general step at a time.
+
+    The summaries are counted here, from the levels after each step.
+    """
     engine = _Engine(net, alpha, beta, init)
     steps = max(1, int(round(horizon / init.h)))
     sample = list(range(0, steps + 1, sample_every))
@@ -288,22 +331,31 @@ def stepwise_run(net, alpha, beta, init, horizon, sample_every=1):
         sample.append(steps)
     first = engine.full_totals()
     levels, moved = [], []
+    zero = engine.levels <= 0
+    at_zero, hits = np.zeros((2, 3, net.n), dtype=np.int64)
+    first_zero = np.full((3, net.n), np.nan)
     done = 0
     for k in sample:
         for _ in range(k - done):
+            at_zero += zero
             engine.advance()
+            after = engine.levels <= 0
+            hit = after & ~zero
+            hits += hit
+            first_zero[hit & np.isnan(first_zero)] = engine.step_index * init.h
+            zero = after
         done = k
         levels.append(engine.levels.copy())
         moved.append(engine.moved.copy())
     levels, moved = np.array(levels), np.array(moved)
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * init.h
     totals[0], totals[-1] = first, engine.full_totals()
-    return init.time + np.array(sample) * init.h, levels, totals, engine.events
+    return (init.step_index + np.array(sample)) * init.h, levels, totals, (init.h * at_zero, hits, first_zero)
 
 
 def assert_same_run(monkeypatch, net, alpha, beta, init, horizon, sample_every=1):
     """``simulate`` equals ``stepwise_run``; returns its trace and how many general steps it took."""
-    times, levels, totals, events = stepwise_run(net, alpha, beta, init, horizon, sample_every)
+    times, levels, totals, summaries = stepwise_run(net, alpha, beta, init, horizon, sample_every)
     calls = [0]
     advance = _Engine.advance
 
@@ -315,10 +367,10 @@ def assert_same_run(monkeypatch, net, alpha, beta, init, horizon, sample_every=1
         patch.setattr(_Engine, "advance", counted)
         trace = simulate(net, alpha, beta, init, horizon, sample_every)
     assert np.array_equal(trace.times, times)
-    got = np.stack((trace.customers, trace.vehicles, trace.drivers), axis=1)
-    assert np.array_equal(got, levels)
+    assert np.array_equal(trace_levels(trace), levels)
     assert np.array_equal(np.stack((trace.vehicles_total, trace.drivers_total), axis=1), totals)
-    assert trace.events == events
+    for got, want in zip((trace.time_at_zero, trace.zero_hits, trace.first_zero), summaries):
+        assert np.array_equal(got, want, equal_nan=True)
     return trace, calls[0]
 
 
@@ -361,7 +413,10 @@ def test_blocks_match_single_steps_from_a_cold_start(make_instance, monkeypatch,
     trace, general = assert_same_run(
         monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 20 * net.max_travel_time()
     )
-    assert {"hit_zero", "left_zero"} <= {way for *_, way in trace.events}
+    # levels hit 0, and levels leave it: a level leaves 0 as often as it
+    # hits it, plus once if it starts at 0, minus once if it ends there
+    left = trace.zero_hits + (state_levels(init) <= 0) - (state_levels(trace.final) <= 0)
+    assert np.any(trace.zero_hits > 0) and np.any(left > 0)
     assert (general < 0.2 * (trace.times.size - 1)) == (fleet == 3.0)
 
 
@@ -415,7 +470,9 @@ def test_blocks_end_when_an_idle_level_leaves_zero(two_station, monkeypatch):
     beta = np.array([[0.0, 0.3], [0.0, 0.0]])
     init = initial_state(two_station, np.zeros(2), np.full(2, 10.0), np.array([0.0, 10.0]), 1.0)
     trace, general = assert_same_run(monkeypatch, two_station, alpha, beta, init, 30.0)
-    assert trace.events == [(11.0, "drivers", 0, "left_zero")]
+    # steps 0 to 10 began with r_0 at 0, and no level hit 0
+    assert trace.zero_hits.sum() == 0 and np.all(np.isnan(trace.first_zero))
+    assert np.array_equal(trace.time_at_zero, [[30.0, 30.0], [0.0, 0.0], [11.0, 0.0]])
     assert general < 10
 
 
@@ -471,7 +528,7 @@ def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch):
     with recorded_blocks(monkeypatch) as blocks:
         trace, _ = assert_same_run(monkeypatch, net, alpha, beta, init, 120.0)
     assert [(start, count, kept) for _, start, count, kept in blocks[:3]] == [(1, 10, 10), (11, 20, 20), (31, 40, 35)]
-    assert trace.events[0] == (69.0, "drivers", 0, "hit_zero")
+    assert np.nanmin(trace.first_zero) == trace.first_zero[2, 0] == 69.0
 
 
 def test_a_queue_draining_at_mu_runs_in_blocks(two_station, monkeypatch):
@@ -483,7 +540,8 @@ def test_a_queue_draining_at_mu_runs_in_blocks(two_station, monkeypatch):
     )
     trace, general = assert_same_run(monkeypatch, two_station, a.vehicle_rates, a.driver_rates, init, 100.0)
     assert np.all(trace.customers[:51, 0] > 0) and np.all(trace.customers[51:] == 0)
-    assert trace.events == [(51.0, "customers", 0, "hit_zero")]
+    assert trace.zero_hits.sum() == trace.zero_hits[0, 0] == 1 and trace.first_zero[0, 0] == 51.0
+    assert np.array_equal(trace.time_at_zero, [[49.0, 100.0], [0.0, 0.0], [0.0, 0.0]])
     assert general <= 3
 
 
@@ -505,7 +563,9 @@ def test_a_block_ends_where_the_drain_rate_reaches_mu(monkeypatch):
     trace, general = assert_same_run(monkeypatch, net, rates, rates, init, 30.0)
     c = trace.customers[:, 0]
     assert 0.22 + c[9] == 0.47 and c[9] + (0.22 - 0.47) > 0
-    assert c[10] == 0 and trace.events == [(10.0, "customers", 0, "hit_zero")]
+    assert c[10] == 0 and trace.first_zero[0, 0] == 10.0
+    assert trace.zero_hits.sum() == trace.zero_hits[0, 0] == 1
+    assert np.array_equal(trace.time_at_zero, [[20.0, 30.0], [0.0, 0.0], [0.0, 0.0]])
     assert general <= 3
 
 @pytest.mark.parametrize("n,seed", [(8, 5), (12, 3)])
