@@ -44,8 +44,11 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.sizes or any(s < 2 for s in self.sizes):
-            raise ValidationError(f"sizes must be >= 2, got {self.sizes!r}")
+        for name in ("trials_per_size", "base_seed", "workers"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not self.sizes or any(not isinstance(s, (int, np.integer)) or s < 2 for s in self.sizes):
+            raise ValidationError(f"sizes must be integers >= 2, got {self.sizes!r}")
         if self.trials_per_size < 1:
             raise ValidationError("trials_per_size must be >= 1")
         if not self.f_values or any(f < 0 for f in self.f_values):

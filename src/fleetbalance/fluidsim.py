@@ -25,21 +25,21 @@ times rounded to whole steps: what leaves ``i`` for ``j`` at step ``k``
 arrives at ``j`` at step ``k + d``, ``d = round(T[i, j] / h)``, and
 ``h <= min positive T / 4``, so every leg is a few steps long.
 ``simulate`` advances a state by its ``h``, on a network with the same
-delays only, and returns the state after its last step, from which a
-next run resumes.  In-transit mass lives in two arrival calendars
-(vehicles in motion: customer trips plus rebalancing trips; drivers in
-motion: rebalancing trips plus return rides), each of shape ``(D, n)``
-with ``D`` the longest delay in steps.  Row ``k % D`` holds the rate
-arriving at each station at step ``k``: a step reads and clears that
-row, then adds each leg's departure rate into row ``(k + d) % D`` of its
-head station.  Legs that share a delay and a head are summed first.
-Customer trips run on all n(n-1) legs, but rebalancing trips and
-return rides only on the support of ``alpha + beta`` (n - 1 to ~20 % of
-the legs for solved assignments), so a step costs O(n^2) for customer
-legs plus O(|support|) for rebalancing legs, whatever the ratio of
-longest to shortest travel time.  In-transit totals are running sums
-(plus what a step withdraws from the idle levels, minus what it
-reads), so reading them is O(1).
+delays only, records the levels after every step and returns the state
+after its last one, from which a next run resumes.  In-transit mass
+lives in two arrival calendars (vehicles in motion: customer trips plus
+rebalancing trips; drivers in motion: rebalancing trips plus return
+rides), each of shape ``(D, n)`` with ``D`` the longest delay in steps.
+Row ``k % D`` holds the rate arriving at each station at step ``k``: a
+step reads and clears that row, then adds each leg's departure rate into
+row ``(k + d) % D`` of its head station.  Legs that share a delay and a
+head are summed first.  Customer trips run on all n(n-1) legs, but
+rebalancing trips and return rides only on the support of
+``alpha + beta`` (n - 1 to ~20 % of the legs for solved assignments), so
+a step costs O(n^2) for customer legs plus O(|support|) for rebalancing
+legs, whatever the ratio of longest to shortest travel time.  In-transit
+totals are running sums (plus what a step withdraws from the idle
+levels, minus what it reads), so reading them is O(1).
 
 Steady stretches run a block at a time.  A step is steady when the
 next one repeats its departures: it clamped nothing, moved no level
@@ -72,11 +72,10 @@ single steps, bit for bit:
   into the calendar.
 
 A stability probe at h = min T / 10 with a T ratio of 120 (n = 14, about
-2 500 steps) takes some 20 general steps and 30 blocks.  Blocks of
-``d_min`` steps that stopped at every queue took about 100 and 240, and
-ran the probe 2.9 times slower.  A queue with no idle vehicle grows and
-keeps its steps general, so a cold start whose queues never clear takes
-mostly general steps.  The first step of every run is a general one.
+2 500 steps) takes some 20 general steps and 30 blocks.  A queue with
+no idle vehicle grows and keeps its steps general, so a cold start whose
+queues never clear takes mostly general steps.  The first step of every
+run is a general one.
 
 Idle vehicles and idle drivers follow the same queue-and-transit
 dynamics, so both fleets go through one code path: the engine stacks
@@ -94,9 +93,9 @@ equal queue withdrawals and every write is read back exactly once, one
 delay later, total vehicle and driver mass is conserved to float
 rounding; there is no scheme-level drift term.  The running in-transit
 sums follow the withdrawals, not the calendar writes, and ``simulate``
-takes the first and last samples of its totals from full calendar sums,
-so a write that differs from its withdrawal would still show as drift
-in the trace.
+takes the first and last of its totals from the full sums of its initial
+and final states, so a write that differs from its withdrawal would
+still show as drift in the trace.
 """
 
 from __future__ import annotations
@@ -263,10 +262,12 @@ def equilibrium_state(
 
 @dataclass
 class SimTrace:
-    """Sampled trajectory of a run, its zero summaries and its final state.
+    """Trajectory of a run, its zero summaries and its final state.
 
-    The summaries are ``(3, n)``, rows customers, idle vehicles and idle
-    drivers: ``time_at_zero`` is ``h`` times the number of steps that
+    ``times``, the levels and the totals have one row per step, from the
+    initial state (row 0) to the final one.  The summaries are
+    ``(3, n)``, rows customers, idle vehicles and idle drivers:
+    ``time_at_zero`` is ``h`` times the number of steps that
     began with the level at or below 0 (its gate shut), ``zero_hits`` the
     number of steps that took it from above 0 to 0 or below, and
     ``first_zero`` the time of the first such step, NaN if none.
@@ -466,22 +467,24 @@ class _Engine:
         self.block_steps = self.shortest
         self.out, self.out_f, self.by_cell, self.queue_in = out, out_f, by_cell, queue_in
 
-    def repeat(self, count: int) -> tuple:
+    def repeat(self, levels: np.ndarray, moved: np.ndarray) -> int:
         """Advance up to ``count <= block_cap`` steps that repeat a steady step's departures.
 
-        Only valid while ``steady``.  Keeps the longest prefix of steps in
-        which no level is clamped or crosses 0 and no queue drains, and
-        returns the levels and running sums after each kept step,
-        ``(m, 3, n)`` and ``(m, 2)``.  ``steady`` stays set, and the next
-        block is twice as long, only if all ``count`` steps were kept.
+        Only valid while ``steady``.  ``levels`` and ``moved`` are
+        ``(count + 1, 3, n)`` and ``(count + 1, 2)`` trace rows; row 0
+        holds the engine's levels and running sums, and row ``t`` gets
+        them after step ``t``, in place.  Keeps the longest prefix of
+        steps in which no level is clamped or crosses 0 and no queue
+        drains, and returns its length ``m``: rows past ``m`` hold steps
+        that were dropped.  ``steady`` stays set, and the next block is
+        twice as long, only if all ``count`` steps were kept.
         """
-        h, n, k, depth, cal = self.h, self.n, self.step_index, self.legs.depth, self.cal
+        h, k, depth, cal = self.h, self.step_index, self.legs.depth, self.cal
+        count = len(levels) - 1
         self._stage(count)
         # row t of the scratch calendar is final once the block's steps before t are posted
         arrive = self.scratch[:, :count].swapaxes(0, 1)
         net_in = arrive - self.out_f
-        levels = np.empty((count + 1, 3, n))
-        levels[0] = self.levels
         # a queue at 0 stays there, one served at mu changes by h * (lam - mu) a step
         levels[1:, 0] = np.where(self.zero[0], 0.0, self.queue_in)
         np.multiply(net_in, h, out=levels[1:, 1:])
@@ -497,8 +500,7 @@ class _Engine:
             # a queue whose drain rate is not above mu is served at its drain rate
             keep &= (self.lam[queued] + levels[:-1, 0, queued] / h > self.mu[queued]).all(axis=1)
         m = count if keep.all() else int(keep.argmin())
-        moved = np.empty((m + 1, 2))
-        moved[0] = self.moved
+        moved = moved[: m + 1]
         np.negative(net_in[:m].sum(axis=2), out=moved[1:])
         np.add.accumulate(moved, axis=0, out=moved)
 
@@ -513,7 +515,7 @@ class _Engine:
         self.step_index = k + m
         self.steady = m == count
         self.block_steps = min(2 * count, self.block_cap)
-        return levels[1 : m + 1], moved[1:]
+        return m
 
     def _stage(self, count: int) -> None:
         """Copy the calendar into the scratch one, by step, and post ``count`` steps' departures.
@@ -539,14 +541,6 @@ class _Engine:
         posts[:] = self.by_cell
         np.add.at(self.scratch.reshape(-1), self.block_cells[:count].reshape(-1), posts.reshape(-1))
 
-    def totals(self) -> np.ndarray:
-        """Vehicle and driver totals from the running in-transit sums, O(n)."""
-        return self.levels[1:].sum(axis=1) + (self.transit + self.moved) * self.h
-
-    def full_totals(self) -> np.ndarray:
-        """Vehicle and driver totals from full calendar sums, O(D n)."""
-        return self.levels[1:].sum(axis=1) + self.cal.reshape(2, -1).sum(axis=1) * self.h
-
 
 def simulate(
     net: StationNetwork,
@@ -554,48 +548,26 @@ def simulate(
     driver_rates,
     init: FluidState,
     horizon: float,
-    sample_every: int = 1,
 ) -> SimTrace:
-    """Run steps of ``init.h`` until ``horizon`` (rounded to whole steps), sampling the trajectory."""
+    """Run steps of ``init.h`` until ``horizon`` (rounded to whole steps), recording every step."""
     if not 0 < horizon < np.inf:
         raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
-    if sample_every < 1:
-        raise ValidationError("sample_every must be >= 1")
     engine = _Engine(net, vehicle_rates, driver_rates, init)
     h = init.h
     steps = max(1, int(round(horizon / h)))
 
-    sample_steps = np.arange(0, steps + 1, sample_every)
-    if sample_steps[-1] != steps:
-        sample_steps = np.append(sample_steps, steps)
-    levels = np.empty((sample_steps.size, 3, net.n))
-    moved = np.empty((sample_steps.size, 2))
-    first = engine.full_totals()
+    levels = np.empty((steps + 1, 3, net.n))
+    moved = np.empty((steps + 1, 2))
     levels[0], moved[0] = engine.levels, engine.moved
-    # a general step updates these arrays in place: views of them are its rows
-    one_step = engine.levels[None], engine.moved[None]
-    i, done = 1, 0
+    done = 0
     while done < steps:
         if engine.steady:
-            rows, rows_moved = engine.repeat(min(engine.block_steps, steps - done))
+            end = done + min(engine.block_steps, steps - done) + 1
+            done += engine.repeat(levels[done:end], moved[done:end])
         else:
             engine.advance()
-            rows, rows_moved = one_step
-        done += len(rows)
-        # samples i .. j - 1, steps sample_every * i and on, fall in these
-        # rows; rows[-1] is step done, so step k is row k - done - 1
-        j = done // sample_every + 1
-        if j > i:
-            at = slice(sample_every * i - done - 1, None, sample_every)
-            levels[i:j], moved[i:j] = rows[at], rows_moved[at]
-            i = j
-    # the last sample is the last step, also off the sampling grid
-    levels[-1], moved[-1] = engine.levels, engine.moved
-
-    totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
-    # the ends come from full sums, so a leak in the running sums still
-    # shows as drift
-    totals[0], totals[-1] = first, engine.full_totals()
+            done += 1
+            levels[done], moved[done] = engine.levels, engine.moved
     engine.count_zero()
     # the engine ends here, so the final state takes its arrays without copies
     customers, vehicles, drivers = engine.levels
@@ -603,8 +575,13 @@ def simulate(
         init, customers=customers, vehicles=vehicles, drivers=drivers,
         vehicle_buffer=engine.cal[0], driver_buffer=engine.cal[1], step_index=engine.step_index,
     )
+    totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
+    # the ends come from the states' full sums, so a leak in the running
+    # sums still shows as drift
+    totals[0] = init.total_vehicles(), init.total_drivers()
+    totals[-1] = final.total_vehicles(), final.total_drivers()
     return SimTrace(
-        times=(init.step_index + sample_steps) * h,
+        times=(init.step_index + np.arange(steps + 1)) * h,
         customers=levels[:, 0],
         vehicles=levels[:, 1],
         drivers=levels[:, 2],
@@ -725,7 +702,7 @@ def stability_probe(
         drain_time = None
         customers_cleared = False
 
-    # the last sample is always in post
+    # the last step is always in post
     post = trace.times >= (drain_time if drain_time is not None else trace.times[-1])
     min_v = float(np.min(trace.vehicles[post]))
     # compute_imbalance sets balanced stations to exactly 0, relative to
@@ -768,7 +745,7 @@ def stability_probe(
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    """Write the sampled trajectory: t, c_1.., v_1.., r_1.., V_total, R_total."""
+    """Write the trajectory, one row per step: t, c_1.., v_1.., r_1.., V_total, R_total."""
     n = trace.n
     header = (
         ["t"]

@@ -219,6 +219,16 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
     assert "top level must be a JSON object" in capsys.readouterr().err
 
+    # non-integer counts and seeds are named, not run or left to a traceback
+    for field, raw in (("trials_per_size", {"sizes": [5], "trials_per_size": 2.5}),
+                       ("sizes", {"sizes": [5.5]}),
+                       ("base_seed", {"sizes": [5], "trials_per_size": 1, "base_seed": 1.5})):
+        config.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+    assert not out_dir.exists()
+
 
 def test_sweep_rejects_f_values(tmp_path, capsys):
     config = tmp_path / "sweep.json"

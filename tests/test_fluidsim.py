@@ -305,18 +305,13 @@ def test_simulate_argument_validation(two_station):
     state = initial_state(two_station, [0, 0], [1, 1], [1, 1], h=2.0)
     with pytest.raises(ValidationError, match="horizon"):
         simulate(two_station, ALPHA, BETA, state, -1.0)
-    with pytest.raises(ValidationError, match="sample_every"):
-        simulate(two_station, ALPHA, BETA, state, 10.0, sample_every=0)
 
 
-def test_simulate_sampling_grid(two_station):
-    h = 2.0
-    state = initial_state(two_station, [0, 0], [1, 1], [1, 1], h=h)
-    trace = simulate(two_station, ALPHA, BETA, state, 20.0, sample_every=4)
-    # steps 0, 4, 8 plus the forced final step 10
-    assert trace.times == pytest.approx(np.array([0.0, 8.0, 16.0, 20.0]))
+def test_simulate_rounds_the_horizon_to_whole_steps(two_station):
+    state = initial_state(two_station, [0, 0], [1, 1], [1, 1], h=2.0)
     full = simulate(two_station, ALPHA, BETA, state, 20.6)
     assert full.times.shape == (11,)  # horizon rounds to 10 whole steps
+    assert np.array_equal(full.times, 2.0 * np.arange(11))
     assert full.customers.shape == (11, 2)
 
 

@@ -135,7 +135,7 @@ def state_levels(state):
 
 
 def trace_levels(trace):
-    """A trace's sampled levels as one ``(samples, 3, n)`` array."""
+    """A trace's levels as one ``(steps + 1, 3, n)`` array."""
     return np.stack((trace.customers, trace.vehicles, trace.drivers), axis=1)
 
 
@@ -276,7 +276,8 @@ def test_running_totals_equal_full_sums_under_clamping(make_instance):
     engine = _Engine(net, a.vehicle_rates, a.driver_rates, init)
     for _ in range(int(round(3 * net.max_travel_time() / h))):
         engine.advance()
-        assert engine.totals() == pytest.approx(engine.full_totals(), rel=RTOL)
+        running = engine.levels[1:].sum(axis=1) + (engine.transit + engine.moved) * h
+        assert running == pytest.approx(full_totals(engine), rel=RTOL)
     # idle stock only reaches exactly zero through a clamp
     assert np.all(engine.zero_hits[1:].any(axis=1))
 
@@ -319,43 +320,43 @@ def test_steady_calendar_rows(make_instance):
     assert state.in_transit_drivers() == pytest.approx(h * np.sum(legs.steps * drv), rel=RTOL)
 
 
-def stepwise_run(net, alpha, beta, init, horizon, sample_every=1):
+def full_totals(engine):
+    """Vehicle and driver totals of an engine from full calendar sums."""
+    return engine.levels[1:].sum(axis=1) + engine.cal.reshape(2, -1).sum(axis=1) * engine.h
+
+
+def stepwise_run(net, alpha, beta, init, horizon):
     """Times, levels, totals and zero summaries of ``simulate`` run one general step at a time.
 
     The summaries are counted here, from the levels after each step.
     """
     engine = _Engine(net, alpha, beta, init)
     steps = max(1, int(round(horizon / init.h)))
-    sample = list(range(0, steps + 1, sample_every))
-    if sample[-1] != steps:
-        sample.append(steps)
-    first = engine.full_totals()
-    levels, moved = [], []
+    first = full_totals(engine)
+    levels, moved = [engine.levels.copy()], [engine.moved.copy()]
     zero = engine.levels <= 0
     at_zero, hits = np.zeros((2, 3, net.n), dtype=np.int64)
     first_zero = np.full((3, net.n), np.nan)
-    done = 0
-    for k in sample:
-        for _ in range(k - done):
-            at_zero += zero
-            engine.advance()
-            after = engine.levels <= 0
-            hit = after & ~zero
-            hits += hit
-            first_zero[hit & np.isnan(first_zero)] = engine.step_index * init.h
-            zero = after
-        done = k
+    for _ in range(steps):
+        at_zero += zero
+        engine.advance()
+        after = engine.levels <= 0
+        hit = after & ~zero
+        hits += hit
+        first_zero[hit & np.isnan(first_zero)] = engine.step_index * init.h
+        zero = after
         levels.append(engine.levels.copy())
         moved.append(engine.moved.copy())
     levels, moved = np.array(levels), np.array(moved)
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * init.h
-    totals[0], totals[-1] = first, engine.full_totals()
-    return (init.step_index + np.array(sample)) * init.h, levels, totals, (init.h * at_zero, hits, first_zero)
+    totals[0], totals[-1] = first, full_totals(engine)
+    times = (init.step_index + np.arange(steps + 1)) * init.h
+    return times, levels, totals, (init.h * at_zero, hits, first_zero)
 
 
-def assert_same_run(monkeypatch, net, alpha, beta, init, horizon, sample_every=1):
+def assert_same_run(monkeypatch, net, alpha, beta, init, horizon):
     """``simulate`` equals ``stepwise_run``; returns its trace and how many general steps it took."""
-    times, levels, totals, summaries = stepwise_run(net, alpha, beta, init, horizon, sample_every)
+    times, levels, totals, summaries = stepwise_run(net, alpha, beta, init, horizon)
     calls = [0]
     advance = _Engine.advance
 
@@ -365,7 +366,7 @@ def assert_same_run(monkeypatch, net, alpha, beta, init, horizon, sample_every=1
 
     with monkeypatch.context() as patch:
         patch.setattr(_Engine, "advance", counted)
-        trace = simulate(net, alpha, beta, init, horizon, sample_every)
+        trace = simulate(net, alpha, beta, init, horizon)
     assert np.array_equal(trace.times, times)
     assert np.array_equal(trace_levels(trace), levels)
     assert np.array_equal(np.stack((trace.vehicles_total, trace.drivers_total), axis=1), totals)
@@ -374,15 +375,15 @@ def assert_same_run(monkeypatch, net, alpha, beta, init, horizon, sample_every=1
     return trace, calls[0]
 
 
-@pytest.mark.parametrize("divisor,every", [(10, 1), (4, 1), (10, 4)])
-def test_blocks_match_single_steps_after_a_perturbation(make_instance, monkeypatch, divisor, every):
+@pytest.mark.parametrize("divisor", [10, 4])
+def test_blocks_match_single_steps_after_a_perturbation(make_instance, monkeypatch, divisor):
     net = make_instance(8, 5)
     h = net.min_offdiag_travel_time() / divisor
     a, c0, v0, r0 = perturbed_start(net, 5)
     init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
     assert _Engine(net, a.vehicle_rates, a.driver_rates, init).block_steps == divisor
     horizon = 3 * net.max_travel_time()
-    trace, general = assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, horizon, every)
+    trace, general = assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, horizon)
     # the queues drain early, and blocks run the rest
     assert np.all(trace.customers[0] > 0) and np.all(trace.customers[-1] == 0)
     assert general < 0.2 * int(round(horizon / h))
@@ -482,11 +483,11 @@ def recorded_blocks(monkeypatch):
     blocks = []
     repeat = _Engine.repeat
 
-    def recorded(self, count):
+    def recorded(self, levels, moved):
         start = self.step_index
-        rows = repeat(self, count)
-        blocks.append((self, start, count, len(rows[0])))
-        return rows
+        kept = repeat(self, levels, moved)
+        blocks.append((self, start, len(levels) - 1, kept))
+        return kept
 
     with monkeypatch.context() as patch:
         patch.setattr(_Engine, "repeat", recorded)
