@@ -9,6 +9,9 @@ stations (``generate_instance(n, SEED)``):
 * ``imbalance``: ``compute_imbalance``;
 * ``vehicle_problem``, ``driver_problem``: building the two flow problems;
 * ``alpha_lp``, ``beta_lp``: ``solve_mcf`` on each of them;
+  ``alpha_lp_rounds`` is the number of LPs the alpha solve hands HiGHS,
+  counted from the ``fleetbalance.mincostflow`` DEBUG records (one per
+  column-generation round);
 * ``infeasible_diagnosis``: ``solve_driver_rebalancing`` on the same
   draw at ``taxi_fraction=0.5``, up to the ``RebalanceInfeasibleError``
   and its witness;
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import platform
 import statistics
@@ -62,6 +66,7 @@ import sys
 import tempfile
 import time
 from importlib import metadata
+from logging.handlers import BufferingHandler
 from pathlib import Path
 from unittest import mock
 
@@ -129,6 +134,20 @@ def median_ms(call) -> float:
     return round(1e3 * statistics.median(samples), 4)
 
 
+def lp_rounds(problem) -> int:
+    """How many LPs one ``solve_mcf`` call logs at DEBUG."""
+    log, records = logging.getLogger("fleetbalance.mincostflow"), BufferingHandler(capacity=1000)
+    level = log.level
+    log.addHandler(records)
+    log.setLevel(logging.DEBUG)
+    try:
+        solve_mcf(problem)
+    finally:
+        log.setLevel(level)
+        log.removeHandler(records)
+    return len(records.buffer)
+
+
 def diagnose(net) -> bool:
     """Run the infeasible driver program; True if the error carried a witness."""
     try:
@@ -154,6 +173,7 @@ def layers(n: int) -> dict:
         "vehicle_problem": median_ms(lambda: vehicle_flow_problem(net, d)),
         "driver_problem": median_ms(lambda: driver_flow_problem(net, d)),
         "alpha_lp": median_ms(lambda: solve_mcf(vehicle)),
+        "alpha_lp_rounds": lp_rounds(vehicle),
         "beta_lp": median_ms(lambda: solve_mcf(driver)),
         "infeasible_diagnosis": median_ms(lambda: diagnose(tight)),
         "infeasible_witness": diagnose(tight),

@@ -174,7 +174,7 @@ def _load_sweep_config(path, defaults: SweepConfig, workers) -> SweepConfig:
         config = defaults
     else:
         raw = read_json_object(path)
-        known = {"sizes", "trials_per_size", "base_seed", "f_values", "generator"}
+        known = {"sizes", "trials_per_size", "base_seed", "f_values", "generator", "workers"}
         extra = sorted(set(raw) - known)
         if extra:
             raise ValidationError(f"{path}: unknown sweep config fields: {', '.join(extra)}")
@@ -189,6 +189,7 @@ def _load_sweep_config(path, defaults: SweepConfig, workers) -> SweepConfig:
                 base_seed=raw.get("base_seed", defaults.base_seed),
                 f_values=tuple(raw.get("f_values", defaults.f_values)),
                 generator=generator,
+                workers=raw.get("workers", defaults.workers),
             )
         except TypeError as exc:
             raise ValidationError(f"{path}: bad sweep config: {exc}") from exc

@@ -24,3 +24,5 @@ def test_scale_layers_run_and_count_the_probe(monkeypatch):
     assert 0 < row["sim_probe_general_steps"] < row["sim_probe_steps"]
     assert row["sim_probe_blocks"] > 0
     assert row["infeasible_witness"] is True
+    # a generated (metric) vehicle program needs one column-generation round
+    assert row["alpha_lp_rounds"] == 1

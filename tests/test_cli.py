@@ -190,6 +190,23 @@ def test_sweep_with_config_file(tmp_path, capsys):
     assert echo["generator"]["taxi_fraction"] == 1.0
 
 
+def test_sweep_config_echo_feeds_back(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"sizes": [5, 6], "trials_per_size": 2, "base_seed": 4}))
+    first = tmp_path / "first"
+    assert main(["sweep", "--config", str(config), "--out-dir", str(first), "--workers", "2"]) == 0
+    echo = first / "sweep_config.json"
+    assert json.loads(echo.read_text())["workers"] == 2
+    # the echo runs as a config, workers included; --workers still wins over the file
+    for out, flags in (("again", []), ("serial", ["--workers", "1"])):
+        assert main(["sweep", "--config", str(echo), "--out-dir", str(tmp_path / out), *flags]) == 0
+        for name in ("sweep_rows.csv", "sweep_summary.csv"):
+            assert (tmp_path / out / name).read_bytes() == (first / name).read_bytes()
+    assert (tmp_path / "again" / "sweep_config.json").read_bytes() == echo.read_bytes()
+    serial = json.loads((tmp_path / "serial" / "sweep_config.json").read_text())
+    assert serial == {**json.loads(echo.read_text()), "workers": 1}
+
+
 def test_fsweep_with_config_file(tmp_path, capsys):
     config = tmp_path / "fsweep.json"
     config.write_text(

@@ -294,18 +294,81 @@ def test_binding_agrees_with_linprog(monkeypatch, make_instance, n, seed, taxi_f
             np.testing.assert_allclose(duals, want_duals, rtol=0, atol=1e-12)
 
 
-def test_each_lp_is_logged_at_debug(caplog):
+def detour_problem() -> FlowProblem:
+    """Two surplus stations and one deficit; the long edge 0->2 has a short detour 0->1->2."""
+    inf = INFINITE_CAPACITY
+    return FlowProblem(
+        node_count=3,
+        supply=[1.0, 1.0, -2.0],
+        **arcs((0, 1, 1.0, inf), (0, 2, 10.0, inf), (1, 0, 10.0, inf),
+               (1, 2, 1.0, inf), (2, 0, 10.0, inf), (2, 1, 10.0, inf)),
+    )
+
+
+def logged_lps(caplog, problem: FlowProblem):
+    """Solve ``problem`` and return it with the DEBUG messages of its LPs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fleetbalance.mincostflow"):
+        sol = solve_mcf(problem)
+    assert all(r.name == "fleetbalance.mincostflow" and r.levelno == logging.DEBUG for r in caplog.records)
+    return sol, [r.getMessage() for r in caplog.records]
+
+
+def test_non_metric_detour_needs_a_second_round(caplog):
+    problem = detour_problem()
+    sol, messages = logged_lps(caplog, problem)
+    # round 1 prices the two surplus->deficit arcs, round 2 adds the detour's first leg
+    assert [m.split(", ")[1] for m in messages] == ["2 columns", "3 columns"]
+    assert sol.status == "optimal"
+    assert sol.flow == pytest.approx([1.0, 0.0, 0.0, 2.0, 0.0, 0.0])
+    assert sol.objective == pytest.approx(brute_force_mcf(problem).objective) == pytest.approx(3.0)
+    assert not residual_negative_cycle(problem, sol)
+
+
+def test_no_surplus_to_deficit_arc_solves_on_every_arc(caplog):
+    # uncapacitated, but the only route is through the zero-supply node 1
+    problem = FlowProblem(
+        node_count=3, supply=[1.0, 0.0, -1.0],
+        **arcs((0, 1, 1.0, INFINITE_CAPACITY), (1, 2, 2.0, INFINITE_CAPACITY)),
+    )
+    sol, messages = logged_lps(caplog, problem)
+    assert len(messages) == 1 and messages[0].startswith("flow LP: 3 rows, 2 columns, Optimal, ")
+    assert sol.status == "optimal"
+    assert sol.flow == pytest.approx([1.0, 1.0])
+    assert sol.objective == pytest.approx(brute_force_mcf(problem).objective) == pytest.approx(3.0)
+
+
+def test_restricted_infeasible_lp_takes_the_full_problems_ray(caplog):
+    # surplus node 1 reaches the deficit side only through 0, and deficit node 3 has no arc in
+    inf = INFINITE_CAPACITY
+    problem = FlowProblem(
+        node_count=4, supply=[1.0, 1.0, -1.0, -1.0],
+        **arcs((0, 2, 1.0, inf), (1, 0, 1.0, inf), (2, 1, 1.0, inf), (3, 0, 1.0, inf)),
+    )
+    sol, messages = logged_lps(caplog, problem)
+    assert [m.split(", ")[1:3] for m in messages] == [["1 columns", "Infeasible"], ["4 columns", "Infeasible"]]
+    assert sol.status == "infeasible"
+    assert not max_flow_feasible(problem)
+    # the full LP, scaled as solve_mcf scales it (unit cost, total supply 2)
+    status, _, ray = _highs(4, problem.tail, problem.head, problem.cost, problem.capacity, problem.supply / 2)
+    assert status == "infeasible" and ray is not None
+    np.testing.assert_array_equal(sol.ray, ray)
+    assert_violated_cut(problem, farkas_cut(problem, sol.ray))
+
+
+def test_each_lp_is_logged_at_debug(caplog, make_instance):
     problem = FlowProblem(
         node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 1.0, INFINITE_CAPACITY))
     )
-    with caplog.at_level(logging.DEBUG, logger="fleetbalance.mincostflow"):
-        solve_mcf(problem)
-    (record,) = caplog.records
-    assert record.name == "fleetbalance.mincostflow"
-    assert record.levelno == logging.DEBUG
-    message = record.getMessage()
+    _, (message,) = logged_lps(caplog, problem)
     assert message.startswith("flow LP: 2 rows, 1 columns, Optimal, ")
     assert "simplex iterations" in message and message.endswith(" ms")
+    # a metric vehicle program stops after one round; the detour needs two
+    net = make_instance(25, 1)
+    _, messages = logged_lps(caplog, vehicle_flow_problem(net, compute_imbalance(net)))
+    assert len(messages) == 1
+    _, messages = logged_lps(caplog, detour_problem())
+    assert len(messages) == 2
 
 
 @pytest.mark.parametrize(
