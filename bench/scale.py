@@ -32,6 +32,9 @@ stations (``generate_instance(n, SEED)``):
   ``PROBE_PERTURBATION``, for n <= 100 only; ``sim_probe_steps`` is its
   step count, ``sim_probe_general_steps`` how many of those ran one at a
   time and ``sim_probe_blocks`` how many blocks ran the rest;
+* ``sweep``: one ``run_sweep`` of ``SWEEP_TRIALS`` instances at size n,
+  each solved at the taxi fractions ``SWEEP_F_VALUES``, in one process,
+  for n <= ``SWEEP_MAX_N`` only;
 
 plus ``fresh_import_cli``, the wall time of a new process that runs
 ``import fleetbalance.cli``, and ``fresh_solve_cli``, a new process that
@@ -79,12 +82,14 @@ import numpy as np  # noqa: E402
 from fleetbalance import (  # noqa: E402
     GeneratorConfig,
     RebalanceInfeasibleError,
+    SweepConfig,
     compute_imbalance,
     driver_flow_problem,
     equilibrium_state,
     generate_instance,
     initial_state,
     load_instance,
+    run_sweep,
     save_instance,
     simulate,
     solve_driver_rebalancing,
@@ -103,6 +108,9 @@ PROBE_PERTURBATION = 0.1
 SEED = 1
 REPEATS = 7
 SOLVE_N = 200
+SWEEP_MAX_N = 50
+SWEEP_TRIALS = 4
+SWEEP_F_VALUES = (1.0, 2.0)
 
 # the phases of `fleetbalance solve --instance argv[1] --out argv[2]`,
 # timed inside one fresh interpreter; prints them in ms as one JSON object
@@ -205,6 +213,9 @@ def layers(n: int) -> dict:
                 mock.patch.object(_Engine, "repeat", autospec=True, side_effect=_Engine.repeat) as repeat:
             row["sim_probe_steps"] = probe().trace.times.size - 1
         row["sim_probe_general_steps"], row["sim_probe_blocks"] = advance.call_count, repeat.call_count
+    if n <= SWEEP_MAX_N:
+        sweep = SweepConfig(sizes=(n,), trials_per_size=SWEEP_TRIALS, base_seed=SEED, f_values=SWEEP_F_VALUES)
+        row["sweep"] = median_ms(lambda: run_sweep(sweep))
     return row
 
 

@@ -10,8 +10,7 @@ from .experiments import (
     SweepConfig,
     SweepReport,
     TrialRow,
-    run_f_sweep,
-    run_station_sweep,
+    run_sweep,
     trial_seed,
     write_report_csv,
     write_summary_csv,

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen, solve, simulate, sweep, fsweep.  Exit codes: 0 on
+Subcommands: gen, solve, simulate, sweep.  Exit codes: 0 on
 success, 2 for invalid input, 3 when the driver-return program is
 infeasible, 4 when requested fleet totals cannot support an equilibrium.
 """
@@ -10,17 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .errors import InsufficientFleetError, RebalanceInfeasibleError, ValidationError
-from .experiments import (
-    SweepConfig,
-    run_f_sweep,
-    run_station_sweep,
-    write_report_csv,
-    write_summary_csv,
-)
+from .experiments import SweepConfig, run_sweep, write_report_csv, write_summary_csv
 from .fluidsim import stability_probe, write_trace_csv
 from .generate import GeneratorConfig, generate_instance
 from .rebalance import solve_rebalancing
@@ -64,15 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--perturbation", type=float, default=0.1)
     sim.add_argument("--seed", type=int, default=0)
 
-    sweep = sub.add_parser("sweep", help="fleet sizing across network sizes")
+    sweep = sub.add_parser("sweep", help="fleet sizing across network sizes x taxi fractions")
     sweep.add_argument("--config", type=Path, default=None, help="JSON sweep config")
     sweep.add_argument("--out-dir", type=Path, required=True)
     sweep.add_argument("--workers", type=int, default=None)
-
-    fsweep = sub.add_parser("fsweep", help="fleet sizing across taxi fractions")
-    fsweep.add_argument("--config", type=Path, default=None)
-    fsweep.add_argument("--out-dir", type=Path, required=True)
-    fsweep.add_argument("--workers", type=int, default=None)
     return parser
 
 
@@ -169,66 +158,38 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_sweep_config(path, defaults: SweepConfig, workers) -> SweepConfig:
-    if path is None:
-        config = defaults
-    else:
+def _load_sweep_config(path, workers) -> SweepConfig:
+    config = SweepConfig()
+    if path is not None:
         raw = read_json_object(path)
-        known = {"sizes", "trials_per_size", "base_seed", "f_values", "generator", "workers"}
-        extra = sorted(set(raw) - known)
+        extra = sorted(set(raw) - {f.name for f in fields(SweepConfig)})
         if extra:
             raise ValidationError(f"{path}: unknown sweep config fields: {', '.join(extra)}")
         gen_raw = raw.get("generator", {})
         if not isinstance(gen_raw, dict):
             raise ValidationError(f"{path}: field 'generator' must be an object")
         try:
-            generator = GeneratorConfig(**gen_raw)
-            config = SweepConfig(
-                sizes=tuple(raw.get("sizes", defaults.sizes)),
-                trials_per_size=raw.get("trials_per_size", defaults.trials_per_size),
-                base_seed=raw.get("base_seed", defaults.base_seed),
-                f_values=tuple(raw.get("f_values", defaults.f_values)),
-                generator=generator,
-                workers=raw.get("workers", defaults.workers),
-            )
+            config = SweepConfig(**{**raw, "generator": GeneratorConfig(**gen_raw)})
         except TypeError as exc:
             raise ValidationError(f"{path}: bad sweep config: {exc}") from exc
     if workers is not None:
-        from dataclasses import replace
-
         config = replace(config, workers=workers)
     return config
 
 
-def _write_sweep_outputs(report, out_dir: Path, stem: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows_path = out_dir / f"{stem}_rows.csv"
-    summary_path = out_dir / f"{stem}_summary.csv"
+def _cmd_sweep(args) -> int:
+    report = run_sweep(_load_sweep_config(args.config, args.workers))
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    rows_path, summary_path = args.out_dir / "sweep_rows.csv", args.out_dir / "sweep_summary.csv"
     write_report_csv(report, rows_path)
     write_summary_csv(report, summary_path)
-    config_echo = asdict(report.config)
-    with open(out_dir / f"{stem}_config.json", "w") as fh:
-        json.dump(config_echo, fh, indent=2)
+    with open(args.out_dir / "sweep_config.json", "w") as fh:
+        json.dump(asdict(report.config), fh, indent=2)
         fh.write("\n")
     for row in report.summary():
         if row.metric in ("ratio", "r_alpha_beta"):
             print(f"{row.group_key} {row.metric}: mean={row.mean:.4g} [{row.min:.4g}, {row.max:.4g}]")
     print(f"wrote {rows_path} and {summary_path}")
-
-
-def _cmd_sweep(args) -> int:
-    defaults = SweepConfig()
-    config = _load_sweep_config(args.config, defaults, args.workers)
-    report = run_station_sweep(config)
-    _write_sweep_outputs(report, args.out_dir, "sweep")
-    return EXIT_OK
-
-
-def _cmd_fsweep(args) -> int:
-    defaults = SweepConfig(sizes=(100,), f_values=(1.0, 2.0, 3.0, 4.0))
-    config = _load_sweep_config(args.config, defaults, args.workers)
-    report = run_f_sweep(config)
-    _write_sweep_outputs(report, args.out_dir, "fsweep")
     return EXIT_OK
 
 
@@ -237,7 +198,6 @@ _COMMANDS = {
     "solve": _cmd_solve,
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
-    "fsweep": _cmd_fsweep,
 }
 
 

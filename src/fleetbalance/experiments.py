@@ -1,20 +1,17 @@
 """Randomized fleet-sizing experiments.
 
-Two sweeps, both over generator-sampled instances:
+One sweep over the grid of network sizes x taxi fractions: a fixed
+number of generator-sampled instances at each size, each solved at
+every taxi fraction in ``f_values``.  It reports how the driver pool
+compares with the vehicle fleet as networks grow, and how sharing
+customer trips shrinks the driver pool.
 
-* station sweep: fixed number of trials at each network size, taxi
-  fraction pinned to 1; reports how the driver pool compares with the
-  vehicle fleet as networks grow.
-* taxi-fraction sweep: one network size, the same instances re-solved at
-  several taxi fractions; reports how sharing customer trips shrinks the
-  driver pool.
-
-Both sweeps run the same trial: generate the instance, compute its
-imbalance and vehicle program once, then solve the driver program at
-each taxi fraction.  Each trial derives its seed as ``base_seed * 10000
-+ size * 100 + trial``, so any row can be regenerated in isolation.
-Trials are independent; with ``workers > 1`` they run in a process pool
-and are re-assembled in deterministic order.  Identical configs produce
+Each trial generates the instance, computes its imbalance and vehicle
+program once, then solves the driver program at each taxi fraction.
+Each trial derives its seed as ``base_seed * 10000 + size * 100 +
+trial``, so any row can be regenerated in isolation.  Trials are
+independent; with ``workers > 1`` they run in a process pool and are
+re-assembled in deterministic order.  Identical configs produce
 byte-identical CSV files.
 """
 
@@ -27,7 +24,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .generate import GeneratorConfig, generate_instance
-from .network import ImbalanceVector, StationNetwork, _from_legs, assignment_residuals, compute_imbalance
+from .network import (
+    ImbalanceVector,
+    StationNetwork,
+    _checked_array,
+    _from_legs,
+    assignment_residuals,
+    compute_imbalance,
+)
 from .rebalance import RebalanceSolution, _solve_against_vehicles, solve_vehicle_rebalancing
 
 ROW_FIELDS = ("group_key", "trial", "seed", "n", "f", "v_alpha", "r_alpha_beta", "ratio", "reb_fraction")
@@ -36,6 +40,14 @@ SUMMARY_METRICS = ("v_alpha", "r_alpha_beta", "ratio", "reb_fraction")
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """The grid ``sizes x f_values``, ``trials_per_size`` instances per size.
+
+    Every check of a sweep is made here, so the API and the CLI reject
+    the same configs and :func:`run_sweep` checks nothing.  ``sizes`` is
+    kept as a tuple of ints and ``f_values`` as a tuple of floats.  The taxi fractions come from ``f_values`` alone, so
+    the generator's ``taxi_fraction`` must stay at its default of 1.
+    """
+
     sizes: tuple[int, ...] = (10, 25, 50, 100, 200)
     trials_per_size: int = 20
     base_seed: int = 0
@@ -47,14 +59,29 @@ class SweepConfig:
         for name in ("trials_per_size", "base_seed", "workers"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not self.sizes or any(not isinstance(s, (int, np.integer)) or s < 2 for s in self.sizes):
+        sizes = np.asarray(self.sizes)
+        if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu" or (sizes < 2).any():
             raise ValidationError(f"sizes must be integers >= 2, got {self.sizes!r}")
+        if np.unique(sizes).size < sizes.size:
+            raise ValidationError(f"sizes must not repeat, got {self.sizes!r}")
+        f_values = _checked_array("f_values", self.f_values, (None,))
+        if f_values.size == 0 or ((f_values < 1.0) | (f_values > 4.0)).any():
+            raise ValidationError(f"f_values must lie in [1, 4], got {self.f_values!r}")
+        if len({f"{f:g}" for f in f_values}) < f_values.size:
+            raise ValidationError(
+                f"f_values must differ in their f= labels (6 significant digits), got {self.f_values!r}"
+            )
+        if self.generator.taxi_fraction != 1.0:
+            raise ValidationError(
+                "a sweep sets every leg from f_values and reads no generator "
+                f"taxi_fraction, got {self.generator.taxi_fraction:g}"
+            )
         if self.trials_per_size < 1:
             raise ValidationError("trials_per_size must be >= 1")
-        if not self.f_values or any(f < 0 for f in self.f_values):
-            raise ValidationError(f"f_values must be nonnegative, got {self.f_values!r}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        object.__setattr__(self, "sizes", tuple(sizes.tolist()))
+        object.__setattr__(self, "f_values", tuple(f_values.tolist()))
 
 
 def trial_seed(base_seed: int, size: int, trial: int) -> int:
@@ -154,40 +181,42 @@ def _row_from_solution(
     )
 
 
-def _trial(args) -> list[TrialRow]:
-    """One generated instance, solved at each entry of ``f_values``.
+def _group_key(config: SweepConfig, size: int, f_value: float) -> str:
+    """``n=…`` with one taxi fraction, ``f=…`` with one size and several, else both."""
+    if len(config.f_values) == 1:
+        return f"n={size}"
+    if len(config.sizes) == 1:
+        return f"f={f_value:g}"
+    return f"n={size} f={f_value:g}"
 
-    ``None`` keeps the instance's own taxi fraction and groups the row
-    by size (station sweep); a number sets every leg to it and groups
-    the row by that fraction (taxi-fraction sweep).
-    """
-    config, size, trial, f_values = args
+
+def _trial(args) -> list[TrialRow]:
+    """One generated instance, solved at each taxi fraction of ``config.f_values``."""
+    config, size, trial = args
     seed = trial_seed(config.base_seed, size, trial)
     net = generate_instance(size, seed, config.generator)
     d = compute_imbalance(net)
     # alpha does not see the taxi fraction; solve it once per instance
     alpha = solve_vehicle_rebalancing(net, d)
     rows = []
-    for f_value in f_values:
-        if f_value is None:
-            net_f, group_key, f_value = net, f"n={size}", config.generator.taxi_fraction
+    for f_value in config.f_values:
+        if f_value == config.generator.taxi_fraction:
+            net_f = net
         else:
-            taxi = _from_legs(float(f_value), size)
-            net_f, group_key = replace(net, taxi_fraction=taxi), f"f={f_value:g}"
+            net_f = replace(net, taxi_fraction=_from_legs(f_value, size))
         solution = _solve_against_vehicles(net_f, d, *alpha)
+        group_key = _group_key(config, size, f_value)
         rows.append(_row_from_solution(net_f, d, solution, group_key, trial, seed, f_value))
     return rows
 
 
-def _sweep(config: SweepConfig, f_values: tuple) -> SweepReport:
+def run_sweep(config: SweepConfig) -> SweepReport:
     """Run :func:`_trial` on every (size, trial) cell, in a process pool when ``workers > 1``.
 
     Rows are grouped by taxi fraction (column-major over trials, for
     readable CSVs), then in (size, trial) order.
     """
-    specs = [
-        (config, size, trial, f_values) for size in config.sizes for trial in range(config.trials_per_size)
-    ]
+    specs = [(config, size, trial) for size in config.sizes for trial in range(config.trials_per_size)]
     if config.workers > 1:
         # imported here: every CLI command imports this module, few run a pool
         from concurrent.futures import ProcessPoolExecutor
@@ -196,39 +225,12 @@ def _sweep(config: SweepConfig, f_values: tuple) -> SweepReport:
             per_trial = list(pool.map(_trial, specs))
     else:
         per_trial = [_trial(s) for s in specs]
-    rows = [trial_rows[k] for k in range(len(f_values)) for trial_rows in per_trial]
+    rows = [trial_rows[k] for k in range(len(config.f_values)) for trial_rows in per_trial]
     return SweepReport(config=config, rows=rows)
 
 
-def run_station_sweep(config: SweepConfig) -> SweepReport:
-    """Solve every (size, trial) cell; taxi fraction must be pinned to 1, ``f_values`` left at (1,)."""
-    if config.generator.taxi_fraction != 1.0:
-        raise ValidationError(
-            f"station sweep requires taxi_fraction=1, got {config.generator.taxi_fraction:g}"
-        )
-    if config.f_values != (1.0,):
-        raise ValidationError(
-            f"station sweep solves at taxi_fraction=1 and reads no f_values, got {config.f_values!r}"
-        )
-    return _sweep(config, (None,))
-
-
-def run_f_sweep(config: SweepConfig) -> SweepReport:
-    """Re-solve the same instances at each taxi fraction (one network size).
-
-    The fractions come from ``f_values`` alone, so the generator's
-    ``taxi_fraction`` must stay at its default of 1.
-    """
-    if config.generator.taxi_fraction != 1.0:
-        raise ValidationError(
-            "taxi-fraction sweep sets every leg from f_values and reads no "
-            f"generator taxi_fraction, got {config.generator.taxi_fraction:g}"
-        )
-    if len(config.sizes) != 1:
-        raise ValidationError(f"taxi-fraction sweep needs exactly one size, got {config.sizes!r}")
-    if any(not (1.0 <= f <= 4.0) for f in config.f_values):
-        raise ValidationError(f"f_values must lie in [1, 4], got {config.f_values!r}")
-    return _sweep(config, config.f_values)
+# kept for perfbench, whose sweep workload calls and traces the sweep by this name
+run_station_sweep = run_sweep
 
 
 def write_report_csv(report: SweepReport, path) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fleetbalance.errors import InsufficientFleetError
-from fleetbalance.experiments import SweepConfig, run_f_sweep, run_station_sweep
+from fleetbalance.experiments import SweepConfig, run_sweep
 from fleetbalance.fluidsim import equilibrium_state, initial_state, simulate, stability_probe
 from fleetbalance.generate import GeneratorConfig, generate_instance
 from fleetbalance.mincostflow import solve_mcf
@@ -29,7 +29,7 @@ SIZES = (10, 25, 50, 100, 200)
 @pytest.fixture(scope="module")
 def station_report():
     config = SweepConfig(sizes=SIZES, trials_per_size=20, base_seed=5, workers=4)
-    return run_station_sweep(config)
+    return run_sweep(config)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def f_report():
         generator=GeneratorConfig(lambda_max=0.1),
         workers=4,
     )
-    return run_f_sweep(config)
+    return run_sweep(config)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ def test_scale_layers_run_and_count_the_probe(monkeypatch):
         "sim_run_step", "sim_cold_run_step", "sim_cold_zero_hits",
         "sim_probe", "sim_probe_steps", "sim_probe_general_steps", "sim_probe_blocks",
     }
-    assert sim_keys <= row.keys()
+    assert sim_keys | {"sweep"} <= row.keys()
     # the patched engine methods pass through: a probe runs general steps and blocks
     assert 0 < row["sim_probe_general_steps"] < row["sim_probe_steps"]
     assert row["sim_probe_blocks"] > 0

@@ -213,12 +213,14 @@ def test_fsweep_with_config_file(tmp_path, capsys):
         json.dumps({"sizes": [8], "trials_per_size": 2, "base_seed": 1, "f_values": [1, 2]})
     )
     out_dir = tmp_path / "out"
-    code = main(["fsweep", "--config", str(config), "--out-dir", str(out_dir), "--workers", "2"])
+    code = main(["sweep", "--config", str(config), "--out-dir", str(out_dir), "--workers", "2"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "f=1 r_alpha_beta" in printed and "f=2 r_alpha_beta" in printed
-    rows = (out_dir / "fsweep_rows.csv").read_text().strip().split("\n")
+    rows = (out_dir / "sweep_rows.csv").read_text().strip().split("\n")
     assert len(rows) == 5
+    # integer-spelled fractions are written as the floats they are
+    assert [row.split(",")[4] for row in rows[1:]] == ["1.0", "1.0", "2.0", "2.0"]
 
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):
@@ -236,10 +238,13 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
     assert "top level must be a JSON object" in capsys.readouterr().err
 
-    # non-integer counts and seeds are named, not run or left to a traceback
+    # non-integer counts and seeds, non-numeric fractions and a generator
+    # taxi fraction are named, not run or left to a traceback
     for field, raw in (("trials_per_size", {"sizes": [5], "trials_per_size": 2.5}),
                        ("sizes", {"sizes": [5.5]}),
-                       ("base_seed", {"sizes": [5], "trials_per_size": 1, "base_seed": 1.5})):
+                       ("base_seed", {"sizes": [5], "trials_per_size": 1, "base_seed": 1.5}),
+                       ("f_values", {"sizes": [5], "f_values": ["a"]}),
+                       ("taxi_fraction", {"sizes": [5], "generator": {"taxi_fraction": 0.5}})):
         config.write_text(json.dumps(raw))
         assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
@@ -247,17 +252,11 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_sweep_rejects_f_values(tmp_path, capsys):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"sizes": [6], "trials_per_size": 2, "base_seed": 1, "f_values": [2.5]}))
-    out_dir = tmp_path / "out"
-    assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
-    assert "reads no f_values" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
 def test_unknown_command_and_missing_args_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+    # taxi fractions are one more axis of `sweep`, with no command of their own
+    assert main(["fsweep", "--out-dir", "results"]) == 2
+    assert "invalid choice: 'fsweep'" in capsys.readouterr().err
     assert main(["gen", "--n", "5"]) == 2
     capsys.readouterr()
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from fleetbalance.errors import ValidationError
 from fleetbalance.experiments import (
     ROW_FIELDS,
     SweepConfig,
-    run_f_sweep,
-    run_station_sweep,
+    run_sweep,
     trial_seed,
     write_report_csv,
     write_summary_csv,
@@ -39,7 +40,7 @@ def test_trial_seed_schedule():
 
 def test_station_sweep_rows_and_groups():
     config = small_station_config()
-    report = run_station_sweep(config)
+    report = run_sweep(config)
     assert report.group_keys() == ["n=5", "n=8"]
     assert len(report.rows) == 6
     for row in report.rows:
@@ -55,7 +56,7 @@ def test_station_sweep_rows_and_groups():
 
 def test_station_sweep_row_reproducible_in_isolation():
     config = small_station_config()
-    report = run_station_sweep(config)
+    report = run_sweep(config)
     row = report.rows[4]
     net = generate_instance(row.n, row.seed, config.generator)
     sol = solve_rebalancing(net)
@@ -67,7 +68,7 @@ def test_station_sweep_deterministic_csv(tmp_path):
     config = small_station_config()
     paths = []
     for tag in ("a", "b"):
-        report = run_station_sweep(config)
+        report = run_sweep(config)
         rows_path = tmp_path / f"rows_{tag}.csv"
         summary_path = tmp_path / f"summary_{tag}.csv"
         write_report_csv(report, rows_path)
@@ -78,40 +79,32 @@ def test_station_sweep_deterministic_csv(tmp_path):
 
 
 def test_workers_do_not_change_results(tmp_path):
-    serial = run_station_sweep(small_station_config(workers=1))
-    parallel = run_station_sweep(small_station_config(workers=2))
-    p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    write_report_csv(serial, p1)
-    write_report_csv(parallel, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    grid = dict(sizes=(5, 7), trials_per_size=2, f_values=(1.0, 2.5))
+    for tag, overrides in (("station", {}), ("grid", grid)):
+        paths = []
+        for workers in (1, 2):
+            report = run_sweep(small_station_config(workers=workers, **overrides))
+            rows_path = tmp_path / f"{tag}_{workers}_rows.csv"
+            summary_path = tmp_path / f"{tag}_{workers}_summary.csv"
+            write_report_csv(report, rows_path)
+            write_summary_csv(report, summary_path)
+            paths.append((rows_path.read_bytes(), summary_path.read_bytes()))
+        assert paths[0] == paths[1], tag
+    # two sizes and two fractions: each group names both
+    assert report.group_keys() == ["n=5 f=1", "n=7 f=1", "n=5 f=2.5", "n=7 f=2.5"]
 
 
 def test_station_sweep_requires_full_taxi_fraction():
-    config = SweepConfig(
-        sizes=(5,), trials_per_size=1, generator=GeneratorConfig(taxi_fraction=0.5)
-    )
-    with pytest.raises(ValidationError, match="taxi_fraction=1"):
-        run_station_sweep(config)
-
-
-def test_each_sweep_rejects_the_field_it_ignores():
-    with pytest.raises(ValidationError, match="reads no f_values"):
-        run_station_sweep(SweepConfig(sizes=(6,), trials_per_size=1, f_values=(2.5,)))
+    config = SweepConfig(sizes=(5,), trials_per_size=1)
+    # the check runs at construction, so no path to a sweep skips it
     with pytest.raises(ValidationError, match="reads no generator taxi_fraction"):
-        run_f_sweep(
-            SweepConfig(
-                sizes=(6,),
-                trials_per_size=1,
-                f_values=(1.0, 2.0),
-                generator=GeneratorConfig(taxi_fraction=2.0),
-            )
-        )
+        replace(config, generator=GeneratorConfig(taxi_fraction=0.5))
 
 
 def test_injected_instance_provider(monkeypatch):
     monkeypatch.setattr(experiments, "generate_instance", lambda size, seed, gen: build_two_station())
     config = SweepConfig(sizes=(2,), trials_per_size=1)
-    report = run_station_sweep(config)
+    report = run_sweep(config)
     assert len(report.rows) == 1
     row = report.rows[0]
     # hand case: V=8, R=6
@@ -127,12 +120,12 @@ def test_infeasible_trial_is_a_hard_error(monkeypatch):
     )
     config = SweepConfig(sizes=(2,), trials_per_size=1)
     with pytest.raises(RuntimeError, match="no feasible driver-return assignment"):
-        run_station_sweep(config)
+        run_sweep(config)
 
 
 def test_f_sweep_structure_and_monotonicity():
     config = SweepConfig(sizes=(12,), trials_per_size=3, base_seed=1, f_values=(1.0, 2.0, 4.0))
-    report = run_f_sweep(config)
+    report = run_sweep(config)
     assert report.group_keys() == ["f=1", "f=2", "f=4"]
     assert len(report.rows) == 9
 
@@ -147,22 +140,29 @@ def test_f_sweep_structure_and_monotonicity():
         assert all(r.seed == trial_seed(1, 12, trial) for r in per_f)
 
 
+def test_grid_rows_are_its_one_f_sweeps():
+    grid = run_sweep(small_station_config(f_values=(1.0, 2.5)))
+    # f-major, then size, then trial
+    assert [(r.f, r.n, r.trial) for r in grid.rows] == [
+        (f, n, t) for f in (1.0, 2.5) for n in (5, 8) for t in range(3)
+    ]
+    one_f = [r for f in (1.0, 2.5) for r in run_sweep(small_station_config(f_values=(f,))).rows]
+    # the same numbers; only the group keys differ
+    assert [replace(r, group_key="") for r in grid.rows] == [replace(r, group_key="") for r in one_f]
+
+
+def test_station_sweep_is_the_one_sweep():
+    # kept as a name: the perfbench sweep workload calls it and its tracer wraps it
+    assert experiments.run_station_sweep is run_sweep
+
+
 def test_f_sweep_residuals_respect_scaled_caps():
     config = SweepConfig(sizes=(10,), trials_per_size=2, base_seed=4, f_values=(1.0, 3.0))
-    report = run_f_sweep(config)
+    report = run_sweep(config)
     for row in report.rows:
         assert row.alpha_residual <= 1e-7
         assert row.beta_residual <= 1e-7
         assert row.beta_cap_excess <= 1e-9
-
-
-def test_f_sweep_validation():
-    with pytest.raises(ValidationError, match="exactly one size"):
-        run_f_sweep(SweepConfig(sizes=(10, 20), f_values=(1.0, 2.0)))
-    with pytest.raises(ValidationError, match=r"\[1, 4\]"):
-        run_f_sweep(SweepConfig(sizes=(10,), f_values=(0.5, 1.0)))
-    with pytest.raises(ValidationError, match=r"\[1, 4\]"):
-        run_f_sweep(SweepConfig(sizes=(10,), f_values=(1.0, 5.0)))
 
 
 def test_sweep_config_validation():
@@ -170,19 +170,35 @@ def test_sweep_config_validation():
         SweepConfig(sizes=())
     with pytest.raises(ValidationError, match="sizes"):
         SweepConfig(sizes=(1,))
+    with pytest.raises(ValidationError, match="sizes must not repeat"):
+        SweepConfig(sizes=(8, 8))
     with pytest.raises(ValidationError, match="trials_per_size"):
         SweepConfig(trials_per_size=0)
-    with pytest.raises(ValidationError, match="f_values"):
-        SweepConfig(f_values=(-1.0,))
+    for f_values in ((-1.0,), (0.5, 1.0), (1.0, 5.0), ()):
+        with pytest.raises(ValidationError, match=r"f_values must lie in \[1, 4\]"):
+            SweepConfig(f_values=f_values)
+    with pytest.raises(ValidationError, match="f_values is not numeric"):
+        SweepConfig(f_values=("a",))
+    with pytest.raises(ValidationError, match=r"f_values\[1\] is not finite"):
+        SweepConfig(f_values=(1.0, float("nan")))
+    # 1.0000001 would share the f=1 group with 1.0
+    with pytest.raises(ValidationError, match="f_values must differ"):
+        SweepConfig(f_values=(1.0, 1.0000001))
+    with pytest.raises(ValidationError, match="reads no generator taxi_fraction"):
+        SweepConfig(generator=GeneratorConfig(taxi_fraction=0.5))
     with pytest.raises(ValidationError, match="workers"):
         SweepConfig(workers=0)
+    # ints and bools are kept as the floats the CSV writes
+    config = SweepConfig(sizes=[np.int64(5)], f_values=[True, 2])
+    assert config.f_values == (1.0, 2.0) and all(type(f) is float for f in config.f_values)
+    assert config.sizes == (5,) and type(config.sizes[0]) is int
 
 
 def test_csv_columns_roundtrip(tmp_path):
     import csv
 
     config = small_station_config(sizes=(6,), trials_per_size=2)
-    report = run_station_sweep(config)
+    report = run_sweep(config)
     path = tmp_path / "rows.csv"
     write_report_csv(report, path)
     with open(path) as fh:
@@ -213,7 +229,7 @@ def test_csv_columns_roundtrip(tmp_path):
 
 def test_vehicle_fleet_bounded_below_by_customer_trips():
     config = small_station_config(sizes=(9,), trials_per_size=4)
-    report = run_station_sweep(config)
+    report = run_sweep(config)
     for row in report.rows:
         net = generate_instance(row.n, row.seed, config.generator)
         base = float(np.sum(net.travel_time * (net.dest_prob * net.arrival_rate[:, None])))
