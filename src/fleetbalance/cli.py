@@ -8,6 +8,7 @@ infeasible, 4 when requested fleet totals cannot support an equilibrium.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -26,6 +27,7 @@ EXIT_INFEASIBLE = 3
 EXIT_FLEET = 4
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fleetbalance",

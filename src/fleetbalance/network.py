@@ -60,9 +60,12 @@ def _checked_array(
     message that names ``name`` and, for a bad value, its first entry.
     """
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged nesting
         raise error(f"{name} is not numeric: {exc}") from exc
+    if arr.dtype.kind not in "biuf":  # strings, quoted numbers among them, and other objects
+        raise error(f"{name} is not numeric: got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
         dims = "x".join("n" if k is None else str(k) for k in shape)
         wanted = f"a length-{dims} vector" if len(shape) == 1 else f"an {dims} matrix"

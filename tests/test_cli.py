@@ -244,6 +244,7 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
                        ("sizes", {"sizes": [5.5]}),
                        ("base_seed", {"sizes": [5], "trials_per_size": 1, "base_seed": 1.5}),
                        ("f_values", {"sizes": [5], "f_values": ["a"]}),
+                       ("f_values", {"sizes": [5], "f_values": ["2", "3"]}),
                        ("taxi_fraction", {"sizes": [5], "generator": {"taxi_fraction": 0.5}})):
         config.write_text(json.dumps(raw))
         assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
@@ -259,6 +260,20 @@ def test_unknown_command_and_missing_args_exit_2(capsys):
     assert "invalid choice: 'fsweep'" in capsys.readouterr().err
     assert main(["gen", "--n", "5"]) == 2
     capsys.readouterr()
+
+
+def test_main_runs_repeatedly_in_one_process(tmp_path, capsys):
+    # the parser is built once and reused; a failed parse leaves it as it was
+    net_path = write_two_station(tmp_path)
+    plans = [tmp_path / "a.json", tmp_path / "b.json"]
+    assert main(["solve", "--instance", str(net_path), "--out", str(plans[0])]) == 0
+    assert main(["solve", "--instance", str(net_path)]) == 2
+    assert main(["solve", "--instance", str(net_path), "--out", str(plans[1]), "--bogus"]) == 2
+    assert main(["solve", "--instance", str(net_path), "--out", str(plans[1])]) == 0
+    assert main(["gen", "--n", "4", "--seed", "1", "--out", str(tmp_path / "net4.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("v_alpha=8 r_alpha_beta=6") == 2 and "n=4" in out
+    assert plans[0].read_bytes() == plans[1].read_bytes()
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,8 @@
 import logging
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from scipy.sparse import csr_matrix
 
 from fleetbalance import mincostflow
 from fleetbalance.errors import ValidationError
+from fleetbalance.generate import GeneratorConfig, generate_instance
 from fleetbalance.mincostflow import (
     INFINITE_CAPACITY,
     LP_TOL,
@@ -233,11 +237,75 @@ def test_iteration_guard(monkeypatch):
             return _core.HighsModelStatus.kIterationLimit
 
     monkeypatch.setattr(_core, "_Highs", Stopped)
+    # the shared per-thread object predates the patch; a fresh one from the factory is a Stopped
+    monkeypatch.setattr(mincostflow, "_solver", mincostflow._new_solver)
     problem = FlowProblem(
         node_count=2, supply=[1.0, -1.0], **arcs((0, 1, 1.0, INFINITE_CAPACITY))
     )
     with pytest.raises(RuntimeError, match="iteration"):
         solve_mcf(problem)
+
+
+def scaled_lp(problem: FlowProblem) -> tuple:
+    """``_highs``'s arguments for the full LP of ``problem``, scaled as ``solve_mcf`` scales it."""
+    total = problem.supply[problem.supply > 0].sum()
+    return (problem.node_count, problem.tail, problem.head, problem.cost / problem.cost.max(),
+            problem.capacity / total, problem.supply / total)
+
+
+def station_problem(build, n: int, seed: int, **config):
+    """``build`` (the vehicle or driver program) of ``generate_instance(n, seed)``."""
+    net = generate_instance(n, seed, GeneratorConfig(**config))
+    return build(net, compute_imbalance(net))
+
+
+def test_shared_solver_matches_fresh_objects(monkeypatch):
+    # a solve leaves no model, basis or solution behind on this thread's object
+    lps = [scaled_lp(p) for p in (
+        station_problem(vehicle_flow_problem, 5, 1),
+        station_problem(driver_flow_problem, 5, 2, taxi_fraction=0.5),
+        station_problem(driver_flow_problem, 7, 2),
+        station_problem(vehicle_flow_problem, 3, 3),
+    )]
+
+    def solve_all():
+        return [(status, *(None if a is None else a.tobytes() for a in (x, y)))
+                for status, x, y in (_highs(*lp) for lp in lps)]
+
+    assert mincostflow._solver() is mincostflow._solver()
+    shared = solve_all()
+    monkeypatch.setattr(mincostflow, "_solver", mincostflow._new_solver)  # a new object per LP
+    assert [status for status, _, _ in shared] == ["optimal", "infeasible", "optimal", "optimal"]
+    assert shared[1][2] is not None  # the Farkas ray
+    assert shared == solve_all()
+
+
+def test_threads_solve_on_their_own_objects():
+    # more threads than cores, switching often, each on its own problem
+    problems = [
+        station_problem(driver_flow_problem, 20, 1), station_problem(vehicle_flow_problem, 25, 2),
+        station_problem(driver_flow_problem, 12, 3), station_problem(vehicle_flow_problem, 30, 4),
+    ]
+    expected = [solve_mcf(p) for p in problems]
+    start = threading.Barrier(len(problems))
+
+    def solve_repeatedly(problem):
+        start.wait(timeout=60)
+        return mincostflow._solver(), [solve_mcf(problem) for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(problems)) as pool:
+            futures = [pool.submit(solve_repeatedly, p) for p in problems]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(highs) for highs, _ in results}) == len(problems)
+    for want, (_, solutions) in zip(expected, results):
+        for sol in solutions:  # each passed solve_mcf's certificate
+            assert sol.status == "optimal"
+            np.testing.assert_array_equal(sol.flow, want.flow)
 
 
 def linprog_highs(node_count, tail, head, cost, capacity, supply):
@@ -336,6 +404,21 @@ def test_no_surplus_to_deficit_arc_solves_on_every_arc(caplog):
     assert sol.status == "optimal"
     assert sol.flow == pytest.approx([1.0, 1.0])
     assert sol.objective == pytest.approx(brute_force_mcf(problem).objective) == pytest.approx(3.0)
+
+
+def test_zero_supply_node_gets_a_start_potential(caplog):
+    # three collinear stations; the middle one has no arc in the surplus-to-deficit start set
+    x = np.array([0.0, 1.0, 2.0])
+    tail, head = np.nonzero(~np.eye(3, dtype=bool))
+    problem = FlowProblem(
+        node_count=3, supply=[1.0, 0.0, -1.0], tail=tail, head=head,
+        cost=np.abs(x[tail] - x[head]), capacity=np.full(6, INFINITE_CAPACITY),
+    )
+    sol, messages = logged_lps(caplog, problem)
+    assert len(messages) == 1 and messages[0].startswith("flow LP: 3 rows, 1 columns, Optimal, ")
+    assert sol.status == "optimal"
+    assert sol.flow == pytest.approx([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    assert sol.objective == pytest.approx(brute_force_mcf(problem).objective) == pytest.approx(2.0)
 
 
 def test_restricted_infeasible_lp_takes_the_full_problems_ray(caplog):
