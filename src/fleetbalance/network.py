@@ -61,7 +61,7 @@ def _checked_array(
     """
     try:
         arr = np.asarray(value)
-    except (TypeError, ValueError) as exc:  # ragged nesting
+    except (TypeError, ValueError) as exc:  # a ragged nesting, for one
         raise error(f"{name} is not numeric: {exc}") from exc
     if arr.dtype.kind not in "biuf":  # strings, quoted numbers among them, and other objects
         raise error(f"{name} is not numeric: got dtype {arr.dtype}")

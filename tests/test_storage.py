@@ -75,7 +75,7 @@ def test_flat_matrices_accepted(tmp_path):
         (lambda d: d.update(meta=[1, 2]), "'meta' must be an object"),
         (lambda d: d.update({"lambda": ["x", "y"]}), "lambda is not numeric"),
         (lambda d: d.update(p=[[0.0, 1.0], [1.0]]), "p is not numeric"),
-        (lambda d: d.update({"lambda": [0.4, "0.1"]}), "lambda is not numeric"),
+        (lambda d: d.update({"lambda": [0.4, "0.1"]}), "lambda is not numeric: got dtype"),
     ],
 )
 def test_load_instance_errors_name_the_file(tmp_path, mutate, fragment):
