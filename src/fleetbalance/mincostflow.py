@@ -11,13 +11,9 @@ the direct call halves the cost of a solve.
 Each thread keeps one HiGHS object (:func:`_solver`, a
 ``threading.local`` built by :func:`_new_solver` on first use), whose
 options are set once, when it is built, and never changed.  Every solve
-clears the object's model before passing its own and clears it again
-once the status, solution or ray is read, so no basis, solution or model
-outlives a solve.  Building and configuring the object cost about as
-much as solving an n=10 LP; reusing it saves that on every LP.  The
-column starts, the +-1 matrix values, the zero lower bounds and the
-integrality vector depend on the column count alone and are cached,
-read-only, per count.
+passes its model to the object and clears it once the status, solution
+or ray is read, so no basis, solution or model outlives a solve.  Building and configuring the object cost about as
+much as solving an n=10 LP; reusing it saves that on every LP.
 
 The equality constraints are the node-arc incidence matrix (+1 at an
 arc's tail, -1 at its head), passed column-wise, against the supplies;
@@ -34,13 +30,7 @@ column generation.  The working set starts as the arcs from a supply
 node to a demand node, which hold an optimum whenever costs obey the
 triangle inequality; each round solves the LP on the working set,
 prices every arc with the round's potentials and adds the arcs whose
-reduced cost is below ``-OPTIMALITY_TOL``, until none is added.  A
-node with no column in the working set, such as a zero-supply node in
-the start set, has an arbitrary HiGHS dual; before pricing it gets
-``max_i (pi_i - c_iz)`` over the supply nodes ``i`` with an arc into
-it, the lowest potential that prices those arcs at zero or above.
-Under the triangle inequality its arcs to demand nodes then price at
-zero or above as well, which saves a round on such instances.  At
+reduced cost is below ``-OPTIMALITY_TOL``, until none is added.  At
 n=200 the start set is about a quarter of the n(n-1) arcs, and every
 generated instance stops after one round.  An empty start set, or a
 restricted LP that HiGHS calls infeasible, grows to every arc, so an
@@ -86,7 +76,6 @@ one record per round.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import threading
@@ -215,18 +204,6 @@ def _solver():
     return _thread.highs
 
 
-@functools.lru_cache(maxsize=8)
-def _incidence_constants(m: int) -> tuple[np.ndarray, ...]:
-    """Read-only column starts, +-1 values, zero lower bounds and integrality of ``m`` columns."""
-    arrays = (
-        np.arange(0, 2 * m, 2, dtype=np.int32), np.tile([1.0, -1.0], m),
-        np.zeros(m), np.zeros(m, dtype=np.int32),
-    )
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 def _highs(node_count: int, tail, head, cost, capacity, supply):
     """Solve the flow LP of data already scaled to unit supply and cost.
 
@@ -239,20 +216,19 @@ def _highs(node_count: int, tail, head, cost, capacity, supply):
 
     started = time.perf_counter()
     m = tail.shape[0]
-    start, value, lower, integrality = _incidence_constants(m)
     # incidence column k: +1 at row tail[k], -1 at row head[k]
     index = np.empty(2 * m, dtype=np.int32)
     index[0::2], index[1::2] = tail, head
-    highs = _solver()
-    highs.clearModel()  # no basis or solution carries over from an earlier solve
+    highs = _solver()  # holds no model: every solve clears it on the way out
     try:
         highs.passModel(
             m, node_count, 2 * m,  # columns, rows, nonzeros
             _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize,
             0.0,  # objective offset
-            cost, lower, capacity,  # column costs and bounds
+            cost, np.zeros(m), capacity,  # column costs and bounds
             supply, supply,  # row bounds
-            start, index, value, integrality,  # every column continuous
+            np.arange(0, 2 * m, 2, dtype=np.int32), index, np.tile([1.0, -1.0], m),
+            np.zeros(m, dtype=np.int32),  # every column continuous
         )
         highs.run()
         status = highs.getModelStatus()
@@ -316,7 +292,6 @@ def solve_mcf(problem: FlowProblem) -> FlowSolution:
         working = (supply[tail] > 0) & (supply[head] < 0)
     else:
         working = np.ones(m, dtype=bool)
-    loose = supply == 0  # may have no column in the working set
     while True:
         columns = np.flatnonzero(working)
         status, x, y = _highs(
@@ -327,14 +302,6 @@ def solve_mcf(problem: FlowProblem) -> FlowSolution:
             continue
         if status == "infeasible":
             return FlowSolution(flow=np.zeros(m), objective=0.0, status="infeasible", ray=y)
-        if loose.any():
-            # HiGHS gives a node without a column an arbitrary potential; take the lowest
-            # that prices every arc into it from a supply node at >= 0
-            loose[tail[columns]] = loose[head[columns]] = False
-            into = loose[head] & (supply[tail] > 0)
-            lift = np.full(problem.node_count, -np.inf)
-            np.maximum.at(lift, head[into], y[tail[into]] - cost[into])
-            y = np.where(lift > -np.inf, lift, y)
         entering = ~working & (cost - y[tail] + y[head] < -OPTIMALITY_TOL)
         if not entering.any():
             break

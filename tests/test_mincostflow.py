@@ -406,21 +406,6 @@ def test_no_surplus_to_deficit_arc_solves_on_every_arc(caplog):
     assert sol.objective == pytest.approx(brute_force_mcf(problem).objective) == pytest.approx(3.0)
 
 
-def test_zero_supply_node_gets_a_start_potential(caplog):
-    # three collinear stations; the middle one has no arc in the surplus-to-deficit start set
-    x = np.array([0.0, 1.0, 2.0])
-    tail, head = np.nonzero(~np.eye(3, dtype=bool))
-    problem = FlowProblem(
-        node_count=3, supply=[1.0, 0.0, -1.0], tail=tail, head=head,
-        cost=np.abs(x[tail] - x[head]), capacity=np.full(6, INFINITE_CAPACITY),
-    )
-    sol, messages = logged_lps(caplog, problem)
-    assert len(messages) == 1 and messages[0].startswith("flow LP: 3 rows, 1 columns, Optimal, ")
-    assert sol.status == "optimal"
-    assert sol.flow == pytest.approx([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    assert sol.objective == pytest.approx(brute_force_mcf(problem).objective) == pytest.approx(2.0)
-
-
 def test_restricted_infeasible_lp_takes_the_full_problems_ray(caplog):
     # surplus node 1 reaches the deficit side only through 0, and deficit node 3 has no arc in
     inf = INFINITE_CAPACITY
