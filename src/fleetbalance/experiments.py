@@ -57,8 +57,10 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ("trials_per_size", "base_seed", "workers"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            # a JSON true or false loads as a bool, which is an int subclass
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         sizes = np.asarray(self.sizes)
         if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu" or (sizes < 2).any():
             raise ValidationError(f"sizes must be integers >= 2, got {self.sizes!r}")

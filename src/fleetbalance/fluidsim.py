@@ -81,7 +81,10 @@ Idle vehicles and idle drivers follow the same queue-and-transit
 dynamics, so both fleets go through one code path: the engine stacks
 customers, idle vehicles and idle drivers as one ``(3, n)`` array and
 both calendars as one ``(2, D, n)`` array, and each step clamps, posts
-and sums both fleets at once.
+and sums both fleets at once.  The engine holds only what the next step
+needs: the levels, which of them are at 0 (the gates), the calendars and
+the in-transit sums.  ``simulate`` reads the zero summaries off the
+levels it records.
 
 Clamping: when a step would drive a queue negative, all outbound flows
 from that queue are scaled down so the queue lands at zero, and the
@@ -265,14 +268,15 @@ class SimTrace:
     """Trajectory of a run, its zero summaries and its final state.
 
     ``times``, the levels and the totals have one row per step, from the
-    initial state (row 0) to the final one.  The summaries are
-    ``(3, n)``, rows customers, idle vehicles and idle drivers:
-    ``time_at_zero`` is ``h`` times the number of steps that
-    began with the level at or below 0 (its gate shut), ``zero_hits`` the
-    number of steps that took it from above 0 to 0 or below, and
-    ``first_zero`` the time of the first such step, NaN if none.
-    ``final`` is the state after the last step; the run leaves its
-    initial state as it was.
+    initial state (row 0) to the final one.  The zero summaries are
+    reductions over the level rows, ``(3, n)`` with rows customers, idle
+    vehicles and idle drivers.  ``time_at_zero`` is ``h`` times the
+    number of steps that began with the level at or below 0 (its gate
+    shut), ``zero_hits`` the number of steps that took it from above 0 to
+    0 or below, and ``first_zero`` the time of the first such step, NaN
+    if none.  So the summaries of consecutive runs add up, first hits by
+    ``np.fmin``, to those of one run.  ``final`` is the state after the
+    last step; the run leaves its initial state as it was.
     """
 
     times: np.ndarray
@@ -340,12 +344,6 @@ class _Engine:
         self.moved = np.zeros(2)
         self.step_index = state.step_index
         self.zero = self.levels <= 0
-        # zero summaries; steps at zero are counted per stretch of one
-        # ``zero`` pattern, which began at step ``zero_from``
-        self.zero_steps = np.zeros((3, n), dtype=np.int64)
-        self.zero_from = self.step_index
-        self.zero_hits = np.zeros((3, n), dtype=np.int64)
-        self.first_zero = np.full((3, n), np.nan)
         self.steady = False
         # a steady stretch starts with a block of the shortest delay in steps
         self.shortest = int(legs.steps.min()) if legs.steps.size else 1
@@ -392,11 +390,6 @@ class _Engine:
         sums = np.bincount(self.sup_station, weights=sup_flows.reshape(-1), minlength=2 * self.n)
         # an empty support has no weights, and bincount then counts in int64
         return sums.astype(float, copy=False).reshape(2, self.n)
-
-    def count_zero(self) -> None:
-        """Add the steps since ``zero_from`` to the steps at zero of the levels ``zero`` marks."""
-        self.zero_steps += self.zero * (self.step_index - self.zero_from)
-        self.zero_from = self.step_index
 
     def advance(self) -> None:
         h, n, k, legs = self.h, self.n, self.step_index, self.legs
@@ -454,11 +447,6 @@ class _Engine:
 
         after = levels <= 0
         changed = (after != self.zero).any()
-        if changed:
-            self.count_zero()
-            hit = after > self.zero
-            self.zero_hits += hit
-            self.first_zero[hit & np.isnan(self.first_zero)] = self.step_index * h
         self.zero = after
         # a step that clamped nothing, moved no level across 0 and served
         # every customer queue left above 0 at mu departs alike until some
@@ -568,7 +556,6 @@ def simulate(
             engine.advance()
             done += 1
             levels[done], moved[done] = engine.levels, engine.moved
-    engine.count_zero()
     # the engine ends here, so the final state takes its arrays without copies
     customers, vehicles, drivers = engine.levels
     final = replace(
@@ -580,17 +567,22 @@ def simulate(
     # sums still shows as drift
     totals[0] = init.total_vehicles(), init.total_drivers()
     totals[-1] = final.total_vehicles(), final.total_drivers()
+    times = (init.step_index + np.arange(steps + 1)) * h
+    # zero summaries: step t begins with row t and ends with row t + 1
+    zero = levels <= 0
+    hits = zero[1:] > zero[:-1]
+    zero_hits = hits.sum(axis=0)
     return SimTrace(
-        times=(init.step_index + np.arange(steps + 1)) * h,
+        times=times,
         customers=levels[:, 0],
         vehicles=levels[:, 1],
         drivers=levels[:, 2],
         vehicles_total=totals[:, 0],
         drivers_total=totals[:, 1],
         h=h,
-        time_at_zero=h * engine.zero_steps,
-        zero_hits=engine.zero_hits,
-        first_zero=engine.first_zero,
+        time_at_zero=h * zero[:-1].sum(axis=0),
+        zero_hits=zero_hits,
+        first_zero=np.where(zero_hits > 0, times[1 + hits.argmax(axis=0)], np.nan),
         final=final,
     )
 
@@ -746,22 +738,10 @@ def stability_probe(
 
 def write_trace_csv(trace: SimTrace, path) -> None:
     """Write the trajectory, one row per step: t, c_1.., v_1.., r_1.., V_total, R_total."""
-    n = trace.n
-    header = (
-        ["t"]
-        + [f"c_{i + 1}" for i in range(n)]
-        + [f"v_{i + 1}" for i in range(n)]
-        + [f"r_{i + 1}" for i in range(n)]
-        + ["V_total", "R_total"]
-    )
+    header = ["t"] + [f"{q}_{i + 1}" for q in "cvr" for i in range(trace.n)] + ["V_total", "R_total"]
+    table = np.column_stack((
+        trace.times, trace.customers, trace.vehicles, trace.drivers, trace.vehicles_total, trace.drivers_total
+    ))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(trace.times.shape[0]):
-            row = (
-                [trace.times[k]]
-                + list(trace.customers[k])
-                + list(trace.vehicles[k])
-                + list(trace.drivers[k])
-                + [trace.vehicles_total[k], trace.drivers_total[k]]
-            )
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())

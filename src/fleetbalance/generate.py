@@ -36,6 +36,9 @@ class GeneratorConfig:
     mu_factor: float = 2.0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.env_size <= 0:
             raise ValidationError(f"env_size must be positive, got {self.env_size}")
         if self.lambda_max <= 0:

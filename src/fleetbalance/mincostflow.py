@@ -124,9 +124,10 @@ class FlowProblem:
     capacity: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.node_count, (int, np.integer)) or self.node_count < 1:
-            raise ValidationError(f"node_count must be a positive integer, got {self.node_count!r}")
-        n = int(self.node_count)
+        count = self.node_count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValidationError(f"node_count must be a positive integer, got {count!r}")
+        n = int(count)
         object.__setattr__(self, "node_count", n)
         sup = np.array(self.supply, dtype=float, copy=True)
         if sup.shape != (n,):

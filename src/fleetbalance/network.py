@@ -137,7 +137,7 @@ class StationNetwork:
     meta: Optional[dict] = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValidationError(f"n must be a positive integer, got {self.n!r}")
         n = int(self.n)
         object.__setattr__(self, "n", n)

@@ -76,7 +76,7 @@ def save_instance(net: StationNetwork, path: PathLike) -> None:
 def load_instance(path: PathLike) -> StationNetwork:
     data = read_json_object(path)
     n = _require(data, "n", path)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"{path}: field 'n' must be a positive integer")
     lam, mu, p, tt, f = (_require(data, key, path) for key in ("lambda", "mu", "p", "T", "f"))
     if isinstance(f, (int, float)):

@@ -238,11 +238,14 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
     assert "top level must be a JSON object" in capsys.readouterr().err
 
-    # non-integer counts and seeds, non-numeric fractions and a generator
+    # non-integer counts and seeds (JSON booleans too), non-numeric fractions and a generator
     # taxi fraction are named, not run or left to a traceback
     for field, raw in (("trials_per_size", {"sizes": [5], "trials_per_size": 2.5}),
                        ("sizes", {"sizes": [5.5]}),
                        ("base_seed", {"sizes": [5], "trials_per_size": 1, "base_seed": 1.5}),
+                       ("trials_per_size", {"sizes": [5], "trials_per_size": True, "workers": True,
+                                            "base_seed": False}),
+                       ("workers", {"sizes": [5], "trials_per_size": 1, "workers": True}),
                        ("f_values", {"sizes": [5], "f_values": ["a"]}),
                        ("f_values", {"sizes": [5], "f_values": ["2", "3"]}),
                        ("taxi_fraction", {"sizes": [5], "generator": {"taxi_fraction": 0.5}})):

@@ -370,9 +370,11 @@ def test_write_trace_csv(tmp_path, two_station):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,c_1,c_2,v_1,v_2,r_1,r_2,V_total,R_total"
     assert len(lines) == trace.times.shape[0] + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == trace.times[0]
-    assert first[-2] == pytest.approx(trace.vehicles_total[0])
+    table = np.column_stack((
+        trace.times, trace.customers, trace.vehicles, trace.drivers, trace.vehicles_total, trace.drivers_total
+    ))
+    # repr round-trips every float, so each cell reads back exactly
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), table)
 
 
 def test_probe_is_invariant_under_rate_scaling(make_instance):

@@ -100,6 +100,14 @@ def test_negative_seed_is_folded():
         (dict(lambda_max=-0.1), "lambda_max"),
         (dict(taxi_fraction=-0.5), "taxi_fraction"),
         (dict(mu_factor=1.0), "mu_factor"),
+        (dict(env_size=float("inf")), "env_size must be finite"),
+        (dict(env_size=float("nan")), "env_size must be finite"),
+        (dict(lambda_max=float("nan")), "lambda_max must be finite"),
+        (dict(lambda_max=float("inf")), "lambda_max must be finite"),
+        (dict(taxi_fraction=float("inf")), "taxi_fraction must be finite"),
+        (dict(taxi_fraction=float("nan")), "taxi_fraction must be finite"),
+        (dict(mu_factor=float("nan")), "mu_factor must be finite"),
+        (dict(mu_factor=float("inf")), "mu_factor must be finite"),
     ],
 )
 def test_config_validation(kwargs, fragment):

@@ -461,6 +461,7 @@ def test_each_lp_is_logged_at_debug(caplog, make_instance):
             dict(node_count=2, supply=[0.0, 0.0], **arcs((0, 3, 1.0, 1.0))),
             "out of range",
         ),
+        (dict(node_count=True, supply=[0.0], **arcs()), "node_count must be a positive integer"),
     ],
 )
 def test_problem_validation(kwargs, fragment):

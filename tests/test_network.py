@@ -97,15 +97,17 @@ def test_network_validation_errors(field, value, fragment):
 
 
 def test_network_rejects_bad_n():
-    with pytest.raises(ValidationError, match="positive integer"):
-        StationNetwork(
-            n=0,
-            arrival_rate=[],
-            service_rate=[],
-            dest_prob=[[]],
-            travel_time=[[]],
-            taxi_fraction=[[]],
-        )
+    # a JSON true loads as a bool, which is an int subclass equal to 1
+    for n in (0, True):
+        with pytest.raises(ValidationError, match="n must be a positive integer"):
+            StationNetwork(
+                n=n,
+                arrival_rate=[],
+                service_rate=[],
+                dest_prob=[[]],
+                travel_time=[[]],
+                taxi_fraction=[[]],
+            )
 
 
 def test_first_bad_probability_row_is_reported():

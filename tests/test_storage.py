@@ -72,6 +72,7 @@ def test_flat_matrices_accepted(tmp_path):
         (lambda d: d.update(mu=[0.4, 0.2]), "mu[0]"),
         (lambda d: d.update(T=[[0.0, 10.0]]), "T must be an 2x2"),
         (lambda d: d.update(n=0), "'n' must be a positive integer"),
+        (lambda d: d.update(n=True), "field 'n' must be a positive integer"),
         (lambda d: d.update(meta=[1, 2]), "'meta' must be an object"),
         (lambda d: d.update({"lambda": ["x", "y"]}), "lambda is not numeric"),
         (lambda d: d.update(p=[[0.0, 1.0], [1.0]]), "p is not numeric"),
