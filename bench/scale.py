@@ -45,8 +45,9 @@ phases: ``import_cli`` (``import fleetbalance.cli``), ``import_highs``
 from outside, interpreter start-up included.  Each figure is the median
 of ``REPEATS`` calls, after one untimed call that pays lazy imports.
 The output, ``BENCH_<label>.json``, also records the machine, the
-Python, numpy and scipy versions and the git commit of the checkout
-measured.
+Python, numpy and scipy versions, the git commit of the checkout
+measured and ``src_lines``, the ``wc -l`` total of its
+``src/fleetbalance/*.py``.
 
 Run from the repository root, on whichever checkout is to be measured:
 
@@ -249,6 +250,11 @@ def git_commit() -> dict:
     return {"sha": git("rev-parse", "HEAD"), "tracked_files_modified": bool(status) if status is not None else None}
 
 
+def src_lines() -> int:
+    """Lines of ``src/fleetbalance/*.py``, counted as ``wc -l`` does: by newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in (SRC / "fleetbalance").glob("*.py"))
+
+
 def machine() -> dict:
     cpu = platform.processor()
     try:
@@ -268,6 +274,7 @@ def main(argv=None) -> int:
     report = {
         "label": args.label,
         "commit": git_commit(),
+        "src_lines": src_lines(),
         "machine": machine(),
         "versions": {
             "python": platform.python_version(),

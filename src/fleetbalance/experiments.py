@@ -28,6 +28,7 @@ from .network import (
     ImbalanceVector,
     StationNetwork,
     _checked_array,
+    _checked_int,
     _from_legs,
     assignment_residuals,
     compute_imbalance,
@@ -56,11 +57,8 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("trials_per_size", "base_seed", "workers"):
-            value = getattr(self, name)
-            # a JSON true or false loads as a bool, which is an int subclass
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name, minimum in (("trials_per_size", 1), ("base_seed", None), ("workers", 1)):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), minimum))
         sizes = np.asarray(self.sizes)
         if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu" or (sizes < 2).any():
             raise ValidationError(f"sizes must be integers >= 2, got {self.sizes!r}")
@@ -78,10 +76,6 @@ class SweepConfig:
                 "a sweep sets every leg from f_values and reads no generator "
                 f"taxi_fraction, got {self.generator.taxi_fraction:g}"
             )
-        if self.trials_per_size < 1:
-            raise ValidationError("trials_per_size must be >= 1")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
         object.__setattr__(self, "sizes", tuple(sizes.tolist()))
         object.__setattr__(self, "f_values", tuple(f_values.tolist()))
 

@@ -83,8 +83,8 @@ customers, idle vehicles and idle drivers as one ``(3, n)`` array and
 both calendars as one ``(2, D, n)`` array, and each step clamps, posts
 and sums both fleets at once.  The engine holds only what the next step
 needs: the levels, which of them are at 0 (the gates), the calendars and
-the in-transit sums.  ``simulate`` reads the zero summaries off the
-levels it records.
+the in-transit sums.  The trace reduces its zero summaries from the
+levels it records, on first read.
 
 Clamping: when a step would drive a queue negative, all outbound flows
 from that queue are scaled down so the queue lands at zero, and the
@@ -104,6 +104,7 @@ still show as drift in the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -113,6 +114,7 @@ from .network import (
     PROB_TOL,
     StationNetwork,
     _checked_array,
+    _checked_int,
     _legs,
     _on_legs,
     _rate_matrix,
@@ -218,7 +220,8 @@ def _state_vector(name: str, value, n: int) -> np.ndarray:
 
 def initial_state(net: StationNetwork, customers, vehicles, drivers, h: float) -> FluidState:
     """State at time zero with empty roads (nothing was in transit before)."""
-    legs = _Legs.build(net, float(h))
+    h = float(_checked_array("h", h, ()))
+    legs = _Legs.build(net, h)
     n = net.n
     return FluidState(
         customers=_state_vector("customers", customers, n),
@@ -227,7 +230,7 @@ def initial_state(net: StationNetwork, customers, vehicles, drivers, h: float) -
         vehicle_buffer=np.zeros((legs.depth, n)),
         driver_buffer=np.zeros((legs.depth, n)),
         step_index=0,
-        h=float(h),
+        h=h,
         legs=legs,
     )
 
@@ -269,12 +272,12 @@ class SimTrace:
 
     ``times``, the levels and the totals have one row per step, from the
     initial state (row 0) to the final one.  The zero summaries are
-    reductions over the level rows, ``(3, n)`` with rows customers, idle
-    vehicles and idle drivers.  ``time_at_zero`` is ``h`` times the
-    number of steps that began with the level at or below 0 (its gate
-    shut), ``zero_hits`` the number of steps that took it from above 0 to
-    0 or below, and ``first_zero`` the time of the first such step, NaN
-    if none.  So the summaries of consecutive runs add up, first hits by
+    reductions over the level rows, taken on first read and kept, each
+    ``(3, n)`` with rows customers, idle vehicles and idle drivers.
+    ``time_at_zero`` is ``h`` times the number of steps that began with
+    the level at or below 0 (its gate shut), ``zero_hits`` the number of
+    steps that took it from above 0 to 0 or below, and ``first_zero``
+    the time of the first such step, NaN if none.  So the summaries of consecutive runs add up, first hits by
     ``np.fmin``, to those of one run.  ``final`` is the state after the
     last step; the run leaves its initial state as it was.
     """
@@ -286,14 +289,24 @@ class SimTrace:
     vehicles_total: np.ndarray
     drivers_total: np.ndarray
     h: float
-    time_at_zero: np.ndarray
-    zero_hits: np.ndarray
-    first_zero: np.ndarray
     final: FluidState
 
     @property
     def n(self) -> int:
         return self.customers.shape[1]
+
+    @cached_property
+    def _zero_summaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (3, steps + 1, n); step t begins with row t and ends with row t + 1
+        zero = np.array((self.customers, self.vehicles, self.drivers)) <= 0
+        hits = zero[:, 1:] > zero[:, :-1]
+        zero_hits = hits.sum(axis=1)
+        first_zero = np.where(zero_hits > 0, self.times[1 + hits.argmax(axis=1)], np.nan)
+        return self.h * zero[:, :-1].sum(axis=1), zero_hits, first_zero
+
+    time_at_zero = property(lambda self: self._zero_summaries[0])
+    zero_hits = property(lambda self: self._zero_summaries[1])
+    first_zero = property(lambda self: self._zero_summaries[2])
 
 
 class _Engine:
@@ -538,8 +551,9 @@ def simulate(
     horizon: float,
 ) -> SimTrace:
     """Run steps of ``init.h`` until ``horizon`` (rounded to whole steps), recording every step."""
-    if not 0 < horizon < np.inf:
-        raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
+    horizon = float(_checked_array("horizon", horizon, ()))
+    if horizon <= 0:
+        raise ValidationError(f"horizon must be positive, got {horizon!r}")
     engine = _Engine(net, vehicle_rates, driver_rates, init)
     h = init.h
     steps = max(1, int(round(horizon / h)))
@@ -567,22 +581,14 @@ def simulate(
     # sums still shows as drift
     totals[0] = init.total_vehicles(), init.total_drivers()
     totals[-1] = final.total_vehicles(), final.total_drivers()
-    times = (init.step_index + np.arange(steps + 1)) * h
-    # zero summaries: step t begins with row t and ends with row t + 1
-    zero = levels <= 0
-    hits = zero[1:] > zero[:-1]
-    zero_hits = hits.sum(axis=0)
     return SimTrace(
-        times=times,
+        times=(init.step_index + np.arange(steps + 1)) * h,
         customers=levels[:, 0],
         vehicles=levels[:, 1],
         drivers=levels[:, 2],
         vehicles_total=totals[:, 0],
         drivers_total=totals[:, 1],
         h=h,
-        time_at_zero=h * zero[:-1].sum(axis=0),
-        zero_hits=zero_hits,
-        first_zero=np.where(zero_hits > 0, times[1 + hits.argmax(axis=0)], np.nan),
         final=final,
     )
 
@@ -646,9 +652,8 @@ def stability_probe(
     """
     if solution.status != "optimal" or solution.assignment is None:
         raise ValidationError("stability probe needs an optimal rebalancing solution")
-    for name, slack in (("slack_vehicles", slack_vehicles), ("slack_drivers", slack_drivers)):
-        if not np.isfinite(slack):
-            raise ValidationError(f"{name} must be finite, got {slack!r}")
+    slack_vehicles = float(_checked_array("slack_vehicles", slack_vehicles, ()))
+    slack_drivers = float(_checked_array("slack_drivers", slack_drivers, ()))
     if slack_vehicles <= 0:
         raise InsufficientFleetError(
             f"vehicle fleet must exceed the in-transit minimum (slack {slack_vehicles:g} <= 0)"
@@ -657,8 +662,10 @@ def stability_probe(
         raise InsufficientFleetError(
             f"driver pool must exceed the in-transit minimum (slack {slack_drivers:g} <= 0)"
         )
+    perturbation = float(_checked_array("perturbation", perturbation, ()))
     if not (0 <= perturbation < 1):
         raise ValidationError(f"perturbation must be in [0, 1), got {perturbation!r}")
+    seed = _checked_int("seed", seed)
 
     assignment = solution.assignment
     n = net.n
@@ -667,21 +674,18 @@ def stability_probe(
     if idle_v <= 0 or idle_r <= 0:
         raise InsufficientFleetError("assignment pins no mass in transit; nothing to probe")
 
-    rng = np.random.default_rng(int(seed) % 2**64)
+    rng = np.random.default_rng(seed % 2**64)
     v0 = (idle_v / n) * (1.0 + perturbation * rng.uniform(-1.0, 1.0, size=n))
     v0 *= idle_v / v0.sum()
     r0 = (idle_r / n) * (1.0 + perturbation * rng.uniform(-1.0, 1.0, size=n))
     r0 *= idle_r / r0.sum()
     c0 = perturbation * v0
 
+    init = equilibrium_state(net, assignment.vehicle_rates, assignment.driver_rates, c0, v0, r0, h)
+    h = init.h
     drain_bound = float(np.max(c0 / (net.service_rate - net.arrival_rate)))
-    max_tt = net.max_travel_time()
     if horizon is None:
-        horizon = drain_bound + 2.0 * max_tt + 10.0 * h
-
-    init = equilibrium_state(
-        net, assignment.vehicle_rates, assignment.driver_rates, c0, v0, r0, h
-    )
+        horizon = drain_bound + 2.0 * net.max_travel_time() + 10.0 * h
     trace = simulate(net, assignment.vehicle_rates, assignment.driver_rates, init, horizon)
 
     below = np.max(trace.customers, axis=1) <= 4e-4 * idle_v / n
@@ -730,8 +734,8 @@ def stability_probe(
         total_vehicles=total_v0,
         total_drivers=total_r0,
         horizon=float(horizon),
-        h=float(h),
-        seed=int(seed),
+        h=h,
+        seed=seed,
         trace=trace,
     )
 

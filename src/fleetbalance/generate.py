@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import StationNetwork, _from_legs
+from .network import StationNetwork, _checked_array, _checked_int, _from_legs
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class GeneratorConfig:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(_checked_array(name, value, ())))
         if self.env_size <= 0:
             raise ValidationError(f"env_size must be positive, got {self.env_size}")
         if self.lambda_max <= 0:
@@ -53,9 +52,8 @@ class GeneratorConfig:
 
 def generate_instance(n: int, seed: int, config: GeneratorConfig = GeneratorConfig()) -> StationNetwork:
     """Sample one random instance with ``n`` stations."""
-    if n < 2:
-        raise ValidationError(f"generator needs n >= 2, got n={n}")
-    rng = np.random.default_rng(int(seed) % 2**64)
+    n, seed = _checked_int("n", n, 2), _checked_int("seed", seed)
+    rng = np.random.default_rng(seed % 2**64)
 
     coords = rng.uniform(0.0, config.env_size, size=(n, 2))
     lam = rng.uniform(0.0, config.lambda_max, size=n)
@@ -68,13 +66,13 @@ def generate_instance(n: int, seed: int, config: GeneratorConfig = GeneratorConf
     diff = coords[:, None, :] - coords[None, :, :]
     travel = np.sqrt((diff ** 2).sum(axis=-1))
 
-    meta = {"seed": int(seed), "generator_config": asdict(config)}
+    meta = {"seed": seed, "generator_config": asdict(config)}
     return StationNetwork(
         n=n,
         arrival_rate=lam,
         service_rate=config.mu_factor * lam,
         dest_prob=p,
         travel_time=travel,
-        taxi_fraction=_from_legs(float(config.taxi_fraction), n),
+        taxi_fraction=_from_legs(config.taxi_fraction, n),
         meta=meta,
     )

@@ -86,6 +86,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
+from .network import _checked_array, _checked_int, _frozen
 
 INFINITE_CAPACITY = math.inf
 SUPPLY_TOL = 1e-9       # supply imbalance and negligible supply, relative to the supplies' size
@@ -124,43 +125,27 @@ class FlowProblem:
     capacity: np.ndarray
 
     def __post_init__(self):
-        count = self.node_count
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise ValidationError(f"node_count must be a positive integer, got {count!r}")
-        n = int(count)
-        object.__setattr__(self, "node_count", n)
-        sup = np.array(self.supply, dtype=float, copy=True)
+        n = _checked_int("node_count", self.node_count, 1)
+        sup = _checked_array("supply", self.supply, (None,))
         if sup.shape != (n,):
             raise ValidationError(f"supply must have length {n}, got shape {sup.shape}")
-        if not np.all(np.isfinite(sup)):
-            raise ValidationError("supply contains non-finite entries")
         if abs(float(sup.sum())) > SUPPLY_TOL * float(np.abs(sup).sum()):
             raise ValidationError(f"supplies must sum to zero, got {float(sup.sum()):.3g}")
-
-        tail = np.array(self.tail, dtype=np.int64, copy=True)
-        head = np.array(self.head, dtype=np.int64, copy=True)
-        cost = np.array(self.cost, dtype=float, copy=True)
-        cap = np.array(self.capacity, dtype=float, copy=True)
-        m = tail.shape[0] if tail.ndim == 1 else -1
-        if any(a.shape != (m,) for a in (tail, head, cost, cap)):
-            raise ValidationError(
-                "tail, head, cost and capacity must be vectors of one length, got shapes "
-                f"{tail.shape}, {head.shape}, {cost.shape}, {cap.shape}"
-            )
+        tail = _checked_array("tail", self.tail, (None,), integer=True)
+        m = tail.shape[0]
+        head = _checked_array("head", self.head, (m,), integer=True)
+        cost = _checked_array("cost", self.cost, (m,), nonnegative=True)
+        cap = _checked_array("capacity", self.capacity, (m,), nonnegative=True, infinite=True)
         for bad, what in (
             ((tail < 0) | (tail >= n) | (head < 0) | (head >= n), "endpoints out of range"),
             (tail == head, "is a self-loop"),
-            (~(np.isfinite(cost) & (cost >= 0)), "cost must be finite and >= 0"),
-            (~(cap >= 0), "capacity must be >= 0"),
         ):
             if np.any(bad):
                 k = int(np.flatnonzero(bad)[0])
-                raise ValidationError(
-                    f"arc {k} ({tail[k]}->{head[k]}, cost {cost[k]!r}, capacity {cap[k]!r}) {what}"
-                )
+                raise ValidationError(f"arc {k} ({tail[k]}->{head[k]}) {what}")
+        object.__setattr__(self, "node_count", n)
         for name, arr in (("supply", sup), ("tail", tail), ("head", head), ("cost", cost), ("capacity", cap)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def arc_count(self) -> int:

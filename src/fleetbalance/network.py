@@ -23,9 +23,11 @@ imbalance, the fleet sizes a given assignment pins in transit, and the
 residuals by which an assignment misses the balance and capacity
 constraints.
 
-Every input array is checked once, by ``_checked_array``, in the code
-that owns it: :class:`StationNetwork`, :class:`RebalanceAssignment`,
-:func:`fleet_sizes` and the simulator's state builders and engine.
+Every number from outside is checked once, in the code that owns it:
+arrays and reals by ``_checked_array``, counts and seeds by
+``_checked_int``.  The owners are :class:`StationNetwork`,
+:class:`RebalanceAssignment`, :func:`fleet_sizes`, the flow problem,
+the generator and sweep configs and the simulator's entry points.
 ``storage`` reads only the file format and leaves values to these.
 
 The module also owns the leg layout shared by the flow programs' arcs
@@ -50,34 +52,57 @@ SUM_RTOL = 1e-9      # imbalance rounding: relative to sum(|surplus|), or to the
 
 
 def _checked_array(
-    name: str, value, shape: tuple, nonnegative: bool = False, error=ValidationError
+    name: str, value, shape: tuple, nonnegative: bool = False, error=ValidationError,
+    integer: bool = False, infinite: bool = False,
 ) -> np.ndarray:
     """``value`` as a float array of ``shape``, finite and, if asked, nonnegative.
 
-    The one check of every input array; ``None`` in ``shape`` takes any
-    length.  A float array is read in place, not copied, so a type that
-    keeps the result takes its own copy.  ``error`` is raised with a
-    message that names ``name`` and, for a bad value, its first entry.
+    The one check of every outside array and real number: ``None`` in
+    ``shape`` takes any length, and ``()`` takes one number.  Bools are
+    refused (a JSON ``true`` would read as 1); a list that mixes them
+    with numbers converts.  ``integer`` asks for an integer dtype and
+    returns int64 in place of float; ``infinite`` lets ``+inf`` through.  A float array is
+    read in place, not copied, so a type that keeps the result takes its
+    own copy.  ``error`` is raised with a message that names ``name``
+    and the first bad entry, or the value of a bad number.
     """
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError) as exc:  # a ragged nesting, for one
         raise error(f"{name} is not numeric: {exc}") from exc
-    if arr.dtype.kind not in "biuf":  # strings, quoted numbers among them, and other objects
-        raise error(f"{name} is not numeric: got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+    # strings, quoted numbers among them, bools and other objects; numpy reads [] as float
+    if arr.dtype.kind not in ("iu" if integer and arr.size else "iuf"):
+        raise error(f"{name} is not {'integer' if integer else 'numeric'}: got dtype {arr.dtype}")
+    arr = arr.astype(np.int64 if integer else float, copy=False)
     if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
         dims = "x".join("n" if k is None else str(k) for k in shape)
-        wanted = f"a length-{dims} vector" if len(shape) == 1 else f"an {dims} matrix"
+        wanted = f"a length-{dims} vector" if len(shape) == 1 else f"an {dims} matrix" if shape else "a number"
         raise error(f"{name} must be {wanted}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        bad, what = ~np.isfinite(arr), "is not finite"
+    finite = np.isfinite(arr)
+    if infinite:
+        finite |= arr == np.inf
+    if not finite.all():
+        bad, what, want = ~finite, "is not finite", "finite"
     elif nonnegative and (arr < 0).any():
-        bad, what = arr < 0, "is negative"
+        bad, what, want = arr < 0, "is negative", "nonnegative"
     else:
         return arr
+    if arr.ndim == 0:
+        raise error(f"{name} must be {want}, got {arr.item()!r}")
     pos = ",".join(str(int(k)) for k in np.argwhere(bad)[0])
     raise error(f"{name}[{pos}] {what}")
+
+
+def _checked_int(name: str, value, minimum: Optional[int] = None) -> int:
+    """``value`` as an ``int`` of at least ``minimum``: the one check of every outside count and seed.
+
+    Bools are refused, as by :func:`_checked_array`, and so are floats, integral or not.
+    """
+    low = -np.inf if minimum is None else minimum
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        wanted = {None: "an integer", 1: "a positive integer"}.get(minimum, f"an integer >= {minimum}")
+        raise ValidationError(f"{name} must be {wanted}, got {value!r}")
+    return int(value)
 
 
 def _legs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +162,7 @@ class StationNetwork:
     meta: Optional[dict] = None
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n!r}")
-        n = int(self.n)
+        n = _checked_int("n", self.n, 1)
         object.__setattr__(self, "n", n)
         lam = _checked_array("lambda", self.arrival_rate, (n,), nonnegative=True)
         mu = _checked_array("mu", self.service_rate, (n,))
@@ -262,14 +285,7 @@ class RebalanceAssignment:
         a = _rate_matrix("alpha", a, a.shape[0])
         b = _rate_matrix("beta", self.driver_rates, a.shape[0])
         for name, attr in (("v_alpha", "min_vehicles"), ("r_alpha_beta", "min_drivers")):
-            raw = getattr(self, attr)
-            try:
-                val = float(raw)
-            except (TypeError, ValueError):
-                val = float("nan")  # not a number: fails the check below
-            if not np.isfinite(val) or val < 0:
-                raise ValidationError(f"{name} must be a nonnegative real, got {raw!r}")
-            object.__setattr__(self, attr, val)
+            object.__setattr__(self, attr, float(_checked_array(name, getattr(self, attr), (), nonnegative=True)))
         object.__setattr__(self, "vehicle_rates", _frozen(a))
         object.__setattr__(self, "driver_rates", _frozen(b))
 

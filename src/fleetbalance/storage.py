@@ -6,9 +6,10 @@ object; matrices are written as nested row-major lists and may be read
 back flat (length n*n), and ``f`` may be one scalar for every leg (zero
 diagonal).  Assignment files carry ``alpha`` (always nested: its rows
 give n), ``beta``, ``v_alpha``, ``r_alpha_beta``, ``objective_alpha``
-and ``objective_beta``.  The arrays go as read to
-:class:`StationNetwork` and :class:`RebalanceAssignment`, which check
-every value; their messages come back prefixed with the file's path.
+and ``objective_beta``.  Every value goes as read to
+:class:`StationNetwork`, :class:`RebalanceAssignment` or the checkers
+they use, ``_checked_array`` and ``_checked_int``; their messages come
+back prefixed with the file's path.
 
 Each file is one line of compact JSON.  Floats are written with full
 ``repr`` precision (the default for ``json``), so ``load(save(x))``
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ValidationError
-from .network import RebalanceAssignment, StationNetwork, _from_legs
+from .network import RebalanceAssignment, StationNetwork, _checked_array, _checked_int, _from_legs
 from .rebalance import RebalanceSolution
 
 PathLike = Union[str, Path]
@@ -75,16 +76,14 @@ def save_instance(net: StationNetwork, path: PathLike) -> None:
 
 def load_instance(path: PathLike) -> StationNetwork:
     data = read_json_object(path)
-    n = _require(data, "n", path)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"{path}: field 'n' must be a positive integer")
-    lam, mu, p, tt, f = (_require(data, key, path) for key in ("lambda", "mu", "p", "T", "f"))
-    if isinstance(f, (int, float)):
-        f = _from_legs(float(f), n)
+    n, lam, mu, p, tt, f = (_require(data, key, path) for key in ("n", "lambda", "mu", "p", "T", "f"))
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValidationError(f"{path}: field 'meta' must be an object")
     try:
+        n = _checked_int("field 'n'", n, 1)
+        if not isinstance(f, list):  # one taxi fraction for every leg
+            f = _from_legs(float(_checked_array("f", f, ())), n)
         return StationNetwork(
             n=n,
             arrival_rate=lam,
@@ -118,29 +117,23 @@ def save_assignment(solution: RebalanceSolution, path: PathLike, meta: dict | No
 
 def load_assignment(path: PathLike) -> RebalanceSolution:
     data = read_json_object(path)
-
-    def _scalar(key):
-        val = _require(data, key, path)
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ValidationError(f"{path}: field '{key}' must be a number")
-        return float(val)
-
-    alpha, beta = _require(data, "alpha", path), _require(data, "beta", path)
+    alpha, beta, v_alpha, r_alpha_beta, obj_alpha, obj_beta = (
+        _require(data, key, path)
+        for key in ("alpha", "beta", "v_alpha", "r_alpha_beta", "objective_alpha", "objective_beta")
+    )
     # alpha is always nested, so its rows give n for a flat beta
     n = len(alpha) if isinstance(alpha, list) else 0
-    v_alpha, r_alpha_beta = _scalar("v_alpha"), _scalar("r_alpha_beta")
     try:
-        assignment = RebalanceAssignment(
-            vehicle_rates=alpha,
-            driver_rates=_rows(beta, n),
-            min_vehicles=v_alpha,
-            min_drivers=r_alpha_beta,
+        return RebalanceSolution(
+            status="optimal",
+            assignment=RebalanceAssignment(
+                vehicle_rates=alpha,
+                driver_rates=_rows(beta, n),
+                min_vehicles=v_alpha,
+                min_drivers=r_alpha_beta,
+            ),
+            vehicle_objective=float(_checked_array("objective_alpha", obj_alpha, ())),
+            driver_objective=float(_checked_array("objective_beta", obj_beta, ())),
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    return RebalanceSolution(
-        status="optimal",
-        assignment=assignment,
-        vehicle_objective=_scalar("objective_alpha"),
-        driver_objective=_scalar("objective_beta"),
-    )

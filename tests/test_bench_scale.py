@@ -4,15 +4,29 @@ import importlib.util
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "scale.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "bench" / "scale.py"
 
 
-def test_scale_layers_run_and_count_the_probe(monkeypatch):
+@pytest.fixture
+def scale(monkeypatch):
     # the script puts its checkout's src/ on sys.path; undo that afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("bench_scale", SCRIPT)
-    scale = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scale)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scale_counts_src_lines(scale):
+    files = sorted((ROOT / "src" / "fleetbalance").glob("*.py"))
+    assert len(files) > 1
+    assert scale.src_lines() == sum(len(path.read_text().splitlines()) for path in files)
+
+
+def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):
     monkeypatch.setattr(scale, "REPEATS", 1)
     row = scale.layers(25)
     sim_keys = {

@@ -53,7 +53,7 @@ def test_gen_honors_flags(tmp_path):
 def test_gen_rejects_bad_parameters(tmp_path, capsys):
     out = tmp_path / "inst.json"
     assert main(["gen", "--n", "1", "--seed", "0", "--out", str(out)]) == 2
-    assert "n >= 2" in capsys.readouterr().err
+    assert "n must be an integer >= 2" in capsys.readouterr().err
     assert main(["gen", "--n", "5", "--seed", "0", "--out", str(out), "--mu-factor", "1"]) == 2
     assert not out.exists()
 

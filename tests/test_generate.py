@@ -116,5 +116,5 @@ def test_config_validation(kwargs, fragment):
 
 
 def test_generator_rejects_tiny_n():
-    with pytest.raises(ValidationError, match="n >= 2"):
+    with pytest.raises(ValidationError, match="n must be an integer >= 2"):
         generate_instance(1, 0)

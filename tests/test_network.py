@@ -264,7 +264,7 @@ def test_assignment_rejects_negative_and_diagonal():
 @pytest.mark.parametrize("field,name", [("min_vehicles", "v_alpha"), ("min_drivers", "r_alpha_beta")])
 def test_assignment_fleet_minimum_must_be_a_real(bad, field, name):
     fleets = {"min_vehicles": 1.0, "min_drivers": 1.0, field: bad}
-    with pytest.raises(ValidationError, match=f"{name} must be a nonnegative real, got {bad!r}"):
+    with pytest.raises(ValidationError, match=f"{name} is not numeric"):
         RebalanceAssignment(vehicle_rates=np.zeros((2, 2)), driver_rates=np.zeros((2, 2)), **fleets)
 
 

@@ -164,7 +164,7 @@ def test_load_assignment_errors(tmp_path):
             }
         )
     )
-    with pytest.raises(ValidationError, match="'v_alpha' must be a number"):
+    with pytest.raises(ValidationError, match="v_alpha is not numeric"):
         load_assignment(path)
 
 
