@@ -46,8 +46,9 @@ from outside, interpreter start-up included.  Each figure is the median
 of ``REPEATS`` calls, after one untimed call that pays lazy imports.
 The output, ``BENCH_<label>.json``, also records the machine, the
 Python, numpy and scipy versions, the git commit of the checkout
-measured and ``src_lines``, the ``wc -l`` total of its
-``src/fleetbalance/*.py``.
+measured, ``src_lines``, the ``wc -l`` total of its
+``src/fleetbalance/*.py``, and ``src_lines_by_module``, the count of
+each of those files.
 
 Run from the repository root, on whichever checkout is to be measured:
 
@@ -250,9 +251,13 @@ def git_commit() -> dict:
     return {"sha": git("rev-parse", "HEAD"), "tracked_files_modified": bool(status) if status is not None else None}
 
 
+def src_lines_by_module() -> dict:
+    """Lines of each ``src/fleetbalance/*.py``, by file name, counted as ``wc -l`` does: by newlines."""
+    return {path.name: path.read_bytes().count(b"\n") for path in sorted((SRC / "fleetbalance").glob("*.py"))}
+
+
 def src_lines() -> int:
-    """Lines of ``src/fleetbalance/*.py``, counted as ``wc -l`` does: by newlines."""
-    return sum(path.read_bytes().count(b"\n") for path in (SRC / "fleetbalance").glob("*.py"))
+    return sum(src_lines_by_module().values())
 
 
 def machine() -> dict:
@@ -275,6 +280,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "commit": git_commit(),
         "src_lines": src_lines(),
+        "src_lines_by_module": src_lines_by_module(),
         "machine": machine(),
         "versions": {
             "python": platform.python_version(),

@@ -2,7 +2,6 @@
 
 from .errors import (
     InsufficientFleetError,
-    InvalidStateError,
     RebalanceInfeasibleError,
     ValidationError,
 )
@@ -48,6 +47,6 @@ from .rebalance import (
     solve_vehicle_rebalancing,
     vehicle_flow_problem,
 )
-from .storage import load_assignment, load_instance, save_assignment, save_instance
+from .storage import load_assignment, load_instance, load_sweep_config, save_assignment, save_instance
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen, solve, simulate, sweep.  Exit codes: 0 on
-success, 2 for invalid input, 3 when the driver-return program is
-infeasible, 4 when requested fleet totals cannot support an equilibrium.
+success, 2 for invalid input (files that cannot be read, decoded or
+written included), 3 when the driver-return program is infeasible, 4
+when requested fleet totals cannot support an equilibrium.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import InsufficientFleetError, RebalanceInfeasibleError, ValidationError
@@ -19,12 +20,13 @@ from .experiments import SweepConfig, run_sweep, write_report_csv, write_summary
 from .fluidsim import stability_probe, write_trace_csv
 from .generate import GeneratorConfig, generate_instance
 from .rebalance import solve_rebalancing
-from .storage import load_assignment, load_instance, read_json_object, save_assignment, save_instance
+from .storage import load_assignment, load_instance, load_sweep_config, save_assignment, save_instance
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_FLEET = 4
+_EXIT_CODES = {RebalanceInfeasibleError: EXIT_INFEASIBLE, InsufficientFleetError: EXIT_FLEET}
 
 
 @functools.cache  # built once per process: parsing leaves the parser as it was
@@ -39,10 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="number of stations")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", type=Path, required=True)
-    gen.add_argument("--env-size", type=float, default=100.0)
-    gen.add_argument("--lambda-max", type=float, default=0.05)
-    gen.add_argument("--f", type=float, default=1.0, help="taxi fraction for every leg")
-    gen.add_argument("--mu-factor", type=float, default=2.0)
+    # generator settings: a flag not given (None) leaves GeneratorConfig's default
+    gen.add_argument("--env-size", type=float)
+    gen.add_argument("--lambda-max", type=float)
+    gen.add_argument("--f", type=float, dest="taxi_fraction", help="taxi fraction for every leg")
+    gen.add_argument("--mu-factor", type=float)
 
     solve = sub.add_parser("solve", help="solve both rebalancing programs for an instance")
     solve.add_argument("--instance", type=Path, required=True)
@@ -68,12 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    config = GeneratorConfig(
-        env_size=args.env_size,
-        lambda_max=args.lambda_max,
-        taxi_fraction=args.f,
-        mu_factor=args.mu_factor,
-    )
+    settings = ("env_size", "lambda_max", "taxi_fraction", "mu_factor")
+    config = GeneratorConfig(**{k: getattr(args, k) for k in settings if getattr(args, k) is not None})
     net = generate_instance(args.n, args.seed, config)
     save_instance(net, args.out)
     print(f"wrote {args.out} (n={net.n}, seed={args.seed})")
@@ -160,28 +159,13 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_sweep_config(path, workers) -> SweepConfig:
-    config = SweepConfig()
-    if path is not None:
-        raw = read_json_object(path)
-        extra = sorted(set(raw) - {f.name for f in fields(SweepConfig)})
-        if extra:
-            raise ValidationError(f"{path}: unknown sweep config fields: {', '.join(extra)}")
-        gen_raw = raw.get("generator", {})
-        if not isinstance(gen_raw, dict):
-            raise ValidationError(f"{path}: field 'generator' must be an object")
-        try:
-            config = SweepConfig(**{**raw, "generator": GeneratorConfig(**gen_raw)})
-        except TypeError as exc:
-            raise ValidationError(f"{path}: bad sweep config: {exc}") from exc
-    if workers is not None:
-        config = replace(config, workers=workers)
-    return config
-
-
 def _cmd_sweep(args) -> int:
-    report = run_sweep(_load_sweep_config(args.config, args.workers))
+    config = SweepConfig() if args.config is None else load_sweep_config(args.config)
+    if args.workers is not None:
+        config = replace(config, workers=args.workers)
+    # an output directory that cannot be made fails before the trials run
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    report = run_sweep(config)
     rows_path, summary_path = args.out_dir / "sweep_rows.csv", args.out_dir / "sweep_summary.csv"
     write_report_csv(report, rows_path)
     write_summary_csv(report, summary_path)
@@ -212,15 +196,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except RebalanceInfeasibleError as exc:
+    except (RebalanceInfeasibleError, InsufficientFleetError, ValidationError, OSError) as exc:
+        # an input or output file that cannot be read, decoded or written is invalid input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except InsufficientFleetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLEET
-    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _EXIT_CODES.get(type(exc), EXIT_INVALID)
 
 
 if __name__ == "__main__":

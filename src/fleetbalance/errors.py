@@ -5,10 +5,6 @@ class ValidationError(ValueError):
     """Input data violates a structural requirement; the message names the offending field."""
 
 
-class InvalidStateError(ValueError):
-    """Simulation state contains NaN, negative, or inconsistently shaped entries."""
-
-
 class InsufficientFleetError(ValueError):
     """Requested fleet totals cannot support an equilibrium (idle stock would be <= 0)."""
 

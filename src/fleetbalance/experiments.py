@@ -59,8 +59,8 @@ class SweepConfig:
     def __post_init__(self):
         for name, minimum in (("trials_per_size", 1), ("base_seed", None), ("workers", 1)):
             object.__setattr__(self, name, _checked_int(name, getattr(self, name), minimum))
-        sizes = np.asarray(self.sizes)
-        if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu" or (sizes < 2).any():
+        sizes = _checked_array("sizes", self.sizes, (None,), integer=True)
+        if sizes.size == 0 or (sizes < 2).any():
             raise ValidationError(f"sizes must be integers >= 2, got {self.sizes!r}")
         if np.unique(sizes).size < sizes.size:
             raise ValidationError(f"sizes must not repeat, got {self.sizes!r}")

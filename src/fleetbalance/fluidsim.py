@@ -109,7 +109,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientFleetError, InvalidStateError, ValidationError
+from .errors import InsufficientFleetError, ValidationError
 from .network import (
     PROB_TOL,
     StationNetwork,
@@ -214,19 +214,15 @@ class FluidState:
         return float(self.drivers.sum()) + self.in_transit_drivers()
 
 
-def _state_vector(name: str, value, n: int) -> np.ndarray:
-    return _checked_array(name, value, (n,), nonnegative=True, error=InvalidStateError).copy()
-
-
 def initial_state(net: StationNetwork, customers, vehicles, drivers, h: float) -> FluidState:
     """State at time zero with empty roads (nothing was in transit before)."""
     h = float(_checked_array("h", h, ()))
     legs = _Legs.build(net, h)
     n = net.n
     return FluidState(
-        customers=_state_vector("customers", customers, n),
-        vehicles=_state_vector("vehicles", vehicles, n),
-        drivers=_state_vector("drivers", drivers, n),
+        customers=_checked_array("customers", customers, (n,), nonnegative=True).copy(),
+        vehicles=_checked_array("vehicles", vehicles, (n,), nonnegative=True).copy(),
+        drivers=_checked_array("drivers", drivers, (n,), nonnegative=True).copy(),
         vehicle_buffer=np.zeros((legs.depth, n)),
         driver_buffer=np.zeros((legs.depth, n)),
         step_index=0,
@@ -322,18 +318,18 @@ class _Engine:
     def __init__(self, net: StationNetwork, vehicle_rates, driver_rates, state: FluidState):
         n = net.n
         if state.n != n:
-            raise InvalidStateError(f"state has {state.n} stations, network has {n}")
+            raise ValidationError(f"state has {state.n} stations, network has {n}")
         alpha = _rate_matrix("alpha", vehicle_rates, n)
         beta = _rate_matrix("beta", driver_rates, n)
         legs = state.legs
         if not np.array_equal(legs.steps, np.rint(_on_legs(net.travel_time) / state.h)):
-            raise InvalidStateError(
+            raise ValidationError(
                 f"state was built for other travel times: its legs' delays in steps of "
                 f"h={state.h:g} are not the network's"
             )
         for name in ("customers", "vehicles", "drivers", "vehicle_buffer", "driver_buffer"):
             shape = (legs.depth, n) if name.endswith("_buffer") else (n,)
-            _checked_array(name, getattr(state, name), shape, nonnegative=True, error=InvalidStateError)
+            _checked_array(name, getattr(state, name), shape, nonnegative=True)
         # queued customers depart along dest_prob rows; an unnormalized row
         # would leak vehicle mass out of the conservation ledger
         queued = state.customers > 0
@@ -341,7 +337,7 @@ class _Engine:
             sums = net.dest_prob[queued].sum(axis=1)
             if np.any(np.abs(sums - 1.0) > PROB_TOL):
                 i = int(np.flatnonzero(queued)[np.argmax(np.abs(sums - 1.0))])
-                raise InvalidStateError(
+                raise ValidationError(
                     f"station {i} has queued customers but p row {i} does not sum to 1"
                 )
 
@@ -645,7 +641,9 @@ def stability_probe(
     Fleet totals are ``(1 + slack) * minimum``; the idle stock (the slack
     portion) is spread evenly over stations, then jittered station-wise
     by ``perturbation`` (relative, sum preserved).  Initial customer
-    queues are ``perturbation`` times the idle vehicles.  Scenarios
+    queues are ``perturbation`` times the idle vehicles, at stations
+    where customers arrive (a station without arrivals may have no
+    destinations to send a queue to).  Scenarios
     without strictly positive slack are rejected before any simulation
     work, since no equilibrium exists there, and so is a non-finite
     slack.
@@ -679,7 +677,7 @@ def stability_probe(
     v0 *= idle_v / v0.sum()
     r0 = (idle_r / n) * (1.0 + perturbation * rng.uniform(-1.0, 1.0, size=n))
     r0 *= idle_r / r0.sum()
-    c0 = perturbation * v0
+    c0 = np.where(net.arrival_rate > 0, perturbation * v0, 0.0)
 
     init = equilibrium_state(net, assignment.vehicle_rates, assignment.driver_rates, c0, v0, r0, h)
     h = init.h

@@ -52,8 +52,7 @@ SUM_RTOL = 1e-9      # imbalance rounding: relative to sum(|surplus|), or to the
 
 
 def _checked_array(
-    name: str, value, shape: tuple, nonnegative: bool = False, error=ValidationError,
-    integer: bool = False, infinite: bool = False,
+    name: str, value, shape: tuple, nonnegative: bool = False, integer: bool = False, infinite: bool = False,
 ) -> np.ndarray:
     """``value`` as a float array of ``shape``, finite and, if asked, nonnegative.
 
@@ -63,21 +62,21 @@ def _checked_array(
     with numbers converts.  ``integer`` asks for an integer dtype and
     returns int64 in place of float; ``infinite`` lets ``+inf`` through.  A float array is
     read in place, not copied, so a type that keeps the result takes its
-    own copy.  ``error`` is raised with a message that names ``name``
-    and the first bad entry, or the value of a bad number.
+    own copy.  A bad value raises ``ValidationError`` with a message that
+    names ``name`` and the first bad entry, or the value of a bad number.
     """
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError) as exc:  # a ragged nesting, for one
-        raise error(f"{name} is not numeric: {exc}") from exc
+        raise ValidationError(f"{name} is not numeric: {exc}") from exc
     # strings, quoted numbers among them, bools and other objects; numpy reads [] as float
     if arr.dtype.kind not in ("iu" if integer and arr.size else "iuf"):
-        raise error(f"{name} is not {'integer' if integer else 'numeric'}: got dtype {arr.dtype}")
+        raise ValidationError(f"{name} is not {'integer' if integer else 'numeric'}: got dtype {arr.dtype}")
     arr = arr.astype(np.int64 if integer else float, copy=False)
     if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
         dims = "x".join("n" if k is None else str(k) for k in shape)
         wanted = f"a length-{dims} vector" if len(shape) == 1 else f"an {dims} matrix" if shape else "a number"
-        raise error(f"{name} must be {wanted}, got shape {arr.shape}")
+        raise ValidationError(f"{name} must be {wanted}, got shape {arr.shape}")
     finite = np.isfinite(arr)
     if infinite:
         finite |= arr == np.inf
@@ -88,9 +87,9 @@ def _checked_array(
     else:
         return arr
     if arr.ndim == 0:
-        raise error(f"{name} must be {want}, got {arr.item()!r}")
+        raise ValidationError(f"{name} must be {want}, got {arr.item()!r}")
     pos = ",".join(str(int(k)) for k in np.argwhere(bad)[0])
-    raise error(f"{name}[{pos}] {what}")
+    raise ValidationError(f"{name}[{pos}] {what}")
 
 
 def _checked_int(name: str, value, minimum: Optional[int] = None) -> int:

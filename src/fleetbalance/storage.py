@@ -1,4 +1,4 @@
-"""JSON serialization for instances and assignments.
+"""JSON serialization for instances and assignments; the reader of every input file.
 
 This module owns only the file format.  Instance files carry ``n``,
 ``lambda``, ``mu``, ``p``, ``T``, ``f`` and an optional ``meta``
@@ -6,10 +6,12 @@ object; matrices are written as nested row-major lists and may be read
 back flat (length n*n), and ``f`` may be one scalar for every leg (zero
 diagonal).  Assignment files carry ``alpha`` (always nested: its rows
 give n), ``beta``, ``v_alpha``, ``r_alpha_beta``, ``objective_alpha``
-and ``objective_beta``.  Every value goes as read to
-:class:`StationNetwork`, :class:`RebalanceAssignment` or the checkers
-they use, ``_checked_array`` and ``_checked_int``; their messages come
-back prefixed with the file's path.
+and ``objective_beta``.  Sweep config files carry any fields of
+:class:`SweepConfig`, with ``generator`` an object of
+:class:`GeneratorConfig` fields.  Every value goes as read to
+:class:`StationNetwork`, :class:`RebalanceAssignment`, the two configs
+or the checkers they use, ``_checked_array`` and ``_checked_int``; their
+messages come back prefixed with the file's path.
 
 Each file is one line of compact JSON.  Floats are written with full
 ``repr`` precision (the default for ``json``), so ``load(save(x))``
@@ -20,10 +22,13 @@ identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Union
 
 from .errors import ValidationError
+from .experiments import SweepConfig
+from .generate import GeneratorConfig
 from .network import RebalanceAssignment, StationNetwork, _checked_array, _checked_int, _from_legs
 from .rebalance import RebalanceSolution
 
@@ -48,7 +53,7 @@ def read_json_object(path: PathLike) -> dict:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bytes that are not text, or text that is not JSON
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")
@@ -136,4 +141,18 @@ def load_assignment(path: PathLike) -> RebalanceSolution:
             driver_objective=float(_checked_array("objective_beta", obj_beta, ())),
         )
     except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def load_sweep_config(path: PathLike) -> SweepConfig:
+    data = read_json_object(path)
+    try:
+        extra = sorted(set(data) - {f.name for f in fields(SweepConfig)})
+        if extra:
+            raise ValidationError(f"unknown sweep config fields: {', '.join(extra)}")
+        generator = data.get("generator", {})
+        if not isinstance(generator, dict):
+            raise ValidationError("field 'generator' must be an object")
+        return SweepConfig(**{**data, "generator": GeneratorConfig(**generator)})
+    except (ValidationError, TypeError) as exc:  # TypeError: an unknown generator field
         raise ValidationError(f"{path}: {exc}") from exc

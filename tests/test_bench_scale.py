@@ -24,6 +24,9 @@ def test_scale_counts_src_lines(scale):
     files = sorted((ROOT / "src" / "fleetbalance").glob("*.py"))
     assert len(files) > 1
     assert scale.src_lines() == sum(len(path.read_text().splitlines()) for path in files)
+    by_module = scale.src_lines_by_module()
+    assert by_module == {path.name: len(path.read_text().splitlines()) for path in files}
+    assert sum(by_module.values()) == scale.src_lines()
 
 
 def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):

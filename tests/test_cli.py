@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fleetbalance
+from fleetbalance import cli
 from fleetbalance.cli import main
 from fleetbalance.storage import load_assignment, load_instance, save_instance
 
@@ -91,6 +92,20 @@ def test_solve_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "instance,out",
+    [("bytes.json", "a.json"), ("net.json", "net.json/a.json")],
+    ids=["instance-not-utf8", "out-under-a-regular-file"],
+)
+def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, instance, out):
+    write_two_station(tmp_path)
+    (tmp_path / "bytes.json").write_bytes(bytes(range(128, 192)))  # 64 bytes, none of them UTF-8 text
+    bad = tmp_path / (instance if instance == "bytes.json" else out)
+    assert main(["solve", "--instance", str(tmp_path / instance), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+
+
 def solve_first(tmp_path):
     net_path = write_two_station(tmp_path)
     assign_path = tmp_path / "assign.json"
@@ -129,6 +144,23 @@ def test_simulate_rejects_fleet_at_minimum(tmp_path, capsys):
     assert code == 4
     assert "error:" in capsys.readouterr().err
     assert not trace.exists()
+
+
+def test_probe_queues_no_station_without_arrivals(tmp_path, capsys):
+    # station 1 has no arrivals, so its p row may be all 0; a queue there would have nowhere to go
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"n": 2, "lambda": [0.4, 0.0], "mu": [0.8, 0.2], "p": [[0, 1], [0, 0]],
+                                    "T": [[0, 10], [10, 0]], "f": 1.0}))
+    assign_path, trace = tmp_path / "assign.json", tmp_path / "trace.csv"
+    assert main(["solve", "--instance", str(net_path), "--out", str(assign_path)]) == 0
+    code = main(
+        ["simulate", "--instance", str(net_path), "--assignment", str(assign_path),
+         "--V", "20", "--R", "20", "--trace-out", str(trace)]
+    )
+    assert code == 0
+    assert "stability: PASS" in capsys.readouterr().out
+    first = np.loadtxt(trace, delimiter=",", skiprows=1)[0]
+    assert first[1] > 0 and first[2] == 0  # c_1, c_2 at t = 0
 
 
 def test_simulate_meta_out_override(tmp_path):
@@ -242,6 +274,7 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     # taxi fraction are named, not run or left to a traceback
     for field, raw in (("trials_per_size", {"sizes": [5], "trials_per_size": 2.5}),
                        ("sizes", {"sizes": [5.5]}),
+                       ("sizes", {"sizes": [[5], [6, 7]]}),
                        ("base_seed", {"sizes": [5], "trials_per_size": 1, "base_seed": 1.5}),
                        ("trials_per_size", {"sizes": [5], "trials_per_size": True, "workers": True,
                                             "base_seed": False}),
@@ -254,6 +287,15 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
     assert not out_dir.exists()
+
+
+def test_sweep_makes_its_out_dir_before_running(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("the sweep ran"))
+    assert main(["sweep", "--out-dir", str(blocker / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker / "out") in err
 
 
 def test_unknown_command_and_missing_args_exit_2(capsys):

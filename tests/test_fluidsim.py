@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from fleetbalance.errors import (
-    InsufficientFleetError,
-    InvalidStateError,
-    ValidationError,
-)
+from fleetbalance.errors import InsufficientFleetError, ValidationError
 from fleetbalance.fluidsim import (
     equilibrium_state,
     initial_state,
@@ -210,7 +206,7 @@ def test_queued_customers_need_destinations():
         taxi_fraction=[[0.0, 1.0], [1.0, 0.0]],
     )
     state = initial_state(net, [0.0, 0.5], [1.0, 1.0], [0.0, 0.0], h=2.0)
-    with pytest.raises(InvalidStateError, match="p row 1"):
+    with pytest.raises(ValidationError, match="p row 1"):
         simulate(net, np.zeros((2, 2)), np.zeros((2, 2)), state, 2.0)
 
 
@@ -224,7 +220,7 @@ def test_state_runs_only_on_the_travel_times_it_was_built_for(make_instance):
     other = make_instance(6, 2)
     # another network's delays, and delays so short that h > min T / 4
     for wrong in (other, replace(net, travel_time=net.travel_time * 0.2)):
-        with pytest.raises(InvalidStateError, match="travel times"):
+        with pytest.raises(ValidationError, match="travel times"):
             simulate(wrong, a.vehicle_rates, a.driver_rates, state, 5 * h)
     # the taxi-fraction sweep re-solves networks made with replace: p,
     # lambda and f may differ from the state's network
@@ -256,11 +252,11 @@ def test_zero_travel_time_rejected():
 
 
 def test_state_validation(two_station):
-    with pytest.raises(InvalidStateError, match="customers"):
+    with pytest.raises(ValidationError, match="customers"):
         initial_state(two_station, [-0.1, 0.0], [1, 1], [1, 1], h=2.0)
-    with pytest.raises(InvalidStateError, match="vehicles"):
+    with pytest.raises(ValidationError, match="vehicles"):
         initial_state(two_station, [0, 0], [np.nan, 1.0], [1, 1], h=2.0)
-    with pytest.raises(InvalidStateError, match="length-2"):
+    with pytest.raises(ValidationError, match="length-2"):
         initial_state(two_station, [0, 0, 0], [1, 1], [1, 1], h=2.0)
 
 
@@ -273,7 +269,7 @@ def test_state_vectors_must_be_numeric(two_station, bad, which, builder):
         "initial_state": lambda c, v, r: initial_state(two_station, c, v, r, h=2.0),
         "equilibrium_state": lambda c, v, r: equilibrium_state(two_station, ALPHA, BETA, c, v, r, 2.0),
     }[builder]
-    with pytest.raises(InvalidStateError, match=which + " is not numeric"):
+    with pytest.raises(ValidationError, match=which + " is not numeric"):
         build(levels["customers"], levels["vehicles"], levels["drivers"])
 
 

@@ -3,7 +3,8 @@
 One row per entry point and bad number: a JSON boolean (Python's ``True``,
 which numpy and ``int`` read as 1), a quoted number, NaN or inf, and a
 non-integral float where a count or seed belongs.  CLI rows write the
-bad number into an input file and expect exit code 2.  Rows that the
+bad number into an input file and expect exit code 2 and a message that
+starts with that file's path.  Rows that the
 tables of the other test files already hold are left out.
 """
 
@@ -149,18 +150,19 @@ def _simulate_cli(tmp_path, **fields):
 
 
 CLI_ROWS = [
-    ("sweep-lambda_max-bool", lambda t: _sweep(t, generator={"lambda_max": True}), "lambda_max"),
-    ("sweep-lambda_max-quoted", lambda t: _sweep(t, generator={"lambda_max": "0.1"}), "lambda_max"),
-    ("solve-f-bool", lambda t: _solve(t, f=True), "f"),
-    ("solve-n-quoted", lambda t: _solve(t, n="2"), "field 'n'"),
-    ("simulate-r_alpha_beta-bool", lambda t: _simulate_cli(t, r_alpha_beta=True), "r_alpha_beta"),
-    ("simulate-objective-nan", lambda t: _simulate_cli(t, objective_alpha=float("nan")), "objective_alpha"),
+    ("sweep-lambda_max-bool", lambda t: _sweep(t, generator={"lambda_max": True}), "lambda_max", "sweep.json"),
+    ("sweep-lambda_max-quoted", lambda t: _sweep(t, generator={"lambda_max": "0.1"}), "lambda_max", "sweep.json"),
+    ("solve-f-bool", lambda t: _solve(t, f=True), "f", "i.json"),
+    ("solve-n-quoted", lambda t: _solve(t, n="2"), "field 'n'", "i.json"),
+    ("simulate-r_alpha_beta-bool", lambda t: _simulate_cli(t, r_alpha_beta=True), "r_alpha_beta", "a.json"),
+    ("simulate-objective-nan", lambda t: _simulate_cli(t, objective_alpha=float("nan")), "objective_alpha", "a.json"),
 ]
 
 
-@pytest.mark.parametrize("argv,field", [row[1:] for row in CLI_ROWS], ids=[row[0] for row in CLI_ROWS])
-def test_cli_exits_2_on_bad_numbers(tmp_path, capsys, argv, field):
+@pytest.mark.parametrize("argv,field,file", [row[1:] for row in CLI_ROWS], ids=[row[0] for row in CLI_ROWS])
+def test_cli_exits_2_on_bad_numbers(tmp_path, capsys, argv, field, file):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and names(err, field)
+    # the message names the file the bad number came from, as well as the field
+    assert err.startswith(f"error: {tmp_path / file}: ") and names(err, field)
     assert not (tmp_path / "out").exists() and not (tmp_path / "t.csv").exists()
