@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Subcommands: gen, solve, simulate, sweep.  Exit codes: 0 on
-success, 2 for invalid input (files that cannot be read, decoded or
-written included), 3 when the driver-return program is infeasible, 4
-when requested fleet totals cannot support an equilibrium.
+success, 2 for invalid input (unreadable or unwritable files and a
+plan that is not for its instance included), 3 when the driver-return
+program is infeasible, 4 when requested fleet totals cannot support an
+equilibrium.  Checks, messages and file formats come from the library;
+:func:`main` maps each failure to its exit code and one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -19,8 +20,9 @@ from .errors import InsufficientFleetError, RebalanceInfeasibleError, Validation
 from .experiments import SweepConfig, run_sweep, write_report_csv, write_summary_csv
 from .fluidsim import stability_probe, write_trace_csv
 from .generate import GeneratorConfig, generate_instance
+from .network import validate_assignment
 from .rebalance import solve_rebalancing
-from .storage import load_assignment, load_instance, load_sweep_config, save_assignment, save_instance
+from .storage import _write_json, load_assignment, load_instance, load_sweep_config, save_assignment, save_instance
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -83,16 +85,7 @@ def _cmd_solve(args) -> int:
     net = load_instance(args.instance)
     solution = solve_rebalancing(net)
     if solution.status != "optimal":
-        err = solution.infeasibility
-        print("driver-return program infeasible", file=sys.stderr)
-        if err is not None and err.witness is not None:
-            stations = ",".join(str(i) for i in err.witness)
-            print(
-                f"witness stations {{{stations}}}: must emit {err.demand:.6g} "
-                f"drivers, taxi capacity out is {err.capacity:.6g}",
-                file=sys.stderr,
-            )
-        return EXIT_INFEASIBLE
+        raise solution.infeasibility
     assignment = solution.assignment
     save_assignment(solution, args.out, meta={"instance": str(args.instance)})
     ratio = assignment.min_drivers / assignment.min_vehicles if assignment.min_vehicles else float("nan")
@@ -107,13 +100,13 @@ def _cmd_simulate(args) -> int:
     net = load_instance(args.instance)
     solution = load_assignment(args.assignment)
     assignment = solution.assignment
-    if assignment.n != net.n:
-        raise ValidationError(
-            f"assignment is for {assignment.n} stations, instance has {net.n}"
-        )
+    try:
+        validate_assignment(net, assignment)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.assignment}: {exc}") from exc
     min_v, min_r = assignment.min_vehicles, assignment.min_drivers
     if min_v <= 0 or min_r <= 0:
-        raise ValidationError("assignment pins no mass in transit; nothing to simulate")
+        raise ValidationError(f"{args.assignment}: assignment pins no mass in transit; nothing to simulate")
     slack_v = args.total_vehicles / min_v - 1.0
     slack_r = args.total_drivers / min_r - 1.0
     h = args.h if args.h is not None else net.min_offdiag_travel_time() / 10.0
@@ -140,9 +133,11 @@ def _cmd_simulate(args) -> int:
         "seed": report.seed,
         "passed": report.passed,
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    try:
+        _write_json(meta, meta_path)
+    except OSError:  # leave no trace without its sidecar
+        args.trace_out.unlink()
+        raise
     for name, ok in (
         ("customers_cleared", report.customers_cleared),
         ("vehicles_positive", report.vehicles_positive),
@@ -169,9 +164,7 @@ def _cmd_sweep(args) -> int:
     rows_path, summary_path = args.out_dir / "sweep_rows.csv", args.out_dir / "sweep_summary.csv"
     write_report_csv(report, rows_path)
     write_summary_csv(report, summary_path)
-    with open(args.out_dir / "sweep_config.json", "w") as fh:
-        json.dump(asdict(report.config), fh, indent=2)
-        fh.write("\n")
+    _write_json(asdict(report.config), args.out_dir / "sweep_config.json")
     for row in report.summary():
         if row.metric in ("ratio", "r_alpha_beta"):
             print(f"{row.group_key} {row.metric}: mean={row.mean:.4g} [{row.min:.4g}, {row.max:.4g}]")

@@ -233,21 +233,11 @@ def write_report_csv(report: SweepReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROW_FIELDS)
-        for row in report.rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in ROW_FIELDS])
+        writer.writerows([getattr(row, name) for name in ROW_FIELDS] for row in report.rows)
 
 
 def write_summary_csv(report: SweepReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("group_key", "metric", "mean", "min", "max"))
-        for row in report.summary():
-            writer.writerow(
-                (row.group_key, row.metric, _fmt(row.mean), _fmt(row.min), _fmt(row.max))
-            )
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+        writer.writerows((row.group_key, row.metric, row.mean, row.min, row.max) for row in report.summary())

@@ -115,9 +115,9 @@ from .network import (
     StationNetwork,
     _checked_array,
     _checked_int,
+    _leg_matrix,
     _legs,
     _on_legs,
-    _rate_matrix,
     compute_imbalance,
 )
 from .rebalance import RebalanceSolution
@@ -248,8 +248,8 @@ def equilibrium_state(
     time.
     """
     n = net.n
-    alpha = _rate_matrix("alpha", vehicle_rates, n)
-    beta = _rate_matrix("beta", driver_rates, n)
+    alpha = _leg_matrix("alpha", vehicle_rates, n)
+    beta = _leg_matrix("beta", driver_rates, n)
     state = initial_state(net, customers, vehicles, drivers, h)
     legs = state.legs
     alpha_leg = _on_legs(alpha)
@@ -319,8 +319,8 @@ class _Engine:
         n = net.n
         if state.n != n:
             raise ValidationError(f"state has {state.n} stations, network has {n}")
-        alpha = _rate_matrix("alpha", vehicle_rates, n)
-        beta = _rate_matrix("beta", driver_rates, n)
+        alpha = _leg_matrix("alpha", vehicle_rates, n)
+        beta = _leg_matrix("beta", driver_rates, n)
         legs = state.legs
         if not np.array_equal(legs.steps, np.rint(_on_legs(net.travel_time) / state.h)):
             raise ValidationError(
@@ -670,7 +670,7 @@ def stability_probe(
     idle_v = slack_vehicles * assignment.min_vehicles
     idle_r = slack_drivers * assignment.min_drivers
     if idle_v <= 0 or idle_r <= 0:
-        raise InsufficientFleetError("assignment pins no mass in transit; nothing to probe")
+        raise ValidationError("assignment pins no mass in transit; nothing to probe")
 
     rng = np.random.default_rng(seed % 2**64)
     v0 = (idle_v / n) * (1.0 + perturbation * rng.uniform(-1.0, 1.0, size=n))

@@ -38,14 +38,15 @@ restricted LP that HiGHS calls infeasible, grows to every arc, so an
 problem with capacities (the driver program) is solved on every arc:
 its supply-to-demand arcs alone are infeasible when capacities bind.
 
-Every optimal answer is certified before it is returned: the equality
-duals of the LP are node potentials ``pi``, and complementary slackness
-requires the reduced cost ``c_ij - pi_i + pi_j`` to be nonnegative on
-every arc below capacity and nonpositive on every arc carrying flow.
-It runs on every arc, with zero flow on the arcs outside the working
-set.  The check is O(arcs) and its tolerance, ``OPTIMALITY_TOL``, is
-relative to the largest arc cost.  The certificate is what makes the
-private binding safe to call: a wrong optimum from it fails the check,
+Every optimal answer is certified before it is returned: the flow
+must meet every node's supply within ``SUPPLY_TOL`` of the unit supply
+total, and the equality duals of the LP, node potentials ``pi``, must
+meet complementary slackness: the reduced cost ``c_ij - pi_i + pi_j``
+is nonnegative on every arc below capacity and nonpositive on every
+arc carrying flow, within ``OPTIMALITY_TOL`` of the largest arc cost.
+Both O(arcs) checks run on every arc, with zero flow on the arcs
+outside the working set.  The certificate is what makes the private
+binding safe to call: a wrong optimum from it fails the check,
 and a wrong "infeasible" yields no witness, since
 ``rebalance.solve_driver_rebalancing`` recomputes the cut's demand and
 capacity from the network.
@@ -89,7 +90,7 @@ from .errors import ValidationError
 from .network import _checked_array, _checked_int, _frozen
 
 INFINITE_CAPACITY = math.inf
-SUPPLY_TOL = 1e-9       # supply imbalance and negligible supply, relative to the supplies' size
+SUPPLY_TOL = 1e-9       # supply imbalance, negligible supply and the certified flow's balance, relative to the supplies
 LP_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances on the scaled LP
 OPTIMALITY_TOL = 1e-9   # reduced-cost slack of the certificate, relative to the largest cost
 # what linprog(method="highs-ds") sets: dual simplex, no presolve, quiet
@@ -239,7 +240,15 @@ def _highs(node_count: int, tail, head, cost, capacity, supply):
 
 
 def _certify(problem: FlowProblem, cost, capacity, flow, potential) -> None:
-    """Raise unless the potentials prove the (scaled) flow optimal."""
+    """Raise unless the (scaled) flow meets the scaled supplies and the potentials prove it optimal."""
+    n = problem.node_count
+    supply = problem.supply / _supply_total(problem)
+    residual = np.bincount(problem.tail, flow, n) - np.bincount(problem.head, flow, n) - supply
+    if np.max(np.abs(residual)) > SUPPLY_TOL:
+        i = int(np.argmax(np.abs(residual)))
+        raise RuntimeError(
+            f"min-cost flow failed its certificate: node {i} is off its supply by {residual[i]:.3g}"
+        )
     reduced = cost - potential[problem.tail] + potential[problem.head]
     bad = ((flow < capacity) & (reduced < -OPTIMALITY_TOL)) | ((flow > 0) & (reduced > OPTIMALITY_TOL))
     if np.any(bad):

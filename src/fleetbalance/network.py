@@ -21,7 +21,8 @@ it: empty-vehicle rebalancing trips (driven by employed drivers) and
 driver-return rides on customer trips.  This module computes the
 imbalance, the fleet sizes a given assignment pins in transit, and the
 residuals by which an assignment misses the balance and capacity
-constraints.
+constraints; :func:`validate_assignment` is the one check that a plan
+belongs to an instance.
 
 Every number from outside is checked once, in the code that owns it:
 arrays and reals by ``_checked_array``, counts and seeds by
@@ -48,7 +49,7 @@ from .errors import ValidationError
 PROB_TOL = 1e-9      # probability row sums
 BALANCE_TOL = 1e-9   # flow-balance residuals on assignments, relative to the total customer rate
 CAP_TOL = 1e-9       # allowed slack above driver-trip capacities, relative to the total customer rate
-SUM_RTOL = 1e-9      # imbalance rounding: relative to sum(|surplus|), or to the total customer rate
+SUM_RTOL = 1e-9      # imbalance rounding, relative to sum(|surplus|) or sum(lambda); stored fleet floors, to the floor
 
 
 def _checked_array(
@@ -133,8 +134,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _rate_matrix(name: str, value, n: int) -> np.ndarray:
-    """A finite, nonnegative ``n x n`` station-to-station rate matrix with a zero diagonal."""
+def _leg_matrix(name: str, value, n: int) -> np.ndarray:
+    """A finite, nonnegative ``n x n`` matrix of per-leg values (rates or times) with an exact zero diagonal."""
     arr = _checked_array(name, value, (n, n), nonnegative=True)
     diag = np.diagonal(arr)
     if np.any(diag != 0):
@@ -166,7 +167,7 @@ class StationNetwork:
         lam = _checked_array("lambda", self.arrival_rate, (n,), nonnegative=True)
         mu = _checked_array("mu", self.service_rate, (n,))
         p = _checked_array("p", self.dest_prob, (n, n), nonnegative=True)
-        tt = _checked_array("T", self.travel_time, (n, n), nonnegative=True)
+        tt = _leg_matrix("T", self.travel_time, n)
         f = _checked_array("f", self.taxi_fraction, (n, n), nonnegative=True)
 
         if np.any(mu <= lam):
@@ -188,10 +189,6 @@ class StationNetwork:
             raise ValidationError(
                 f"p row {i} sums to {sums[i]:.6g}, expected 1 within {PROB_TOL:g}"
             )
-        tdiag = np.abs(np.diagonal(tt))
-        if np.any(tdiag > 1e-12):
-            i = int(np.flatnonzero(tdiag > 1e-12)[0])
-            raise ValidationError(f"T[{i},{i}] must be 0")
 
         object.__setattr__(self, "arrival_rate", _frozen(lam))
         object.__setattr__(self, "service_rate", _frozen(mu))
@@ -281,8 +278,8 @@ class RebalanceAssignment:
 
     def __post_init__(self):
         a = _checked_array("alpha", self.vehicle_rates, (None, None))
-        a = _rate_matrix("alpha", a, a.shape[0])
-        b = _rate_matrix("beta", self.driver_rates, a.shape[0])
+        a = _leg_matrix("alpha", a, a.shape[0])
+        b = _leg_matrix("beta", self.driver_rates, a.shape[0])
         for name, attr in (("v_alpha", "min_vehicles"), ("r_alpha_beta", "min_drivers")):
             object.__setattr__(self, attr, float(_checked_array(name, getattr(self, attr), (), nonnegative=True)))
         object.__setattr__(self, "vehicle_rates", _frozen(a))
@@ -334,18 +331,19 @@ def validate_assignment(
     assignment: RebalanceAssignment,
     imbalance: Optional[ImbalanceVector] = None,
 ) -> None:
-    """Raise :class:`ValidationError` unless the assignment cancels the imbalance.
+    """Raise :class:`ValidationError` unless the assignment is a plan for ``net``.
 
-    Checks, per station, that vehicle_rates net outflow equals the surplus
-    and driver_rates net outflow equals its negative, and that driver
-    rates respect the per-leg taxi capacity.  Both tolerances,
-    ``BALANCE_TOL`` and ``CAP_TOL``, are relative to ``sum(lambda)``, so
-    the verdict does not change with the unit of time.
+    Checks the station count; per station, that vehicle_rates net
+    outflow equals the surplus and driver_rates net outflow equals its
+    negative; that driver rates respect the per-leg taxi capacity; and
+    that the stated fleet floors are the ones :func:`fleet_sizes` gives
+    for the rates.  The balance and capacity tolerances, ``BALANCE_TOL``
+    and ``CAP_TOL``, are relative to ``sum(lambda)``, and the floors'
+    ``SUM_RTOL`` to the recomputed floor, so the verdict does not change
+    with the unit of time.  Messages name the plan file's fields.
     """
     if assignment.n != net.n:
-        raise ValidationError(
-            f"assignment is {assignment.n}x{assignment.n}, network has n={net.n}"
-        )
+        raise ValidationError(f"assignment is for {assignment.n} stations, network has {net.n}")
     scale = float(net.arrival_rate.sum())
     balance_tol, cap_tol = BALANCE_TOL * scale, CAP_TOL * scale
     a_res, b_res, excess = assignment_residuals(net, assignment, imbalance or compute_imbalance(net))
@@ -360,3 +358,8 @@ def validate_assignment(
         raise ValidationError(
             f"beta[{i},{j}] exceeds taxi capacity by {excess[i, j]:.3g} (> {cap_tol:.3g})"
         )
+    floors = fleet_sizes(net, assignment.vehicle_rates, assignment.driver_rates)
+    stated = (assignment.min_vehicles, assignment.min_drivers)
+    for name, want, got in zip(("v_alpha", "r_alpha_beta"), floors, stated):
+        if abs(got - want) > SUM_RTOL * want:
+            raise ValidationError(f"{name} is {got:.6g}, but the rates pin {want:.6g} in transit")

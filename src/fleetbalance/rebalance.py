@@ -121,7 +121,7 @@ def solve_driver_rebalancing(
                 witness = tuple(int(i) for i in np.flatnonzero(inside))
                 raise RebalanceInfeasibleError(
                     "driver-return program infeasible: stations "
-                    f"{set(witness)} must emit {demand:.6g} drivers "
+                    f"{{{', '.join(map(str, witness))}}} must emit {demand:.6g} drivers "
                     f"but only {capacity:.6g} taxi capacity leaves them",
                     witness=witness,
                     demand=demand,

@@ -1,4 +1,4 @@
-"""JSON serialization for instances and assignments; the reader of every input file.
+"""JSON serialization: the reader of every input file and the writer of every JSON output.
 
 This module owns only the file format.  Instance files carry ``n``,
 ``lambda``, ``mu``, ``p``, ``T``, ``f`` and an optional ``meta``
@@ -13,10 +13,11 @@ and ``objective_beta``.  Sweep config files carry any fields of
 or the checkers they use, ``_checked_array`` and ``_checked_int``; their
 messages come back prefixed with the file's path.
 
-Each file is one line of compact JSON.  Floats are written with full
-``repr`` precision (the default for ``json``), so ``load(save(x))``
-reproduces ``x`` exactly and saving the same object twice produces
-identical bytes.
+Each file written, the CLI's ``.meta.json`` sidecars and sweep config
+echoes included (:func:`_write_json`), is one line of compact JSON.
+Floats are written with full ``repr`` precision (the default for
+``json``), so ``load(save(x))`` reproduces ``x`` exactly and saving the
+same object twice produces identical bytes.
 """
 
 from __future__ import annotations

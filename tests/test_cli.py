@@ -10,6 +10,7 @@ import pytest
 import fleetbalance
 from fleetbalance import cli
 from fleetbalance.cli import main
+from fleetbalance.generate import GeneratorConfig, generate_instance
 from fleetbalance.storage import load_assignment, load_instance, save_instance
 
 from conftest import build_two_station
@@ -81,8 +82,18 @@ def test_solve_infeasible_prints_witness(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "infeasible" in err
-    assert "witness stations {0}" in err
+    assert "stations {0} must emit 0.3 drivers" in err
     assert "0.3" in err and "0.2" in err
+    assert not out.exists()
+
+
+def test_solve_infeasible_lists_witness_in_index_order(tmp_path, capsys):
+    net_path, out = tmp_path / "net.json", tmp_path / "assign.json"
+    save_instance(generate_instance(14, 21, GeneratorConfig(taxi_fraction=0.5)), net_path)
+    assert main(["solve", "--instance", str(net_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: driver-return program infeasible: stations {2, 4, 10} must emit")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -185,6 +196,69 @@ def test_simulate_mismatched_assignment(tmp_path, capsys):
     )
     assert code == 2
     assert "2 stations" in capsys.readouterr().err
+
+
+def gen_and_solve(tmp_path, seed):
+    net_path, plan_path = tmp_path / f"net{seed}.json", tmp_path / f"plan{seed}.json"
+    assert main(["gen", "--n", "10", "--seed", str(seed), "--out", str(net_path)]) == 0
+    assert main(["solve", "--instance", str(net_path), "--out", str(plan_path)]) == 0
+    return net_path, plan_path
+
+
+def simulate_plan(tmp_path, net_path, plan_path, *flags):
+    return main(
+        ["simulate", "--instance", str(net_path), "--assignment", str(plan_path),
+         "--trace-out", str(tmp_path / "t.csv"), *flags]
+    )
+
+
+def test_simulate_rejects_plan_with_wrong_fleet_floors(tmp_path, capsys):
+    net_path, plan_path = gen_and_solve(tmp_path, 2)
+    # the solver's own plan is below the floors at V=10, R=4
+    assert simulate_plan(tmp_path, net_path, plan_path, "--V", "10", "--R", "4") == 4
+    capsys.readouterr()
+    plan = json.loads(plan_path.read_text())
+    plan["v_alpha"] /= 2
+    plan["r_alpha_beta"] /= 2
+    plan_path.write_text(json.dumps(plan))
+    assert simulate_plan(tmp_path, net_path, plan_path, "--V", "10", "--R", "4") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plan_path}: v_alpha ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_rejects_plan_for_another_instance(tmp_path, capsys):
+    _, plan_path = gen_and_solve(tmp_path, 1)
+    net_path, _ = gen_and_solve(tmp_path, 2)
+    capsys.readouterr()
+    assert simulate_plan(tmp_path, net_path, plan_path, "--V", "100", "--R", "100") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plan_path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_rejects_plan_that_pins_no_mass(tmp_path, capsys):
+    # customers balance every station, so the plan moves no vehicle and no driver
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"n": 2, "lambda": [0.4, 0.4], "mu": [0.8, 0.8], "p": [[0, 1], [1, 0]],
+                                    "T": [[0, 10], [10, 0]], "f": 1.0}))
+    plan_path = tmp_path / "plan.json"
+    assert main(["solve", "--instance", str(net_path), "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    assert simulate_plan(tmp_path, net_path, plan_path, "--V", "10", "--R", "1") == 2
+    assert "pins no mass" in capsys.readouterr().err
+
+
+def test_simulate_leaves_no_trace_when_meta_cannot_be_written(tmp_path, capsys):
+    net_path, assign_path = solve_first(tmp_path)
+    trace, meta = tmp_path / "t.csv", tmp_path / "nonexistent" / "m.json"
+    code = simulate_plan(
+        tmp_path, net_path, assign_path, "--V", "9.6", "--R", "7.2", "--h", "1.0", "--meta-out", str(meta)
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(meta) in err
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize(

@@ -337,6 +337,22 @@ def test_stability_probe_rejects_fleet_at_minimum(two_station):
         stability_probe(two_station, sol, 0.2, -0.1, 0.1, h=1.0)
 
 
+def test_stability_probe_rejects_plan_that_pins_no_mass():
+    # customers balance both stations: the plan moves no vehicle and no driver
+    net = StationNetwork(
+        n=2,
+        arrival_rate=[0.4, 0.4],
+        service_rate=[0.8, 0.8],
+        dest_prob=[[0.0, 1.0], [1.0, 0.0]],
+        travel_time=[[0.0, 10.0], [10.0, 0.0]],
+        taxi_fraction=[[0.0, 1.0], [1.0, 0.0]],
+    )
+    sol = solve_rebalancing(net)
+    assert sol.assignment.min_drivers == 0
+    with pytest.raises(ValidationError, match="pins no mass"):
+        stability_probe(net, sol, 0.2, 0.2, 0.1, h=1.0)
+
+
 def test_stability_probe_argument_validation(two_station, two_station_tight):
     sol = solve_rebalancing(two_station)
     with pytest.raises(ValidationError, match="perturbation"):

@@ -208,6 +208,18 @@ def test_certificate_rejects_suboptimal_flow():
         _certify(problem, problem.cost, problem.capacity, np.array([0.0, 0.0, 1.0]), np.array([2.0, 1.0, 0.0]))
 
 
+def test_certificate_rejects_flow_that_misses_the_supplies():
+    problem = FlowProblem(
+        node_count=3,
+        supply=[1.0, 0.0, -1.0],
+        **arcs((0, 1, 1.0, 10.0), (1, 2, 1.0, 10.0), (0, 2, 10.0, 10.0)),
+    )
+    # both pass the reduced-cost test: no flow at all, and 5 on arc 0->1, priced at 0 by these potentials
+    for flow, potential in (([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([5.0, 0.0, 0.0], [1.0, 0.0, 0.0])):
+        with pytest.raises(RuntimeError, match="is off its supply"):
+            _certify(problem, problem.cost, problem.capacity, np.array(flow), np.array(potential))
+
+
 def test_solver_handles_problems_beyond_bruteforce_limits():
     rng = np.random.default_rng(7)
     n = 30

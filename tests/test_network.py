@@ -79,6 +79,9 @@ def test_imbalance_vector_rejects_nonzero_sum():
         ("service_rate", [0.8, [0.2, 0.3]], "mu is not numeric"),
         ("dest_prob", [[0.0, 1.0], [1.0]], "p is not numeric"),
         ("taxi_fraction", [[0.0, "x"], [1.0, 0.0]], "f is not numeric"),
+        # a nonzero diagonal is refused at any unit of time
+        ("travel_time", [[1e-13, 10.0], [10.0, 0.0]], "T[0,0]"),
+        ("travel_time", [[1e-1, 1e13], [1e13, 0.0]], "T[0,0]"),
     ],
 )
 def test_network_validation_errors(field, value, fragment):
