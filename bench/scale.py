@@ -31,7 +31,10 @@ stations (``generate_instance(n, SEED)``):
   h = min T / 10, slack ``PROBE_SLACK`` on both fleets and perturbation
   ``PROBE_PERTURBATION``, for n <= 100 only; ``sim_probe_steps`` is its
   step count, ``sim_probe_general_steps`` how many of those ran one at a
-  time and ``sim_probe_blocks`` how many blocks ran the rest;
+  time, ``sim_probe_blocks`` how many blocks ran the rest and
+  ``sim_calendar_bytes`` the bytes of the probe engine's calendar
+  buffers: its window of both calendars plus the copy a block keeps of
+  the rows it posts to;
 * ``sweep``: one ``run_sweep`` of ``SWEEP_TRIALS`` instances at size n,
   each solved at the taxi fractions ``SWEEP_F_VALUES``, in one process,
   for n <= ``SWEEP_MAX_N`` only;
@@ -215,6 +218,8 @@ def layers(n: int) -> dict:
                 mock.patch.object(_Engine, "repeat", autospec=True, side_effect=_Engine.repeat) as repeat:
             row["sim_probe_steps"] = probe().trace.times.size - 1
         row["sim_probe_general_steps"], row["sim_probe_blocks"] = advance.call_count, repeat.call_count
+        engine = repeat.call_args.args[0]
+        row["sim_calendar_bytes"] = engine.cal.nbytes + engine.saved.nbytes
     if n <= SWEEP_MAX_N:
         sweep = SweepConfig(sizes=(n,), trials_per_size=SWEEP_TRIALS, base_seed=SEED, f_values=SWEEP_F_VALUES)
         row["sweep"] = median_ms(lambda: run_sweep(sweep))

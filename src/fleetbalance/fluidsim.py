@@ -29,17 +29,21 @@ delays only, records the levels after every step and returns the state
 after its last one, from which a next run resumes.  In-transit mass
 lives in two arrival calendars (vehicles in motion: customer trips plus
 rebalancing trips; drivers in motion: rebalancing trips plus return
-rides), each of shape ``(D, n)`` with ``D`` the longest delay in steps.
-Row ``k % D`` holds the rate arriving at each station at step ``k``: a
-step reads and clears that row, then adds each leg's departure rate into
-row ``(k + d) % D`` of its head station.  Legs that share a delay and a
-head are summed first.  Customer trips run on all n(n-1) legs, but
-rebalancing trips and return rides only on the support of
-``alpha + beta`` (n - 1 to ~20 % of the legs for solved assignments), so
-a step costs O(n^2) for customer legs plus O(|support|) for rebalancing
-legs, whatever the ratio of longest to shortest travel time.  In-transit
-totals are running sums (plus what a step withdraws from the idle
-levels, minus what it reads), so reading them is O(1).
+rides) of ``D`` rows, the longest delay in steps, by ``n`` stations.  A
+state keeps row ``k % D`` for step ``k``, so its sums add the cells in
+the order they did when the engine ran on that ring, bit for bit.  A run
+works on a window indexed by step: the ``D`` live rows, then
+``2 * block_cap`` rows of 0.0.  A step reads its row in place and adds
+each leg's departure rate into the row ``d`` on, at its head station,
+legs that share a delay and a head summed first; the live rows move to
+the window's front when posts would run past its end.  Customer trips
+run on all n(n-1) legs, but rebalancing trips and return rides only on
+the support of ``alpha + beta`` (n - 1 to ~20 % of the legs for solved
+assignments), so a step costs O(n^2) for customer legs plus
+O(|support|) for rebalancing legs, whatever the ratio of longest to
+shortest travel time.  In-transit totals are running sums (plus what a
+step withdraws from the idle levels, minus what it reads), so reading
+them is O(1).
 
 Steady stretches run a block at a time.  A step is steady when the
 next one repeats its departures: it clamped nothing, moved no level
@@ -48,18 +52,16 @@ customer drain is steady too.  The steps after it depart alike until
 some level would be clamped or cross 0, or a queue would drain.
 ``simulate`` repeats such a step's departures in blocks: the first as
 long as ``d_min``, the shortest leg delay in steps (at least 4), each
-next one twice as long, up to the length at which a block posts as many
-cells as the calendar has.  Blocks chain until one stops early; the step
-after that is a general one again.  Blocks give the same floats as
-single steps, bit for bit:
+next one twice as long, up to ``block_cap``, at which a block posts as
+many cells as the calendars have.  Blocks chain until one stops early;
+the step after that is a general one again.  Blocks give the same
+floats as single steps, bit for bit:
 
-* a block stages the calendar in a scratch one indexed by step, not by
-  ``k % D``: the ``D`` rows from step ``k`` on, then one zero row per
-  step of the block, as a row cleared by its read starts again from 0.0.
-  ``np.add.at`` posts every step's departures in step order, and a cell
-  gets at most one write per step, so each cell adds its writes in the
-  order the steps make them.  A step's arrivals are its scratch row,
-  which only earlier steps write;
+* ``np.add.at`` posts all of a block's departures into the window in
+  step order, and a cell gets at most one write per step, so each cell
+  adds its writes in the order the steps make them, from the 0.0 a row
+  past the live ones holds.  A step's arrivals are its window row, which
+  only earlier steps write;
 * one ``np.add.accumulate`` over the block's per-step level changes (and
   one over its in-transit changes) adds them in step order, as the steps
   do; a queue served at ``mu`` changes by ``h * (lambda - mu)`` a step;
@@ -67,23 +69,22 @@ single steps, bit for bit:
   own clamp test, taken on the nominal outflow, in which no level crosses
   0 and every queue's drain rate ``lambda + c / h`` stays above ``mu``.
   Where the taxi cap binds, the outflow that happens is smaller than the
-  nominal one, so a test on it would miss clamps.  A block cut short is
-  staged again with its kept steps only, and its scratch rows go back
-  into the calendar.
+  nominal one, so a test on it would miss clamps.  A block cut short
+  puts back a copy of the rows it posted to and posts its kept steps.
 
-A stability probe at h = min T / 10 with a T ratio of 120 (n = 14, about
-2 500 steps) takes some 20 general steps and 30 blocks.  A queue with
-no idle vehicle grows and keeps its steps general, so a cold start whose
-queues never clear takes mostly general steps.  The first step of every
-run is a general one.
+A stability probe at h = min T / 10 with a T ratio of 120 (n = 14,
+2 350 to 2 600 steps) takes 17 to 23 general steps and 29 to 33 blocks.
+A queue with no idle vehicle grows and keeps its steps general, so a
+cold start whose queues never clear takes mostly general steps.  The
+first step of every run is a general one.
 
 Idle vehicles and idle drivers follow the same queue-and-transit
 dynamics, so both fleets go through one code path: the engine stacks
 customers, idle vehicles and idle drivers as one ``(3, n)`` array and
-both calendars as one ``(2, D, n)`` array, and each step clamps, posts
-and sums both fleets at once.  The engine holds only what the next step
-needs: the levels, which of them are at 0 (the gates), the calendars and
-the in-transit sums.  The trace reduces its zero summaries from the
+both calendars in one window, and each step clamps, posts and sums both
+fleets at once.  The engine holds only what the next step needs: the
+levels, which of them are at 0 (the gates), the window and the
+in-transit sums.  The trace reduces its zero summaries from the
 levels it records, on first read.
 
 Clamping: when a step would drive a queue negative, all outbound flows
@@ -309,7 +310,7 @@ class _Engine:
     """Mutable working copy of a state; advances it step by step.
 
     ``levels`` is ``(3, n)``: customers, idle vehicles, idle drivers.
-    ``cal`` is ``(2, D, n)``: fleet 0 the vehicles, fleet 1 the drivers.
+    ``cal`` is the window: fleet 0 the vehicles, fleet 1 the drivers, row ``r`` step ``base + r``.
     Rebalancing trips and return rides only run on the support of
     ``alpha + beta``, so the engine keeps those legs apart; customer
     trips run on every leg.
@@ -345,11 +346,11 @@ class _Engine:
         self.h = state.h
         self.legs = legs
         self.levels = np.array((state.customers, state.vehicles, state.drivers))
-        self.cal = np.array((state.vehicle_buffer, state.driver_buffer))
+        ring = np.array((state.vehicle_buffer, state.driver_buffer))
         # in-transit rate sums: the state's full sums plus a running net
         # change (+ each step's withdrawals, - its arrivals), kept apart so
         # its rounding scales with the change and not with the whole sum
-        self.transit = self.cal.reshape(2, -1).sum(axis=1)
+        self.transit = ring.reshape(2, -1).sum(axis=1)
         self.moved = np.zeros(2)
         self.step_index = state.step_index
         self.zero = self.levels <= 0
@@ -357,8 +358,6 @@ class _Engine:
         # a steady stretch starts with a block of the shortest delay in steps
         self.shortest = int(legs.steps.min()) if legs.steps.size else 1
         self.block_steps = self.shortest
-        # a block's scratch calendar and post cells, made by the first block
-        self.scratch = self.block_cells = None
         self.ones = np.ones((2, n))
 
         self.lam = net.arrival_rate
@@ -385,10 +384,21 @@ class _Engine:
         used = np.zeros(groups, dtype=bool)
         used[sup_group] = True
         self.fleet_group = np.concatenate((legs.group, groups - 1 + np.cumsum(used)[sup_group]))
-        self.fleet_cell = np.concatenate((legs.group_cell, legs.group_cell[used]))
+        driver_cell = legs.group_cell[used]
         # blocks double up to the length at which a block posts as many
-        # cells as the calendar has: its cell and post arrays stay that size
-        self.block_cap = max(self.shortest, self.cal.size // max(self.fleet_cell.size, 1))
+        # cells as both calendars have: its cell and post arrays stay that size
+        self.block_cap = max(self.shortest, 2 * legs.total_slots // max(groups + driver_cell.size, 1))
+        depth = legs.depth
+        # the state's row k % D holds step k, the window's row r step base + r
+        self.cal = np.zeros((2, depth + 2 * self.block_cap, n))
+        self.cal[:, :depth] = np.roll(ring, -(state.step_index % depth), axis=1)
+        self.base = state.step_index
+        # a step's posts as flat offsets from its row's first cell, driver
+        # groups in the drivers' half; step t of a block posts t * n further on
+        self.fleet_cell = np.concatenate((legs.group_cell, driver_cell + self.cal[0].size))
+        self.block_cells = np.arange(self.block_cap)[:, None] * n + self.fleet_cell
+        # what a block's posts can reach, kept to undo them if it is cut
+        self.saved = np.empty((2, self.block_cap + depth - self.shortest, n))
         # a step's departures per leg: customer trips plus rebalancing on
         # every vehicle leg, then rebalancing plus return rides on the support
         self.dep = np.empty(legs.tail.size + self.sup.size)
@@ -400,14 +410,28 @@ class _Engine:
         # an empty support has no weights, and bincount then counts in int64
         return sums.astype(float, copy=False).reshape(2, self.n)
 
+    def _row(self, count: int) -> int:
+        """Window row of the current step; moves the live rows to the front first if ``count`` steps' posts would not fit."""
+        row, depth = self.step_index - self.base, self.legs.depth
+        if row + count + depth > self.cal.shape[1]:
+            self.cal[:, :depth] = self.cal[:, row : row + depth]
+            self.cal[:, depth:] = 0.0
+            self.base, row = self.step_index, 0
+        return row
+
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live rows as a state's vehicle and driver buffers: new arrays, row ``k % D`` for step ``k``."""
+        row, depth = self.step_index - self.base, self.legs.depth
+        return tuple(np.roll(fleet, self.step_index % depth, axis=0) for fleet in self.cal[:, row : row + depth])
+
     def advance(self) -> None:
-        h, n, k, legs = self.h, self.n, self.step_index, self.legs
+        h, n, legs = self.h, self.n, self.legs
         levels, cal = self.levels, self.cal
         c, idle = levels[0], levels[1:]
 
-        row = k % legs.depth
-        arrive = cal[:, row].copy()
-        cal[:, row] = 0.0
+        row = self._row(1)
+        # the step posts to later rows only: its arrivals are read in place
+        arrive = cal[:, row]
 
         pos = ~self.zero
         # customer departures: mu while a queue drains (capped at drain, the
@@ -447,12 +471,8 @@ class _Engine:
         trips[self.sup] = sup_trips + flows[0]
         self.driver_dep[:] = flows[1]
         by_cell = np.bincount(self.fleet_group, weights=self.dep)
-        # row * n + delay * n + head wraps at most once: one subtraction, not a modulo
-        cells = row * n + self.fleet_cell
-        np.subtract(cells, legs.total_slots, out=cells, where=cells >= legs.total_slots)
-        cells[legs.group_cell.size :] += legs.total_slots
-        cal.reshape(-1)[cells] += by_cell
-        self.step_index = k + 1
+        cal.reshape(-1)[row * n + self.fleet_cell] += by_cell
+        self.step_index += 1
 
         after = levels <= 0
         changed = (after != self.zero).any()
@@ -476,11 +496,20 @@ class _Engine:
         that were dropped.  ``steady`` stays set, and the next block is
         twice as long, only if all ``count`` steps were kept.
         """
-        h, k, depth, cal = self.h, self.step_index, self.legs.depth, self.cal
+        h, k, cal = self.h, self.step_index, self.cal
         count = len(levels) - 1
-        self._stage(count)
-        # row t of the scratch calendar is final once the block's steps before t are posted
-        arrive = self.scratch[:, :count].swapaxes(0, 1)
+        row = self._row(count)
+        reach = slice(row + self.shortest, row + count + self.legs.depth)
+        saved = self.saved[:, : reach.stop - reach.start]
+        saved[:] = cal[:, reach]
+        # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to
+        # the wrong cells; add.at adds repeated cells one at a time, in step order
+        flat, cells = cal.reshape(-1)[row * self.n :], self.block_cells
+        posts = np.empty((count, self.by_cell.size))
+        posts[:] = self.by_cell
+        np.add.at(flat, cells[:count].reshape(-1), posts.reshape(-1))
+        # step t's row only gets posts from the block's steps before t
+        arrive = cal[:, row : row + count].swapaxes(0, 1)
         net_in = arrive - self.out_f
         # a queue at 0 stays there, one served at mu changes by h * (lam - mu) a step
         levels[1:, 0] = np.where(self.zero[0], 0.0, self.queue_in)
@@ -502,41 +531,15 @@ class _Engine:
         np.add.accumulate(moved, axis=0, out=moved)
 
         if m < count:
-            self._stage(m)
-        # scratch rows m .. m + D - 1 hold steps k + m .. k + m + D - 1
-        row = (k + m) % depth
-        cal[:, row:] = self.scratch[:, m : m + depth - row]
-        cal[:, :row] = self.scratch[:, m + depth - row : m + depth]
+            # undo the block's posts, then post its kept steps only
+            cal[:, reach] = saved
+            np.add.at(flat, cells[:m].reshape(-1), posts[:m].reshape(-1))
         self.levels[:] = levels[m]
         self.moved[:] = moved[m]
         self.step_index = k + m
         self.steady = m == count
         self.block_steps = min(2 * count, self.block_cap)
         return m
-
-    def _stage(self, count: int) -> None:
-        """Copy the calendar into the scratch one, by step, and post ``count`` steps' departures.
-
-        Scratch row ``t`` holds the arrivals of step ``k + t``: the ``D``
-        calendar rows from step ``k`` on, then ``count`` new rows.  A new
-        row starts at 0.0, as a calendar row does once its step has read
-        and cleared it.  Each cell gets at most one write per step.
-        """
-        depth, n = self.legs.depth, self.n
-        if self.scratch is None:
-            rows = depth + self.block_cap
-            self.scratch = np.empty((2, rows, n))
-            self.block_cells = np.arange(self.block_cap)[:, None] * n + self.fleet_cell
-            self.block_cells[:, self.legs.group_cell.size :] += rows * n
-        row = self.step_index % depth
-        self.scratch[:, : depth - row] = self.cal[:, row:]
-        self.scratch[:, depth - row : depth] = self.cal[:, :row]
-        self.scratch[:, depth : depth + count] = 0.0
-        # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to
-        # the wrong cells; add.at adds repeated cells one at a time, in step order
-        posts = np.empty((count, self.by_cell.size))
-        posts[:] = self.by_cell
-        np.add.at(self.scratch.reshape(-1), self.block_cells[:count].reshape(-1), posts.reshape(-1))
 
 
 def simulate(
@@ -566,11 +569,12 @@ def simulate(
             engine.advance()
             done += 1
             levels[done], moved[done] = engine.levels, engine.moved
-    # the engine ends here, so the final state takes its arrays without copies
+    # the engine ends here: the final state takes its levels without copies
     customers, vehicles, drivers = engine.levels
+    vehicle_buffer, driver_buffer = engine.buffers()
     final = replace(
         init, customers=customers, vehicles=vehicles, drivers=drivers,
-        vehicle_buffer=engine.cal[0], driver_buffer=engine.cal[1], step_index=engine.step_index,
+        vehicle_buffer=vehicle_buffer, driver_buffer=driver_buffer, step_index=engine.step_index,
     )
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
     # the ends come from the states' full sums, so a leak in the running
@@ -652,14 +656,9 @@ def stability_probe(
         raise ValidationError("stability probe needs an optimal rebalancing solution")
     slack_vehicles = float(_checked_array("slack_vehicles", slack_vehicles, ()))
     slack_drivers = float(_checked_array("slack_drivers", slack_drivers, ()))
-    if slack_vehicles <= 0:
-        raise InsufficientFleetError(
-            f"vehicle fleet must exceed the in-transit minimum (slack {slack_vehicles:g} <= 0)"
-        )
-    if slack_drivers <= 0:
-        raise InsufficientFleetError(
-            f"driver pool must exceed the in-transit minimum (slack {slack_drivers:g} <= 0)"
-        )
+    for pool, slack in (("vehicle fleet", slack_vehicles), ("driver pool", slack_drivers)):
+        if slack <= 0:
+            raise InsufficientFleetError(f"{pool} must exceed the in-transit minimum (slack {slack:g} <= 0)")
     perturbation = float(_checked_array("perturbation", perturbation, ()))
     if not (0 <= perturbation < 1):
         raise ValidationError(f"perturbation must be in [0, 1), got {perturbation!r}")

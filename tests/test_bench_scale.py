@@ -34,12 +34,13 @@ def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):
     row = scale.layers(25)
     sim_keys = {
         "sim_run_step", "sim_cold_run_step", "sim_cold_zero_hits",
-        "sim_probe", "sim_probe_steps", "sim_probe_general_steps", "sim_probe_blocks",
+        "sim_probe", "sim_probe_steps", "sim_probe_general_steps", "sim_probe_blocks", "sim_calendar_bytes",
     }
     assert sim_keys | {"sweep"} <= row.keys()
     # the patched engine methods pass through: a probe runs general steps and blocks
     assert 0 < row["sim_probe_general_steps"] < row["sim_probe_steps"]
     assert row["sim_probe_blocks"] > 0
+    assert row["sim_calendar_bytes"] > 0
     assert row["infeasible_witness"] is True
     # a generated (metric) vehicle program needs one column-generation round
     assert row["alpha_lp_rounds"] == 1

@@ -1,3 +1,4 @@
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_workers_do_not_change_results(tmp_path):
         assert paths[0] == paths[1], tag
     # two sizes and two fractions: each group names both
     assert report.group_keys() == ["n=5 f=1", "n=7 f=1", "n=5 f=2.5", "n=7 f=2.5"]
+
+
+def _failing_trial(args):
+    raise RuntimeError("trial failed")
+
+
+def test_parallel_sweep_leaves_no_process_running(monkeypatch):
+    run_sweep(small_station_config(workers=2))
+    assert multiprocessing.active_children() == []
+    # patched before the pool starts, so its workers run the failing trial
+    monkeypatch.setattr(experiments, "_trial", _failing_trial)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_sweep(small_station_config(workers=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_station_sweep_requires_full_taxi_fraction():

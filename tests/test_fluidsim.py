@@ -329,6 +329,16 @@ def test_stability_probe_passes_on_two_station(two_station):
     assert report.trace.times[-1] == pytest.approx(report.horizon, abs=report.h)
 
 
+def test_probe_report_keeps_no_engine_memory(make_instance):
+    net = make_instance(8, 5)
+    report = stability_probe(net, solve_rebalancing(net), 0.2, 0.2, 0.1, h=net.min_offdiag_travel_time() / 10)
+    final = report.trace.final
+    for buffer in (final.vehicle_buffer, final.driver_buffer):
+        assert buffer.shape == (final.legs.depth, 8)
+        # its own array, not a view that keeps the run's calendar window alive
+        assert buffer.base is None
+
+
 def test_stability_probe_rejects_fleet_at_minimum(two_station):
     sol = solve_rebalancing(two_station)
     with pytest.raises(InsufficientFleetError, match="slack 0"):

@@ -208,8 +208,9 @@ def test_support_extremes_match_ring_from_empty_roads(make_instance, support):
     assert engine.sup.size == (0 if support == "empty" else 6)
     for _ in range(steps):
         engine.advance()
-    assert np.any(engine.cal[0] > 0)
-    assert np.all(engine.cal[1] == 0) == (support == "empty")
+    vehicle_buffer, driver_buffer = engine.buffers()
+    assert np.any(vehicle_buffer > 0)
+    assert np.all(driver_buffer == 0) == (support == "empty")
 
     trace = simulate(net, alpha, beta, init, steps * h)
     assert_trace_matches(trace, ring_run(ring, steps), float(np.sum(ring.totals()) + c0.sum()))
@@ -323,8 +324,8 @@ def test_steady_calendar_rows(make_instance):
 
 
 def full_totals(engine):
-    """Vehicle and driver totals of an engine from full calendar sums."""
-    return engine.levels[1:].sum(axis=1) + engine.cal.reshape(2, -1).sum(axis=1) * engine.h
+    """Vehicle and driver totals of an engine from full sums of its live rows, in a state's order."""
+    return engine.levels[1:].sum(axis=1) + np.array(engine.buffers()).reshape(2, -1).sum(axis=1) * engine.h
 
 
 def stepwise_run(net, alpha, beta, init, horizon):
@@ -402,17 +403,22 @@ def test_steady_run_takes_few_general_steps(make_instance, monkeypatch):
     assert general < 0.2 * (trace.times.size - 1)
 
 
-@pytest.mark.parametrize("fleet", [1.5, 3.0])
-def test_blocks_match_single_steps_from_a_cold_start(make_instance, monkeypatch, fleet):
-    # empty roads and queues: at 1.5 times the minimum fleets the queues
-    # never clear, at 3 times they do and the run settles into blocks
-    net = make_instance(7, 1)
+def cold_start(net, fleet):
+    """Solved assignment and a state at h = min T / 10: empty roads, queues, ``fleet`` times the minimum fleets."""
     a = solve_rebalancing(net).assignment
     rng = np.random.default_rng(1)
-    c0 = rng.uniform(0, 1, 7)
-    v0 = fleet * a.min_vehicles / 7 * rng.uniform(0.5, 1.5, 7)
-    r0 = fleet * a.min_drivers / 7 * rng.uniform(0.5, 1.5, 7)
-    init = initial_state(net, c0, v0, r0, net.min_offdiag_travel_time() / 10)
+    c0 = rng.uniform(0, 1, net.n)
+    v0 = fleet * a.min_vehicles / net.n * rng.uniform(0.5, 1.5, net.n)
+    r0 = fleet * a.min_drivers / net.n * rng.uniform(0.5, 1.5, net.n)
+    return a, initial_state(net, c0, v0, r0, net.min_offdiag_travel_time() / 10)
+
+
+@pytest.mark.parametrize("fleet", [1.5, 3.0])
+def test_blocks_match_single_steps_from_a_cold_start(make_instance, monkeypatch, fleet):
+    # at 1.5 times the minimum fleets the queues never clear, at 3 times
+    # they do and the run settles into blocks
+    net = make_instance(7, 1)
+    a, init = cold_start(net, fleet)
     trace, general = assert_same_run(
         monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 20 * net.max_travel_time()
     )
@@ -534,6 +540,58 @@ def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch):
     assert np.nanmin(trace.first_zero) == trace.first_zero[2, 0] == 69.0
 
 
+@contextlib.contextmanager
+def recorded_moves(monkeypatch):
+    """Records every window move of the runs inside: (engine, step of the move)."""
+    moves = []
+    row = _Engine._row
+
+    def recorded(self, count):
+        base = self.base
+        found = row(self, count)
+        if self.base != base:
+            moves.append((self, self.step_index))
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Engine, "_row", recorded)
+        yield moves
+
+
+def test_blocks_cut_at_window_moves_match_single_steps(make_instance, monkeypatch):
+    # the cold start at 3 times the minimum fleets: the queues clear, and
+    # blocks run, cut short where an idle level nears 0, while the window
+    # moves every few dozen steps
+    net = make_instance(7, 1)
+    a, init = cold_start(net, 3.0)
+    h = init.h
+    steps = int(round(20 * net.max_travel_time() / h))
+    with recorded_blocks(monkeypatch) as blocks, recorded_moves(monkeypatch) as moves:
+        whole, _ = assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, steps * h)
+    engine = blocks[0][0]
+    moved = [step for owner, step in moves if owner is engine]
+    assert len(moved) >= 3
+    starts = [start for _, start, _, _ in blocks] + [steps]
+    cut = [i for i, (_, start, count, kept) in enumerate(blocks) if kept < count]
+    # a block cut short right after the window moved for it
+    assert any(starts[i] in moved for i in cut)
+    # a block cut short right before a move: the window moves before the
+    # next block runs, or for it
+    assert any(
+        starts[i] not in moved and any(starts[i] < step <= starts[i + 1] for step in moved) for i in cut
+    )
+
+    # resumed from a state taken between two moves
+    first = moved[1] + 3
+    head = simulate(net, a.vehicle_rates, a.driver_rates, init, first * h)
+    with recorded_blocks(monkeypatch) as blocks, recorded_moves(monkeypatch) as moves:
+        tail, _ = assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, head.final, (steps - first) * h)
+    assert sum(owner is blocks[0][0] for owner, _ in moves) >= 3
+    assert np.array_equal(trace_levels(tail), trace_levels(whole)[first:])
+    assert np.array_equal(tail.final.vehicle_buffer, whole.final.vehicle_buffer)
+    assert np.array_equal(tail.final.driver_buffer, whole.final.driver_buffer)
+
+
 def test_a_queue_draining_at_mu_runs_in_blocks(two_station, monkeypatch):
     # station 0's queue of 20 is served at mu = 0.8 while 0.4 arrive: it
     # drains over 50 steps, which blocks run
@@ -580,6 +638,6 @@ def test_blocks_never_exceed_the_calendar_sized_cap(make_instance, monkeypatch, 
     with recorded_blocks(monkeypatch) as blocks:
         assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 3 * net.max_travel_time())
     engine = blocks[0][0]
-    cap = max(engine.shortest, engine.cal.size // engine.fleet_cell.size)
+    cap = max(engine.shortest, 2 * engine.legs.total_slots // engine.fleet_cell.size)
     counts = [count for _, _, count, _ in blocks]
     assert max(counts) == cap > engine.shortest
