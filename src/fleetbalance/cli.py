@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: gen, solve, simulate, sweep.  Exit codes: 0 on
-success, 2 for invalid input (unreadable or unwritable files and a
-plan that is not for its instance included), 3 when the driver-return
-program is infeasible, 4 when requested fleet totals cannot support an
-equilibrium.  Checks, messages and file formats come from the library;
-:func:`main` maps each failure to its exit code and one ``error:`` line.
+success, 2 for invalid input (unreadable or unwritable files, a plan
+not for its instance and a run too large to allocate included), 3
+when the driver-return program is infeasible, 4 when requested fleet
+totals cannot support an equilibrium.  Checks, messages and file
+formats come from the library; :func:`main` maps each failure to its
+exit code and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (RebalanceInfeasibleError, InsufficientFleetError, ValidationError, OSError) as exc:
-        # an input or output file that cannot be read, decoded or written is invalid input
+    except (RebalanceInfeasibleError, InsufficientFleetError, ValidationError, OSError, MemoryError) as exc:
+        # files that cannot be read, decoded or written and arrays too large to allocate are invalid input
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_INVALID)
 

@@ -23,27 +23,27 @@ Integration: explicit Euler with a fixed step ``h``.  A state is built
 (``initial_state``, ``equilibrium_state``) with its ``h`` and the travel
 times rounded to whole steps: what leaves ``i`` for ``j`` at step ``k``
 arrives at ``j`` at step ``k + d``, ``d = round(T[i, j] / h)``, and
-``h <= min positive T / 4``, so every leg is a few steps long.
-``simulate`` advances a state by its ``h``, on a network with the same
-delays only, records the levels after every step and returns the state
-after its last one, from which a next run resumes.  In-transit mass
-lives in two arrival calendars (vehicles in motion: customer trips plus
-rebalancing trips; drivers in motion: rebalancing trips plus return
-rides) of ``D`` rows, the longest delay in steps, by ``n`` stations.  A
-state keeps row ``k % D`` for step ``k``, so its sums add the cells in
-the order they did when the engine ran on that ring, bit for bit.  A run
-works on a window indexed by step: the ``D`` live rows, then
-``2 * block_cap`` rows of 0.0.  A step reads its row in place and adds
-each leg's departure rate into the row ``d`` on, at its head station,
-legs that share a delay and a head summed first; the live rows move to
-the window's front when posts would run past its end.  Customer trips
-run on all n(n-1) legs, but rebalancing trips and return rides only on
-the support of ``alpha + beta`` (n - 1 to ~20 % of the legs for solved
-assignments), so a step costs O(n^2) for customer legs plus
-O(|support|) for rebalancing legs, whatever the ratio of longest to
-shortest travel time.  In-transit totals are running sums (plus what a
-step withdraws from the idle levels, minus what it reads), so reading
-them is O(1).
+``h <= min positive T / 4``, so every leg is a few steps long, on at
+least 2 stations: one has no legs.  ``simulate`` advances a state by
+its ``h``, on a network with the same delays only, records the levels
+after every step and returns the state after its last one, from which a
+next run resumes.  In-transit mass lives in two arrival calendars
+(vehicles in motion: customer trips plus rebalancing trips; drivers in
+motion: rebalancing trips plus return rides) of ``D`` rows, the longest
+delay in steps, by ``n`` stations: a state's row ``t`` holds what
+arrives at step ``step_index + t``.  A run copies them into the first
+rows of a window laid out alike, followed by ``2 * block_cap`` rows of
+0.0, and copies the ``D`` live rows out at its end.  A step reads its
+row in place and adds each leg's departure rate into the row ``d`` on,
+at its head station, legs that share a delay and a head summed first;
+the live rows move to the window's front when posts would run past its
+end.  Customer trips run on all n(n-1) legs, but rebalancing trips and
+return rides only on the support of ``alpha + beta`` (n - 1 to ~20 % of
+the legs for solved assignments), so a step costs O(n^2) for customer
+legs plus O(|support|) for rebalancing legs, whatever the ratio of
+longest to shortest travel time.  In-transit totals are running sums
+(plus what a step withdraws from the idle levels, minus what it reads),
+so reading them is O(1).
 
 Steady stretches run a block at a time.  A step is steady when the
 next one repeats its departures: it clamped nothing, moved no level
@@ -96,10 +96,10 @@ slightly above zero but never below.  Because calendar writes always
 equal queue withdrawals and every write is read back exactly once, one
 delay later, total vehicle and driver mass is conserved to float
 rounding; there is no scheme-level drift term.  The running in-transit
-sums follow the withdrawals, not the calendar writes, and ``simulate``
-takes the first and last of its totals from the full sums of its initial
-and final states, so a write that differs from its withdrawal would
-still show as drift in the trace.
+sums follow the withdrawals, not the calendar writes, from the full sums
+of the initial state, and ``simulate`` takes the last of its totals from
+the full sums of its final state, so a write that differs from its
+withdrawal would still show as drift in the trace.
 """
 
 from __future__ import annotations
@@ -143,22 +143,18 @@ class _Legs:
     @staticmethod
     def build(net: StationNetwork, h: float) -> "_Legs":
         n = net.n
+        # one station has no leg for a trip to take
+        if n < 2:
+            raise ValidationError(f"simulation needs at least 2 stations, got {n}")
         tt = _on_legs(net.travel_time)
-        if n > 1:
-            if np.any(tt <= 0):
-                raise ValidationError(
-                    "simulation requires positive travel times between distinct stations"
-                )
-            min_tt = float(tt.min())
-            if not (0 < h <= min_tt / 4):
-                raise ValidationError(
-                    f"step h={h:g} must satisfy 0 < h <= min travel time / 4 = {min_tt / 4:g}"
-                )
-        elif h <= 0:
-            raise ValidationError(f"step h={h:g} must be positive")
+        if np.any(tt <= 0):
+            raise ValidationError("simulation requires positive travel times between distinct stations")
+        min_tt = float(tt.min())
+        if not (0 < h <= min_tt / 4):
+            raise ValidationError(f"step h={h:g} must satisfy 0 < h <= min travel time / 4 = {min_tt / 4:g}")
         tails, heads = _legs(n)
         steps = np.rint(tt / h).astype(np.int64)
-        depth = int(steps.max()) if steps.size else 1
+        depth = int(steps.max())
         cells, group = np.unique(steps * n + heads, return_inverse=True)
         return _Legs(
             tail=tails, steps=steps, group=group, group_cell=cells, depth=depth, total_slots=depth * n
@@ -180,8 +176,8 @@ class _Legs:
 class FluidState:
     """One snapshot of a run: idle levels plus both arrival calendars.
 
-    The buffers are ``(D, n)`` calendars of arrival rates: row
-    ``k % D`` holds what reaches each station at step ``k``.  The
+    The buffers are ``(D, n)`` calendars of arrival rates: row ``t``
+    holds what reaches each station at step ``step_index + t``.  The
     in-transit mass of a cell is ``h`` times its rate.
     """
 
@@ -276,7 +272,8 @@ class SimTrace:
     steps that took it from above 0 to 0 or below, and ``first_zero``
     the time of the first such step, NaN if none.  So the summaries of consecutive runs add up, first hits by
     ``np.fmin``, to those of one run.  ``final`` is the state after the
-    last step; the run leaves its initial state as it was.
+    last step, on arrays of its own; the run leaves its initial state as
+    it was.  In a stability probe's report ``final`` is None.
     """
 
     times: np.ndarray
@@ -286,7 +283,7 @@ class SimTrace:
     vehicles_total: np.ndarray
     drivers_total: np.ndarray
     h: float
-    final: FluidState
+    final: Optional[FluidState]
 
     @property
     def n(self) -> int:
@@ -346,17 +343,12 @@ class _Engine:
         self.h = state.h
         self.legs = legs
         self.levels = np.array((state.customers, state.vehicles, state.drivers))
-        ring = np.array((state.vehicle_buffer, state.driver_buffer))
-        # in-transit rate sums: the state's full sums plus a running net
-        # change (+ each step's withdrawals, - its arrivals), kept apart so
-        # its rounding scales with the change and not with the whole sum
-        self.transit = ring.reshape(2, -1).sum(axis=1)
         self.moved = np.zeros(2)
         self.step_index = state.step_index
         self.zero = self.levels <= 0
         self.steady = False
         # a steady stretch starts with a block of the shortest delay in steps
-        self.shortest = int(legs.steps.min()) if legs.steps.size else 1
+        self.shortest = int(legs.steps.min())
         self.block_steps = self.shortest
         self.ones = np.ones((2, n))
 
@@ -387,12 +379,16 @@ class _Engine:
         driver_cell = legs.group_cell[used]
         # blocks double up to the length at which a block posts as many
         # cells as both calendars have: its cell and post arrays stay that size
-        self.block_cap = max(self.shortest, 2 * legs.total_slots // max(groups + driver_cell.size, 1))
+        self.block_cap = max(self.shortest, 2 * legs.total_slots // (groups + driver_cell.size))
         depth = legs.depth
-        # the state's row k % D holds step k, the window's row r step base + r
+        # the window's row r holds step base + r, as the state's row t holds step_index + t
         self.cal = np.zeros((2, depth + 2 * self.block_cap, n))
-        self.cal[:, :depth] = np.roll(ring, -(state.step_index % depth), axis=1)
+        self.cal[:, :depth] = state.vehicle_buffer, state.driver_buffer
         self.base = state.step_index
+        # in-transit rate sums: the state's full sums plus a running net
+        # change (+ each step's withdrawals, - its arrivals), kept apart so
+        # its rounding scales with the change and not with the whole sum
+        self.transit = self.cal[:, :depth].reshape(2, -1).sum(axis=1)
         # a step's posts as flat offsets from its row's first cell, driver
         # groups in the drivers' half; step t of a block posts t * n further on
         self.fleet_cell = np.concatenate((legs.group_cell, driver_cell + self.cal[0].size))
@@ -420,9 +416,9 @@ class _Engine:
         return row
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The live rows as a state's vehicle and driver buffers: new arrays, row ``k % D`` for step ``k``."""
-        row, depth = self.step_index - self.base, self.legs.depth
-        return tuple(np.roll(fleet, self.step_index % depth, axis=0) for fleet in self.cal[:, row : row + depth])
+        """Copies of the live rows as a state's vehicle and driver buffers: row ``t`` for step ``step_index + t``."""
+        row = self.step_index - self.base
+        return tuple(fleet.copy() for fleet in self.cal[:, row : row + self.legs.depth])
 
     def advance(self) -> None:
         h, n, legs = self.h, self.n, self.legs
@@ -577,9 +573,8 @@ def simulate(
         vehicle_buffer=vehicle_buffer, driver_buffer=driver_buffer, step_index=engine.step_index,
     )
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
-    # the ends come from the states' full sums, so a leak in the running
-    # sums still shows as drift
-    totals[0] = init.total_vehicles(), init.total_drivers()
+    # the last row comes from the final state's full sums, so a leak in
+    # the running sums still shows as drift
     totals[-1] = final.total_vehicles(), final.total_drivers()
     return SimTrace(
         times=(init.step_index + np.arange(steps + 1)) * h,
@@ -684,6 +679,8 @@ def stability_probe(
     if horizon is None:
         horizon = drain_bound + 2.0 * net.max_travel_time() + 10.0 * h
     trace = simulate(net, assignment.vehicle_rates, assignment.driver_rates, init, horizon)
+    # nothing resumes from a probe: its report keeps no calendars
+    trace.final = None
 
     below = np.max(trace.customers, axis=1) <= 4e-4 * idle_v / n
     drained = np.flatnonzero(below)

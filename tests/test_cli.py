@@ -157,6 +157,25 @@ def test_simulate_rejects_fleet_at_minimum(tmp_path, capsys):
     assert not trace.exists()
 
 
+def test_simulate_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # a tiny h or a huge idle stock asks numpy for TiB-sized calendars or traces
+    net_path, assign_path = solve_first(tmp_path)
+    message = "Unable to allocate 3.45 TiB for an array with shape (78955346161, 6) and data type float64"
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "stability_probe", too_large)
+    trace = tmp_path / "trace.csv"
+    code = main(
+        ["simulate", "--instance", str(net_path), "--assignment", str(assign_path),
+         "--V", "9.6", "--R", "7.2", "--trace-out", str(trace)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
+
+
 def test_probe_queues_no_station_without_arrivals(tmp_path, capsys):
     # station 1 has no arrivals, so its p row may be all 0; a queue there would have nowhere to go
     net_path = tmp_path / "net.json"

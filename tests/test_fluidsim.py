@@ -50,9 +50,22 @@ def test_simulate_returns_a_new_final_state(two_station):
     assert out is not state
     for name, was in zip(arrays, before):
         assert np.array_equal(getattr(state, name), was), name
-    # the calendars filled up in the run, on arrays of its own
+    # the calendars filled up in the run, on arrays of its own, not views
+    # that keep the run's calendar window alive
     assert out.vehicle_buffer.sum() > 0 and out.driver_buffer.sum() > 0
+    assert out.vehicle_buffer.base is None and out.driver_buffer.base is None
     assert state.step_index == 0 and out.step_index == 3
+
+
+def test_final_calendar_rows_follow_its_step_index(two_station):
+    # D = 10: customers leave at lambda from step 0 and arrive 10 steps on,
+    # so after 3 steps the rows for steps 10-12 are the last three
+    zero = np.zeros((2, 2))
+    state = initial_state(two_station, [0.0, 0.0], [5.0, 5.0], [0.0, 0.0], h=1.0)
+    out = simulate(two_station, zero, zero, state, 3.0).final
+    assert out.step_index == 3 and out.vehicle_buffer.shape == (10, 2)
+    assert np.array_equal(out.vehicle_buffer[7:], [[0.1, 0.4]] * 3)
+    assert np.all(out.vehicle_buffer[:7] == 0) and np.all(out.driver_buffer == 0)
 
 
 def test_customer_drain_tracks_analytic_time(two_station):
@@ -238,6 +251,15 @@ def test_step_size_validation(two_station):
         initial_state(two_station, [0, 0], [1, 1], [1, 1], h=3.0)
 
 
+def test_one_station_is_not_simulated():
+    # StationNetwork takes one station, but no trip can leave it
+    net = StationNetwork(
+        n=1, arrival_rate=[0.0], service_rate=[1.0], dest_prob=[[0.0]], travel_time=[[0.0]], taxi_fraction=[[0.0]]
+    )
+    with pytest.raises(ValidationError, match="at least 2 stations, got 1"):
+        initial_state(net, [0.0], [1.0], [1.0], h=1.0)
+
+
 def test_zero_travel_time_rejected():
     net = StationNetwork(
         n=2,
@@ -332,11 +354,8 @@ def test_stability_probe_passes_on_two_station(two_station):
 def test_probe_report_keeps_no_engine_memory(make_instance):
     net = make_instance(8, 5)
     report = stability_probe(net, solve_rebalancing(net), 0.2, 0.2, 0.1, h=net.min_offdiag_travel_time() / 10)
-    final = report.trace.final
-    for buffer in (final.vehicle_buffer, final.driver_buffer):
-        assert buffer.shape == (final.legs.depth, 8)
-        # its own array, not a view that keeps the run's calendar window alive
-        assert buffer.base is None
+    # nothing resumes from a probe, so its trace keeps no final calendars
+    assert report.trace.final is None
 
 
 def test_stability_probe_rejects_fleet_at_minimum(two_station):

@@ -324,7 +324,7 @@ def test_steady_calendar_rows(make_instance):
 
 
 def full_totals(engine):
-    """Vehicle and driver totals of an engine from full sums of its live rows, in a state's order."""
+    """Vehicle and driver totals of an engine from full sums of its live rows."""
     return engine.levels[1:].sum(axis=1) + np.array(engine.buffers()).reshape(2, -1).sum(axis=1) * engine.h
 
 
@@ -335,7 +335,6 @@ def stepwise_run(net, alpha, beta, init, horizon):
     """
     engine = _Engine(net, alpha, beta, init)
     steps = max(1, int(round(horizon / init.h)))
-    first = full_totals(engine)
     levels, moved = [engine.levels.copy()], [engine.moved.copy()]
     zero = engine.levels <= 0
     at_zero, hits = np.zeros((2, 3, net.n), dtype=np.int64)
@@ -352,7 +351,7 @@ def stepwise_run(net, alpha, beta, init, horizon):
         moved.append(engine.moved.copy())
     levels, moved = np.array(levels), np.array(moved)
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * init.h
-    totals[0], totals[-1] = first, full_totals(engine)
+    totals[-1] = full_totals(engine)
     times = (init.step_index + np.arange(steps + 1)) * init.h
     return times, levels, totals, (init.h * at_zero, hits, first_zero)
 
