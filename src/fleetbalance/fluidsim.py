@@ -79,13 +79,14 @@ cold start whose queues never clear takes mostly general steps.  The
 first step of every run is a general one.
 
 Idle vehicles and idle drivers follow the same queue-and-transit
-dynamics, so both fleets go through one code path: the engine stacks
-customers, idle vehicles and idle drivers as one ``(3, n)`` array and
-both calendars in one window, and each step clamps, posts and sums both
-fleets at once.  The engine holds only what the next step needs: the
-levels, which of them are at 0 (the gates), the window and the
-in-transit sums.  The trace reduces its zero summaries from the
-levels it records, on first read.
+dynamics, so both fleets go through one code path: customers, idle
+vehicles and idle drivers are one ``(3, n)`` array and both calendars
+one ``(2, D, n)`` array, in the engine, in a state and, one level row
+per step, in a trace, and each step clamps, posts and sums both fleets
+at once.  The engine holds only what the next step needs: the levels,
+which of them are at 0 (the gates), the window and the in-transit sums.
+The trace reduces its zero summaries from the levels it records, on
+first read.
 
 Clamping: when a step would drive a queue negative, all outbound flows
 from that queue are scaled down so the queue lands at zero, and the
@@ -116,6 +117,7 @@ from .network import (
     StationNetwork,
     _checked_array,
     _checked_int,
+    _frozen,
     _leg_matrix,
     _legs,
     _on_legs,
@@ -169,30 +171,43 @@ class _Legs:
         """
         by_delay = np.zeros((self.depth + 1) * n)
         by_delay[self.group_cell] = np.bincount(self.group, weights=leg_rate)
-        return np.cumsum(by_delay.reshape(-1, n)[::-1], axis=0)[::-1][1:].copy()
+        return np.cumsum(by_delay.reshape(-1, n)[::-1], axis=0)[::-1][1:]
 
 
 @dataclass(frozen=True, eq=False)
 class FluidState:
-    """One snapshot of a run: idle levels plus both arrival calendars.
+    """One snapshot of a run, in the engine's layout, checked and kept as read-only copies.
 
-    The buffers are ``(D, n)`` calendars of arrival rates: row ``t``
-    holds what reaches each station at step ``step_index + t``.  The
-    in-transit mass of a cell is ``h`` times its rate.
+    ``levels`` is ``(3, n)``: ``customers``, ``vehicles`` and ``drivers``
+    (idle) are views of its rows.  ``calendars`` is ``(2, D, n)``, its
+    rows ``vehicle_buffer`` and ``driver_buffer``, of arrival rates: row
+    ``t`` holds what reaches each station at step ``step_index + t``.
+    The in-transit mass of a cell is ``h`` times its rate.
     """
 
-    customers: np.ndarray
-    vehicles: np.ndarray
-    drivers: np.ndarray
-    vehicle_buffer: np.ndarray
-    driver_buffer: np.ndarray
+    levels: np.ndarray
+    calendars: np.ndarray
     step_index: int
     h: float
     legs: _Legs
 
+    def __post_init__(self):
+        depth = self.legs.depth
+        n = self.legs.total_slots // depth
+        for name, shape in (("levels", (3, n)), ("calendars", (2, depth, n))):
+            arr = _checked_array(name, getattr(self, name), shape, nonnegative=True)
+            object.__setattr__(self, name, _frozen(arr))
+        object.__setattr__(self, "step_index", _checked_int("step_index", self.step_index, 0))
+
+    customers = property(lambda self: self.levels[0])
+    vehicles = property(lambda self: self.levels[1])
+    drivers = property(lambda self: self.levels[2])
+    vehicle_buffer = property(lambda self: self.calendars[0])
+    driver_buffer = property(lambda self: self.calendars[1])
+
     @property
     def n(self) -> int:
-        return self.customers.shape[0]
+        return self.levels.shape[1]
 
     @property
     def time(self) -> float:
@@ -216,12 +231,10 @@ def initial_state(net: StationNetwork, customers, vehicles, drivers, h: float) -
     h = float(_checked_array("h", h, ()))
     legs = _Legs.build(net, h)
     n = net.n
+    named = (("customers", customers), ("vehicles", vehicles), ("drivers", drivers))
     return FluidState(
-        customers=_checked_array("customers", customers, (n,), nonnegative=True).copy(),
-        vehicles=_checked_array("vehicles", vehicles, (n,), nonnegative=True).copy(),
-        drivers=_checked_array("drivers", drivers, (n,), nonnegative=True).copy(),
-        vehicle_buffer=np.zeros((legs.depth, n)),
-        driver_buffer=np.zeros((legs.depth, n)),
+        levels=[_checked_array(name, value, (n,), nonnegative=True) for name, value in named],
+        calendars=np.zeros((2, legs.depth, n)),
         step_index=0,
         h=h,
         legs=legs,
@@ -252,21 +265,20 @@ def equilibrium_state(
     alpha_leg = _on_legs(alpha)
     veh_rate = net.arrival_rate[legs.tail] * _on_legs(net.dest_prob) + alpha_leg
     drv_rate = alpha_leg + _on_legs(beta)
-    return replace(
-        state,
-        vehicle_buffer=legs.steady_calendar(veh_rate, n),
-        driver_buffer=legs.steady_calendar(drv_rate, n),
-    )
+    return replace(state, calendars=[legs.steady_calendar(veh_rate, n), legs.steady_calendar(drv_rate, n)])
 
 
 @dataclass
 class SimTrace:
     """Trajectory of a run, its zero summaries and its final state.
 
-    ``times``, the levels and the totals have one row per step, from the
-    initial state (row 0) to the final one.  The zero summaries are
-    reductions over the level rows, taken on first read and kept, each
-    ``(3, n)`` with rows customers, idle vehicles and idle drivers.
+    ``times``, ``levels`` ``(steps + 1, 3, n)`` and ``totals``
+    ``(steps + 1, 2)`` have one row per step, from the initial state
+    (row 0) to the final one; ``customers``, ``vehicles``, ``drivers``
+    and ``vehicles_total``, ``drivers_total`` are views of their columns.
+    The zero summaries are reductions over the level rows, taken on first
+    read and kept, each ``(3, n)`` with rows customers, idle vehicles and
+    idle drivers.
     ``time_at_zero`` is ``h`` times the number of steps that began with
     the level at or below 0 (its gate shut), ``zero_hits`` the number of
     steps that took it from above 0 to 0 or below, and ``first_zero``
@@ -277,26 +289,29 @@ class SimTrace:
     """
 
     times: np.ndarray
-    customers: np.ndarray
-    vehicles: np.ndarray
-    drivers: np.ndarray
-    vehicles_total: np.ndarray
-    drivers_total: np.ndarray
+    levels: np.ndarray
+    totals: np.ndarray
     h: float
     final: Optional[FluidState]
 
+    customers = property(lambda self: self.levels[:, 0])
+    vehicles = property(lambda self: self.levels[:, 1])
+    drivers = property(lambda self: self.levels[:, 2])
+    vehicles_total = property(lambda self: self.totals[:, 0])
+    drivers_total = property(lambda self: self.totals[:, 1])
+
     @property
     def n(self) -> int:
-        return self.customers.shape[1]
+        return self.levels.shape[2]
 
     @cached_property
     def _zero_summaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (3, steps + 1, n); step t begins with row t and ends with row t + 1
-        zero = np.array((self.customers, self.vehicles, self.drivers)) <= 0
-        hits = zero[:, 1:] > zero[:, :-1]
-        zero_hits = hits.sum(axis=1)
-        first_zero = np.where(zero_hits > 0, self.times[1 + hits.argmax(axis=1)], np.nan)
-        return self.h * zero[:, :-1].sum(axis=1), zero_hits, first_zero
+        # step t begins with row t and ends with row t + 1
+        zero = self.levels <= 0
+        hits = zero[1:] > zero[:-1]
+        zero_hits = hits.sum(axis=0)
+        first_zero = np.where(zero_hits > 0, self.times[1 + hits.argmax(axis=0)], np.nan)
+        return self.h * zero[:-1].sum(axis=0), zero_hits, first_zero
 
     time_at_zero = property(lambda self: self._zero_summaries[0])
     zero_hits = property(lambda self: self._zero_summaries[1])
@@ -325,9 +340,6 @@ class _Engine:
                 f"state was built for other travel times: its legs' delays in steps of "
                 f"h={state.h:g} are not the network's"
             )
-        for name in ("customers", "vehicles", "drivers", "vehicle_buffer", "driver_buffer"):
-            shape = (legs.depth, n) if name.endswith("_buffer") else (n,)
-            _checked_array(name, getattr(state, name), shape, nonnegative=True)
         # queued customers depart along dest_prob rows; an unnormalized row
         # would leak vehicle mass out of the conservation ledger
         queued = state.customers > 0
@@ -342,7 +354,7 @@ class _Engine:
         self.n = n
         self.h = state.h
         self.legs = legs
-        self.levels = np.array((state.customers, state.vehicles, state.drivers))
+        self.levels = state.levels.copy()
         self.moved = np.zeros(2)
         self.step_index = state.step_index
         self.zero = self.levels <= 0
@@ -383,7 +395,7 @@ class _Engine:
         depth = legs.depth
         # the window's row r holds step base + r, as the state's row t holds step_index + t
         self.cal = np.zeros((2, depth + 2 * self.block_cap, n))
-        self.cal[:, :depth] = state.vehicle_buffer, state.driver_buffer
+        self.cal[:, :depth] = state.calendars
         self.base = state.step_index
         # in-transit rate sums: the state's full sums plus a running net
         # change (+ each step's withdrawals, - its arrivals), kept apart so
@@ -415,10 +427,10 @@ class _Engine:
             self.base, row = self.step_index, 0
         return row
 
-    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the live rows as a state's vehicle and driver buffers: row ``t`` for step ``step_index + t``."""
+    def buffers(self) -> np.ndarray:
+        """The ``(2, D, n)`` live rows of the window, a state's calendars: row ``t`` for step ``step_index + t``."""
         row = self.step_index - self.base
-        return tuple(fleet.copy() for fleet in self.cal[:, row : row + self.legs.depth])
+        return self.cal[:, row : row + self.legs.depth]
 
     def advance(self) -> None:
         h, n, legs = self.h, self.n, self.legs
@@ -565,27 +577,12 @@ def simulate(
             engine.advance()
             done += 1
             levels[done], moved[done] = engine.levels, engine.moved
-    # the engine ends here: the final state takes its levels without copies
-    customers, vehicles, drivers = engine.levels
-    vehicle_buffer, driver_buffer = engine.buffers()
-    final = replace(
-        init, customers=customers, vehicles=vehicles, drivers=drivers,
-        vehicle_buffer=vehicle_buffer, driver_buffer=driver_buffer, step_index=engine.step_index,
-    )
+    final = replace(init, levels=engine.levels, calendars=engine.buffers(), step_index=engine.step_index)
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
     # the last row comes from the final state's full sums, so a leak in
     # the running sums still shows as drift
     totals[-1] = final.total_vehicles(), final.total_drivers()
-    return SimTrace(
-        times=(init.step_index + np.arange(steps + 1)) * h,
-        customers=levels[:, 0],
-        vehicles=levels[:, 1],
-        drivers=levels[:, 2],
-        vehicles_total=totals[:, 0],
-        drivers_total=totals[:, 1],
-        h=h,
-        final=final,
-    )
+    return SimTrace(times=(init.step_index + np.arange(steps + 1)) * h, levels=levels, totals=totals, h=h, final=final)
 
 
 @dataclass(frozen=True, eq=False)
@@ -737,9 +734,7 @@ def stability_probe(
 def write_trace_csv(trace: SimTrace, path) -> None:
     """Write the trajectory, one row per step: t, c_1.., v_1.., r_1.., V_total, R_total."""
     header = ["t"] + [f"{q}_{i + 1}" for q in "cvr" for i in range(trace.n)] + ["V_total", "R_total"]
-    table = np.column_stack((
-        trace.times, trace.customers, trace.vehicles, trace.drivers, trace.vehicles_total, trace.drivers_total
-    ))
+    table = np.column_stack((trace.times, trace.levels.reshape(len(trace.times), -1), trace.totals))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())

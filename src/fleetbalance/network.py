@@ -28,7 +28,8 @@ Every number from outside is checked once, in the code that owns it:
 arrays and reals by ``_checked_array``, counts and seeds by
 ``_checked_int``.  The owners are :class:`StationNetwork`,
 :class:`RebalanceAssignment`, :func:`fleet_sizes`, the flow problem,
-the generator and sweep configs and the simulator's entry points.
+the generator and sweep configs, the simulator's state (its levels,
+calendars and step index) and the simulator's entry points.
 ``storage`` reads only the file format and leaves values to these.
 
 The module also owns the leg layout shared by the flow programs' arcs

@@ -144,6 +144,21 @@ def test_simulate_stable_fleet(tmp_path, capsys):
     assert meta["h"] == 1.0
 
 
+def test_simulate_reports_queues_that_never_clear(tmp_path, capsys):
+    net_path, assign_path = solve_first(tmp_path)
+    trace = tmp_path / "trace.csv"
+    # large initial queues and a horizon of two steps: no queue drains in time
+    code = main(
+        ["simulate", "--instance", str(net_path), "--assignment", str(assign_path), "--V", "9.6", "--R", "7.2",
+         "--h", "1.0", "--horizon", "2", "--perturbation", "0.9", "--trace-out", str(trace)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "customers_cleared: FAIL" in out
+    assert "stability: FAIL (drain_time=never," in out
+    assert json.loads((tmp_path / "trace.csv.meta.json").read_text())["passed"] is False
+
+
 def test_simulate_rejects_fleet_at_minimum(tmp_path, capsys):
     net_path, assign_path = solve_first(tmp_path)
     trace = tmp_path / "trace.csv"
@@ -374,11 +389,12 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
                        ("workers", {"sizes": [5], "trials_per_size": 1, "workers": True}),
                        ("f_values", {"sizes": [5], "f_values": ["a"]}),
                        ("f_values", {"sizes": [5], "f_values": ["2", "3"]}),
-                       ("taxi_fraction", {"sizes": [5], "generator": {"taxi_fraction": 0.5}})):
+                       ("taxi_fraction", {"sizes": [5], "generator": {"taxi_fraction": 0.5}}),
+                       ("field 'generator' must be an object", {"sizes": [5], "generator": 5})):
         config.write_text(json.dumps(raw))
         assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err
+        assert err.startswith(f"error: {config}: ") and field in err
     assert not out_dir.exists()
 
 

@@ -53,8 +53,16 @@ def test_simulate_returns_a_new_final_state(two_station):
     # the calendars filled up in the run, on arrays of its own, not views
     # that keep the run's calendar window alive
     assert out.vehicle_buffer.sum() > 0 and out.driver_buffer.sum() > 0
-    assert out.vehicle_buffer.base is None and out.driver_buffer.base is None
+    assert out.calendars.base is None and out.levels.base is None
     assert state.step_index == 0 and out.step_index == 3
+
+
+def test_state_arrays_are_read_only(two_station):
+    state = initial_state(two_station, [0.2, 0.0], [1.0, 1.0], [0.5, 0.5], h=2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        state.vehicles[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.driver_buffer[0, 0] = 1.0
 
 
 def test_final_calendar_rows_follow_its_step_index(two_station):
@@ -246,6 +254,12 @@ def test_state_runs_only_on_the_travel_times_it_was_built_for(make_instance):
         assert trace.times.size == 6
 
 
+def test_state_runs_only_on_a_network_of_its_size(two_station, make_instance):
+    state = initial_state(two_station, [0, 0], [1, 1], [1, 1], h=2.0)
+    with pytest.raises(ValidationError, match="state has 2 stations, network has 3"):
+        simulate(make_instance(3, 1), np.zeros((3, 3)), np.zeros((3, 3)), state, 10.0)
+
+
 def test_step_size_validation(two_station):
     with pytest.raises(ValidationError, match="min travel time / 4"):
         initial_state(two_station, [0, 0], [1, 1], [1, 1], h=3.0)
@@ -349,6 +363,14 @@ def test_stability_probe_passes_on_two_station(two_station):
     assert report.total_drivers == pytest.approx(1.2 * 6.0)
     assert report.vehicle_drift <= report.vehicle_drift_bound
     assert report.trace.times[-1] == pytest.approx(report.horizon, abs=report.h)
+
+
+def test_stability_probe_fails_when_queues_outlast_the_horizon(two_station):
+    sol = solve_rebalancing(two_station)
+    report = stability_probe(two_station, sol, 0.2, 0.2, 0.9, h=1.0, horizon=2.0)
+    assert report.trace.customers[-1].max() > 0.1
+    assert report.drain_time is None
+    assert not report.customers_cleared and not report.passed
 
 
 def test_probe_report_keeps_no_engine_memory(make_instance):

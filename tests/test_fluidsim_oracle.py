@@ -129,16 +129,6 @@ def perturbed_start(net, seed):
     return a, 0.1 * v0, v0, r0
 
 
-def state_levels(state):
-    """A state's customers, idle vehicles and idle drivers as one ``(3, n)`` array."""
-    return np.array((state.customers, state.vehicles, state.drivers))
-
-
-def trace_levels(trace):
-    """A trace's levels as one ``(steps + 1, 3, n)`` array."""
-    return np.stack((trace.customers, trace.vehicles, trace.drivers), axis=1)
-
-
 @pytest.mark.parametrize("n,seed", [(4, 7), (6, 13), (9, 21)])
 def test_simulate_matches_ring_on_generated_instances(make_instance, n, seed):
     net = make_instance(n, seed)
@@ -255,10 +245,9 @@ def test_a_run_resumed_from_its_final_state_matches_one_run(make_instance, start
     tail = simulate(net, a.vehicle_rates, a.driver_rates, head.final, (steps - first) * h)
     assert head.final.step_index == first and tail.final.step_index == whole.final.step_index == steps
     assert np.array_equal(np.concatenate((head.times, tail.times[1:])), whole.times)
-    assert np.array_equal(np.concatenate((trace_levels(head), trace_levels(tail)[1:])), trace_levels(whole))
-    assert np.array_equal(state_levels(tail.final), state_levels(whole.final))
-    assert np.array_equal(tail.final.vehicle_buffer, whole.final.vehicle_buffer)
-    assert np.array_equal(tail.final.driver_buffer, whole.final.driver_buffer)
+    assert np.array_equal(np.concatenate((head.levels, tail.levels[1:])), whole.levels)
+    assert np.array_equal(tail.final.levels, whole.final.levels)
+    assert np.array_equal(tail.final.calendars, whole.final.calendars)
     assert np.array_equal(head.zero_hits + tail.zero_hits, whole.zero_hits)
     assert np.array_equal(np.fmin(head.first_zero, tail.first_zero), whole.first_zero, equal_nan=True)
     np.testing.assert_allclose(head.time_at_zero + tail.time_at_zero, whole.time_at_zero, rtol=RTOL)
@@ -325,7 +314,7 @@ def test_steady_calendar_rows(make_instance):
 
 def full_totals(engine):
     """Vehicle and driver totals of an engine from full sums of its live rows."""
-    return engine.levels[1:].sum(axis=1) + np.array(engine.buffers()).reshape(2, -1).sum(axis=1) * engine.h
+    return engine.levels[1:].sum(axis=1) + engine.buffers().reshape(2, -1).sum(axis=1) * engine.h
 
 
 def stepwise_run(net, alpha, beta, init, horizon):
@@ -370,7 +359,7 @@ def assert_same_run(monkeypatch, net, alpha, beta, init, horizon):
         patch.setattr(_Engine, "advance", counted)
         trace = simulate(net, alpha, beta, init, horizon)
     assert np.array_equal(trace.times, times)
-    assert np.array_equal(trace_levels(trace), levels)
+    assert np.array_equal(trace.levels, levels)
     assert np.array_equal(np.stack((trace.vehicles_total, trace.drivers_total), axis=1), totals)
     for got, want in zip((trace.time_at_zero, trace.zero_hits, trace.first_zero), summaries):
         assert np.array_equal(got, want, equal_nan=True)
@@ -423,7 +412,7 @@ def test_blocks_match_single_steps_from_a_cold_start(make_instance, monkeypatch,
     )
     # levels hit 0, and levels leave it: a level leaves 0 as often as it
     # hits it, plus once if it starts at 0, minus once if it ends there
-    left = trace.zero_hits + (state_levels(init) <= 0) - (state_levels(trace.final) <= 0)
+    left = trace.zero_hits + (init.levels <= 0) - (trace.final.levels <= 0)
     assert np.any(trace.zero_hits > 0) and np.any(left > 0)
     assert (general < 0.2 * (trace.times.size - 1)) == (fleet == 3.0)
 
@@ -586,9 +575,8 @@ def test_blocks_cut_at_window_moves_match_single_steps(make_instance, monkeypatc
     with recorded_blocks(monkeypatch) as blocks, recorded_moves(monkeypatch) as moves:
         tail, _ = assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, head.final, (steps - first) * h)
     assert sum(owner is blocks[0][0] for owner, _ in moves) >= 3
-    assert np.array_equal(trace_levels(tail), trace_levels(whole)[first:])
-    assert np.array_equal(tail.final.vehicle_buffer, whole.final.vehicle_buffer)
-    assert np.array_equal(tail.final.driver_buffer, whole.final.driver_buffer)
+    assert np.array_equal(tail.levels, whole.levels[first:])
+    assert np.array_equal(tail.final.calendars, whole.final.calendars)
 
 
 def test_a_queue_draining_at_mu_runs_in_blocks(two_station, monkeypatch):

@@ -130,6 +130,8 @@ def test_infeasible_capacity_shortfall():
     assert not max_flow_feasible(problem)
     assert brute_force_mcf(problem).status == "infeasible"
     assert farkas_cut(problem, sol.ray).tolist() == [True, False]
+    # a solve that found no ray has no cut to offer
+    assert farkas_cut(problem, None) is None
 
 
 def test_disconnected_demand_is_infeasible():

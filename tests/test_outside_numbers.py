@@ -10,6 +10,7 @@ tables of the other test files already hold are left out.
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,9 +59,9 @@ def _state(**kwargs):
     return initial_state(build_two_station(), [0, 0], [1, 1], [1, 1], **{"h": 2.0, **kwargs})
 
 
-def _simulate(horizon):
+def _simulate(horizon, **fields):
     net = build_two_station()
-    return simulate(net, np.zeros((2, 2)), np.zeros((2, 2)), _state(), horizon)
+    return simulate(net, np.zeros((2, 2)), np.zeros((2, 2)), replace(_state(), **fields), horizon)
 
 
 def _probe(**kwargs):
@@ -113,6 +114,12 @@ API_ROWS = [
     ("state-h-quoted", lambda t: _state(h="0.37"), "h"),
     ("state-h-bool", lambda t: _state(h=True), "h"),
     ("state-h-nan", lambda t: _state(h=np.nan), "h"),
+    ("state-step_index-float", lambda t: _simulate(20.0, step_index=2.5), "step_index"),
+    ("state-step_index-bool", lambda t: _simulate(20.0, step_index=True), "step_index"),
+    ("state-step_index-negative", lambda t: _simulate(20.0, step_index=-1), "step_index"),
+    ("state-levels-nan", lambda t: replace(_state(), levels=[[0, 0], [1, np.nan], [1, 1]]), "levels"),
+    ("state-levels-quoted", lambda t: replace(_state(), levels=[["0", "0"], ["1", "1"], ["1", "1"]]), "levels"),
+    ("state-calendars-negative", lambda t: replace(_state(), calendars=np.full((2, 5, 2), -0.1)), "calendars"),
     ("simulate-horizon-quoted", lambda t: _simulate("20"), "horizon"),
     ("simulate-horizon-bool", lambda t: _simulate(True), "horizon"),
     ("probe-slack-quoted", lambda t: _probe(slack_vehicles="0.2"), "slack_vehicles"),
