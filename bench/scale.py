@@ -50,8 +50,10 @@ of ``REPEATS`` calls, after one untimed call that pays lazy imports.
 The output, ``BENCH_<label>.json``, also records the machine, the
 Python, numpy and scipy versions, the git commit of the checkout
 measured, ``src_lines``, the ``wc -l`` total of its
-``src/fleetbalance/*.py``, and ``src_lines_by_module``, the count of
-each of those files.
+``src/fleetbalance/*.py``, ``src_lines_by_module``, the count of
+each of those files, and ``src_code_lines_by_module``, the lines of each
+that hold code: not blank, not comment-only and not inside a module,
+class or function docstring.
 
 Run from the repository root, on whichever checkout is to be measured:
 
@@ -64,6 +66,7 @@ Uses the standard library and numpy only, besides the package under
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import logging
 import os
@@ -265,6 +268,23 @@ def src_lines() -> int:
     return sum(src_lines_by_module().values())
 
 
+def code_lines(source: str) -> int:
+    """Lines of Python ``source`` that are not blank, not comment-only and not inside a docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            ast.get_docstring(node, clean=False) is not None
+        ):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = enumerate(source.splitlines(), 1)
+    return sum(1 for k, line in lines if k not in docs and line.strip() and not line.lstrip().startswith("#"))
+
+
+def src_code_lines_by_module() -> dict:
+    """Code lines (see :func:`code_lines`) of each ``src/fleetbalance/*.py``, by file name."""
+    return {path.name: code_lines(path.read_text()) for path in sorted((SRC / "fleetbalance").glob("*.py"))}
+
+
 def machine() -> dict:
     cpu = platform.processor()
     try:
@@ -286,6 +306,7 @@ def main(argv=None) -> int:
         "commit": git_commit(),
         "src_lines": src_lines(),
         "src_lines_by_module": src_lines_by_module(),
+        "src_code_lines_by_module": src_code_lines_by_module(),
         "machine": machine(),
         "versions": {
             "python": platform.python_version(),

@@ -128,7 +128,7 @@ def _cmd_simulate(args) -> int:
         "assignment": str(args.assignment),
         "V": args.total_vehicles,
         "R": args.total_drivers,
-        "h": report.h,
+        "h": report.trace.h,
         "horizon": report.horizon,
         "perturbation": args.perturbation,
         "seed": report.seed,

@@ -85,8 +85,8 @@ one ``(2, D, n)`` array, in the engine, in a state and, one level row
 per step, in a trace, and each step clamps, posts and sums both fleets
 at once.  The engine holds only what the next step needs: the levels,
 which of them are at 0 (the gates), the window and the in-transit sums.
-The trace reduces its zero summaries from the levels it records, on
-first read.
+A state and a trace are read-only; the trace reduces its zero summaries
+from the levels it records, on first read.
 
 Clamping: when a step would drive a queue negative, all outbound flows
 from that queue are scaled down so the queue lands at zero, and the
@@ -99,8 +99,9 @@ delay later, total vehicle and driver mass is conserved to float
 rounding; there is no scheme-level drift term.  The running in-transit
 sums follow the withdrawals, not the calendar writes, from the full sums
 of the initial state, and ``simulate`` takes the last of its totals from
-the full sums of its final state, so a write that differs from its
-withdrawal would still show as drift in the trace.
+its final state's ``totals``, full sums, so a write that differs from its
+withdrawal would still show as drift in the trace.  An ``h`` or horizon
+too fine or long for numpy to size the arrays is refused before any allocation.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ from .network import (
     compute_imbalance,
 )
 from .rebalance import RebalanceSolution
+
+# numpy sizes no array of more bytes than this
+_MAX_BYTES = float(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +158,13 @@ class _Legs:
         min_tt = float(tt.min())
         if not (0 < h <= min_tt / 4):
             raise ValidationError(f"step h={h:g} must satisfy 0 < h <= min travel time / 4 = {min_tt / 4:g}")
+        steps = np.rint(tt / h)
+        # in floats, before the int cast can wrap: the engine's largest
+        # array, its window or a block's posts, holds at most (2n + 10) D n floats
+        if 8.0 * (2 * n + 10) * n * steps.max() > _MAX_BYTES:
+            raise ValidationError(f"h is too small: legs of {steps.max():.3g} steps make calendars numpy cannot size")
         tails, heads = _legs(n)
-        steps = np.rint(tt / h).astype(np.int64)
+        steps = steps.astype(np.int64)
         depth = int(steps.max())
         cells, group = np.unique(steps * n + heads, return_inverse=True)
         return _Legs(
@@ -182,7 +191,9 @@ class FluidState:
     (idle) are views of its rows.  ``calendars`` is ``(2, D, n)``, its
     rows ``vehicle_buffer`` and ``driver_buffer``, of arrival rates: row
     ``t`` holds what reaches each station at step ``step_index + t``.
-    The in-transit mass of a cell is ``h`` times its rate.
+    The in-transit mass of a cell is ``h`` times its rate, and ``totals``
+    is a trace's ``totals`` row for the state: idle plus in-transit
+    vehicles, then drivers.
     """
 
     levels: np.ndarray
@@ -198,6 +209,9 @@ class FluidState:
             arr = _checked_array(name, getattr(self, name), shape, nonnegative=True)
             object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(self, "step_index", _checked_int("step_index", self.step_index, 0))
+        object.__setattr__(self, "h", float(_checked_array("h", self.h, ())))
+        if self.h <= 0:
+            raise ValidationError(f"h must be positive, got {self.h!r}")
 
     customers = property(lambda self: self.levels[0])
     vehicles = property(lambda self: self.levels[1])
@@ -213,32 +227,30 @@ class FluidState:
     def time(self) -> float:
         return self.step_index * self.h
 
-    def in_transit_vehicles(self) -> float:
-        return float(self.vehicle_buffer.sum()) * self.h
-
-    def in_transit_drivers(self) -> float:
-        return float(self.driver_buffer.sum()) * self.h
-
-    def total_vehicles(self) -> float:
-        return float(self.vehicles.sum()) + self.in_transit_vehicles()
-
-    def total_drivers(self) -> float:
-        return float(self.drivers.sum()) + self.in_transit_drivers()
+    @property
+    def totals(self) -> np.ndarray:
+        return self.levels[1:].sum(axis=1) + self.calendars.reshape(2, -1).sum(axis=1) * self.h
 
 
-def initial_state(net: StationNetwork, customers, vehicles, drivers, h: float) -> FluidState:
-    """State at time zero with empty roads (nothing was in transit before)."""
+def _state(net: StationNetwork, customers, vehicles, drivers, h, steady=None) -> FluidState:
+    """State at time zero: empty roads, or the calendars of ``steady = (alpha, beta)`` run for a full delay."""
     h = float(_checked_array("h", h, ()))
     legs = _Legs.build(net, h)
     n = net.n
     named = (("customers", customers), ("vehicles", vehicles), ("drivers", drivers))
-    return FluidState(
-        levels=[_checked_array(name, value, (n,), nonnegative=True) for name, value in named],
-        calendars=np.zeros((2, legs.depth, n)),
-        step_index=0,
-        h=h,
-        legs=legs,
-    )
+    levels = [_checked_array(name, value, (n,), nonnegative=True) for name, value in named]
+    if steady is None:
+        calendars = np.zeros((2, legs.depth, n))
+    else:
+        alpha_leg, beta_leg = map(_on_legs, steady)
+        veh_rate = net.arrival_rate[legs.tail] * _on_legs(net.dest_prob) + alpha_leg
+        calendars = [legs.steady_calendar(veh_rate, n), legs.steady_calendar(alpha_leg + beta_leg, n)]
+    return FluidState(levels=levels, calendars=calendars, step_index=0, h=h, legs=legs)
+
+
+def initial_state(net: StationNetwork, customers, vehicles, drivers, h: float) -> FluidState:
+    """State at time zero with empty roads (nothing was in transit before)."""
+    return _state(net, customers, vehicles, drivers, h)
 
 
 def equilibrium_state(
@@ -257,25 +269,18 @@ def equilibrium_state(
     ``alpha``; drivers at ``alpha + beta``) for at least one full travel
     time.
     """
-    n = net.n
-    alpha = _leg_matrix("alpha", vehicle_rates, n)
-    beta = _leg_matrix("beta", driver_rates, n)
-    state = initial_state(net, customers, vehicles, drivers, h)
-    legs = state.legs
-    alpha_leg = _on_legs(alpha)
-    veh_rate = net.arrival_rate[legs.tail] * _on_legs(net.dest_prob) + alpha_leg
-    drv_rate = alpha_leg + _on_legs(beta)
-    return replace(state, calendars=[legs.steady_calendar(veh_rate, n), legs.steady_calendar(drv_rate, n)])
+    steady = (_leg_matrix("alpha", vehicle_rates, net.n), _leg_matrix("beta", driver_rates, net.n))
+    return _state(net, customers, vehicles, drivers, h, steady)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Trajectory of a run, its zero summaries and its final state.
+    """Trajectory of a run, its zero summaries and its final state, read-only like a state.
 
     ``times``, ``levels`` ``(steps + 1, 3, n)`` and ``totals``
-    ``(steps + 1, 2)`` have one row per step, from the initial state
-    (row 0) to the final one; ``customers``, ``vehicles``, ``drivers``
-    and ``vehicles_total``, ``drivers_total`` are views of their columns.
+    ``(steps + 1, 2)``, all three read-only, have one row per step, from
+    the initial state's (row 0, ``totals`` its ``totals``) to the final one's;
+    ``customers``, ``vehicles``, ``drivers`` and ``vehicles_total``, ``drivers_total`` are views of their columns.
     The zero summaries are reductions over the level rows, taken on first
     read and kept, each ``(3, n)`` with rows customers, idle vehicles and
     idle drivers.
@@ -563,6 +568,9 @@ def simulate(
         raise ValidationError(f"horizon must be positive, got {horizon!r}")
     engine = _Engine(net, vehicle_rates, driver_rates, init)
     h = init.h
+    # in floats, before numpy sizes the (steps + 1, 3, n) level rows
+    if 24.0 * net.n * (horizon / h + 1) > _MAX_BYTES:
+        raise ValidationError(f"horizon is too long: {horizon / h:.3g} steps of h={h:g} make a trace numpy cannot size")
     steps = max(1, int(round(horizon / h)))
 
     levels = np.empty((steps + 1, 3, net.n))
@@ -581,8 +589,11 @@ def simulate(
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * h
     # the last row comes from the final state's full sums, so a leak in
     # the running sums still shows as drift
-    totals[-1] = final.total_vehicles(), final.total_drivers()
-    return SimTrace(times=(init.step_index + np.arange(steps + 1)) * h, levels=levels, totals=totals, h=h, final=final)
+    totals[-1] = final.totals
+    times = (init.step_index + np.arange(steps + 1)) * h
+    for arr in (times, levels, totals):
+        arr.setflags(write=False)
+    return SimTrace(times=times, levels=levels, totals=totals, h=h, final=final)
 
 
 @dataclass(frozen=True, eq=False)
@@ -598,7 +609,8 @@ class StabilityReport:
     ``10 * h * total rate``.  Every threshold scales with the data, so
     the verdict does not change with the unit of rates or of time.  At
     an idle stock of 0.25 per station, typical of generated instances at
-    20 % slack, the two thresholds are 1e-4 and 1e-6.
+    20 % slack, the two thresholds are 1e-4 and 1e-6.  The fleet totals
+    and ``h`` are the trace's ``totals[0]`` and ``h``.
     """
 
     passed: bool
@@ -614,10 +626,7 @@ class StabilityReport:
     driver_drift: float
     vehicle_drift_bound: float
     driver_drift_bound: float
-    total_vehicles: float
-    total_drivers: float
     horizon: float
-    h: float
     seed: int
     trace: SimTrace
 
@@ -675,9 +684,8 @@ def stability_probe(
     drain_bound = float(np.max(c0 / (net.service_rate - net.arrival_rate)))
     if horizon is None:
         horizon = drain_bound + 2.0 * net.max_travel_time() + 10.0 * h
-    trace = simulate(net, assignment.vehicle_rates, assignment.driver_rates, init, horizon)
     # nothing resumes from a probe: its report keeps no calendars
-    trace.final = None
+    trace = replace(simulate(net, assignment.vehicle_rates, assignment.driver_rates, init, horizon), final=None)
 
     below = np.max(trace.customers, axis=1) <= 4e-4 * idle_v / n
     drained = np.flatnonzero(below)
@@ -697,10 +705,7 @@ def stability_probe(
     need_pos = trace.drivers[post][:, compute_imbalance(net).surplus != 0]
     min_r = float(np.min(need_pos)) if need_pos.size else float("inf")
 
-    total_v0 = float(trace.vehicles_total[0])
-    total_r0 = float(trace.drivers_total[0])
-    vehicle_drift = float(np.max(np.abs(trace.vehicles_total - total_v0)))
-    driver_drift = float(np.max(np.abs(trace.drivers_total - total_r0)))
+    vehicle_drift, driver_drift = np.max(np.abs(trace.totals - trace.totals[0]), axis=0).tolist()
     v_bound = 10.0 * h * float(net.arrival_rate.sum())
     r_bound = 10.0 * h * float(assignment.vehicle_rates.sum() + assignment.driver_rates.sum())
     conserved = vehicle_drift <= v_bound and driver_drift <= r_bound
@@ -722,10 +727,7 @@ def stability_probe(
         driver_drift=driver_drift,
         vehicle_drift_bound=v_bound,
         driver_drift_bound=r_bound,
-        total_vehicles=total_v0,
-        total_drivers=total_r0,
         horizon=float(horizon),
-        h=h,
         seed=seed,
         trace=trace,
     )

@@ -270,7 +270,7 @@ def test_criterion_9_customer_drain_deadline(probe_reports, capsys):
     margins = []
     for report in probe_reports:
         assert report.drain_time is not None
-        deadline = report.drain_bound + 5 * report.h
+        deadline = report.drain_bound + 5 * report.trace.h
         margins.append(deadline - report.drain_time)
         assert report.drain_time <= deadline, (report.drain_time, deadline)
     detail = (

@@ -29,6 +29,38 @@ def test_scale_counts_src_lines(scale):
     assert sum(by_module.values()) == scale.src_lines()
 
 
+SAMPLE = '''"""Module docstring
+over two lines."""
+
+import os  # a comment after code
+
+    # an indented comment
+
+
+class A:
+    """Class docstring."""
+
+    x = """a string, not a docstring,
+
+    so code"""
+
+    def f(self):
+        """Function
+        docstring."""
+        return os.sep
+'''
+
+
+def test_scale_counts_code_lines(scale, tmp_path, monkeypatch):
+    # import, class, the two lines of x that are not blank, def and return
+    assert scale.code_lines(SAMPLE) == 6
+    (tmp_path / "fleetbalance").mkdir()
+    (tmp_path / "fleetbalance" / "sample.py").write_text(SAMPLE)
+    monkeypatch.setattr(scale, "SRC", tmp_path)
+    assert scale.src_code_lines_by_module() == {"sample.py": 6}
+    assert scale.src_lines_by_module() == {"sample.py": len(SAMPLE.splitlines())}
+
+
 def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):
     monkeypatch.setattr(scale, "REPEATS", 1)
     row = scale.layers(25)

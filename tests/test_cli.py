@@ -191,6 +191,24 @@ def test_simulate_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value,field",
+    # a huge idle stock grows the probe's default horizon
+    [("--horizon", "1e300", "horizon"), ("--V", "1e308", "horizon"), ("--h", "1e-300", "h"), ("--h", "1e-17", "h")],
+)
+def test_simulate_refuses_step_counts_numpy_cannot_size(tmp_path, capsys, flag, value, field):
+    net_path, plan_path = tmp_path / "net.json", tmp_path / "plan.json"
+    assert main(["gen", "--n", "6", "--seed", "2", "--out", str(net_path)]) == 0
+    assert main(["solve", "--instance", str(net_path), "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    args = {"--V": "20", "--R": "5", flag: value}
+    code = simulate_plan(tmp_path, net_path, plan_path, *(x for kv in args.items() for x in kv))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} is ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_probe_queues_no_station_without_arrivals(tmp_path, capsys):
     # station 1 has no arrivals, so its p row may be all 0; a queue there would have nowhere to go
     net_path = tmp_path / "net.json"

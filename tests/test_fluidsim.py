@@ -36,10 +36,8 @@ def test_equilibrium_state_buffer_mass(two_station):
         drivers=[0.5, 0.5], h=2.5,
     )
     # delay lines carry exactly the in-transit minima of the assignment
-    assert state.in_transit_vehicles() == pytest.approx(8.0)
-    assert state.in_transit_drivers() == pytest.approx(6.0)
-    assert state.total_vehicles() == pytest.approx(10.0)
-    assert state.total_drivers() == pytest.approx(7.0)
+    assert state.calendars.sum(axis=(1, 2)) * state.h == pytest.approx([8.0, 6.0])
+    assert state.totals == pytest.approx([10.0, 7.0])
 
 
 def test_simulate_returns_a_new_final_state(two_station):
@@ -63,6 +61,24 @@ def test_state_arrays_are_read_only(two_station):
         state.vehicles[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         state.driver_buffer[0, 0] = 1.0
+
+
+def test_trace_arrays_are_read_only(two_station):
+    # empty roads, 10 steps of h = 2: idle vehicles at station 0 hit 0
+    state = initial_state(two_station, [0.2, 0.0], [1.0, 1.0], [0.5, 0.5], h=2.0)
+    trace = simulate(two_station, ALPHA, BETA, state, 20.0)
+    hits = trace.zero_hits.copy()
+    assert hits[1, 0] > 0
+    with pytest.raises(ValueError, match="read-only"):
+        trace.vehicles[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        trace.totals[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        trace.times[0] = 1.0
+    # the cached summaries stay those of the levels
+    assert np.array_equal(trace.zero_hits, hits)
+    with pytest.raises(AttributeError):
+        trace.final = None
 
 
 def test_final_calendar_rows_follow_its_step_index(two_station):
@@ -127,15 +143,13 @@ def test_returns_capped_by_actual_customer_flow(two_station):
 def test_clamp_keeps_levels_nonnegative_and_mass_conserved(two_station):
     h = 2.5
     state = initial_state(two_station, [1.0, 1.0], [0.01, 0.01], [0.01, 0.01], h=h)
-    v_total = state.total_vehicles()
-    r_total = state.total_drivers()
+    totals = state.totals
     for _ in range(12):
         state = simulate(two_station, ALPHA, BETA, state, h).final
         assert np.all(state.customers >= 0)
         assert np.all(state.vehicles >= 0)
         assert np.all(state.drivers >= 0)
-        assert state.total_vehicles() == pytest.approx(v_total, abs=1e-12)
-        assert state.total_drivers() == pytest.approx(r_total, abs=1e-12)
+        assert state.totals == pytest.approx(totals, abs=1e-12)
 
 
 def test_mass_conserved_far_from_equilibrium(make_instance):
@@ -358,11 +372,10 @@ def test_stability_probe_passes_on_two_station(two_station):
     assert report.vehicles_positive and report.drivers_positive
     assert report.conserved
     assert report.drain_time is not None
-    assert report.drain_time <= report.drain_bound + 5 * report.h
-    assert report.total_vehicles == pytest.approx(1.2 * 8.0)
-    assert report.total_drivers == pytest.approx(1.2 * 6.0)
+    assert report.drain_time <= report.drain_bound + 5 * report.trace.h
+    assert report.trace.totals[0] == pytest.approx([1.2 * 8.0, 1.2 * 6.0])
     assert report.vehicle_drift <= report.vehicle_drift_bound
-    assert report.trace.times[-1] == pytest.approx(report.horizon, abs=report.h)
+    assert report.trace.times[-1] == pytest.approx(report.horizon, abs=report.trace.h)
 
 
 def test_stability_probe_fails_when_queues_outlast_the_horizon(two_station):

@@ -139,8 +139,7 @@ def test_simulate_matches_ring_on_generated_instances(make_instance, n, seed):
     steps = int(round(2.5 * net.max_travel_time() / h))
     init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
     scale = float(np.sum(ring.totals()))
-    assert init.total_vehicles() == pytest.approx(ring.totals()[0], rel=RTOL)
-    assert init.total_drivers() == pytest.approx(ring.totals()[1], rel=RTOL)
+    assert init.totals == pytest.approx(ring.totals(), rel=RTOL)
 
     trace = simulate(net, a.vehicle_rates, a.driver_rates, init, steps * h)
     assert trace.times.shape == (steps + 1,)
@@ -169,8 +168,7 @@ def test_repeated_steps_match_ring_far_from_equilibrium(make_instance):
         assert_close(state.customers, ring.c, scale, label)
         assert_close(state.vehicles, ring.v, scale, label)
         assert_close(state.drivers, ring.r, scale, label)
-        assert_close(state.total_vehicles(), ring.totals()[0], scale, label)
-        assert_close(state.total_drivers(), ring.totals()[1], scale, label)
+        assert_close(state.totals, ring.totals(), scale, label)
     assert ring.clamped
     assert state.step_index == ring.k
 
@@ -251,6 +249,10 @@ def test_a_run_resumed_from_its_final_state_matches_one_run(make_instance, start
     assert np.array_equal(head.zero_hits + tail.zero_hits, whole.zero_hits)
     assert np.array_equal(np.fmin(head.first_zero, tail.first_zero), whole.first_zero, equal_nan=True)
     np.testing.assert_allclose(head.time_at_zero + tail.time_at_zero, whole.time_at_zero, rtol=RTOL)
+    # a state's totals are the first row of a run from it and the last of the run that ends in it, bit for bit
+    for state, trace in ((init, whole), (head.final, tail)):
+        assert np.array_equal(state.totals, trace.totals[0])
+        assert np.array_equal(trace.final.totals, trace.totals[-1])
     # queues drain in both runs; idle levels hit 0 on the cold start only
     assert np.all(whole.zero_hits[0] > 0)
     assert np.any(whole.zero_hits[1:] > 0) == (start == "cold")
@@ -309,7 +311,7 @@ def test_steady_calendar_rows(make_instance):
     # enters are exactly empty there
     longest = legs.steps == legs.depth
     assert np.all(state.driver_buffer[-1][~np.isin(np.arange(5), head[longest])] == 0)
-    assert state.in_transit_drivers() == pytest.approx(h * np.sum(legs.steps * drv), rel=RTOL)
+    assert state.driver_buffer.sum() * h == pytest.approx(h * np.sum(legs.steps * drv), rel=RTOL)
 
 
 def full_totals(engine):

@@ -120,8 +120,16 @@ API_ROWS = [
     ("state-levels-nan", lambda t: replace(_state(), levels=[[0, 0], [1, np.nan], [1, 1]]), "levels"),
     ("state-levels-quoted", lambda t: replace(_state(), levels=[["0", "0"], ["1", "1"], ["1", "1"]]), "levels"),
     ("state-calendars-negative", lambda t: replace(_state(), calendars=np.full((2, 5, 2), -0.1)), "calendars"),
+    ("replaced-state-h-quoted", lambda t: _simulate(20.0, h="0.5"), "h"),
+    ("replaced-state-h-bool", lambda t: _simulate(20.0, h=True), "h"),
+    ("replaced-state-h-nan", lambda t: _simulate(20.0, h=np.nan), "h"),
+    ("replaced-state-h-none", lambda t: _simulate(20.0, h=None), "h"),
+    ("replaced-state-h-zero", lambda t: _simulate(20.0, h=0.0), "h"),
     ("simulate-horizon-quoted", lambda t: _simulate("20"), "horizon"),
     ("simulate-horizon-bool", lambda t: _simulate(True), "horizon"),
+    # numpy cannot size these step counts: refused before any allocation
+    ("simulate-horizon-unsizable", lambda t: _simulate(1e300), "horizon"),
+    ("state-h-unsizable", lambda t: _state(h=1e-300), "h"),
     ("probe-slack-quoted", lambda t: _probe(slack_vehicles="0.2"), "slack_vehicles"),
     ("probe-slack-bool", lambda t: _probe(slack_drivers=True), "slack_drivers"),
     ("probe-perturbation-quoted", lambda t: _probe(perturbation="0.1"), "perturbation"),
