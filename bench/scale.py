@@ -7,7 +7,9 @@ stations (``generate_instance(n, SEED)``):
 * ``load_instance``: reading the same instance back from the JSON file
   ``save_instance`` writes, which includes every check of its arrays;
 * ``imbalance``: ``compute_imbalance``;
-* ``vehicle_problem``, ``driver_problem``: building the two flow problems;
+* ``vehicle_problem``, ``driver_problem``: building the two flow problems,
+  each from the network alone, so each includes one ``compute_imbalance``
+  (~20 us);
 * ``alpha_lp``, ``beta_lp``: ``solve_mcf`` on each of them;
   ``alpha_lp_rounds`` is the number of LPs the alpha solve hands HiGHS,
   counted from the ``fleetbalance.mincostflow`` DEBUG records (one per
@@ -175,8 +177,7 @@ def diagnose(net) -> bool:
 
 def layers(n: int) -> dict:
     net = generate_instance(n, SEED)
-    d = compute_imbalance(net)
-    vehicle, driver = vehicle_flow_problem(net, d), driver_flow_problem(net, d)
+    vehicle, driver = vehicle_flow_problem(net), driver_flow_problem(net)
     tight = generate_instance(n, SEED, GeneratorConfig(taxi_fraction=0.5))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.json"
@@ -186,8 +187,8 @@ def layers(n: int) -> dict:
         "generate": median_ms(lambda: generate_instance(n, SEED)),
         "load_instance": loaded,
         "imbalance": median_ms(lambda: compute_imbalance(net)),
-        "vehicle_problem": median_ms(lambda: vehicle_flow_problem(net, d)),
-        "driver_problem": median_ms(lambda: driver_flow_problem(net, d)),
+        "vehicle_problem": median_ms(lambda: vehicle_flow_problem(net)),
+        "driver_problem": median_ms(lambda: driver_flow_problem(net)),
         "alpha_lp": median_ms(lambda: solve_mcf(vehicle)),
         "alpha_lp_rounds": lp_rounds(vehicle),
         "beta_lp": median_ms(lambda: solve_mcf(driver)),

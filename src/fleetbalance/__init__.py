@@ -32,7 +32,6 @@ from .mincostflow import (
     solve_mcf,
 )
 from .network import (
-    ImbalanceVector,
     RebalanceAssignment,
     StationNetwork,
     compute_imbalance,

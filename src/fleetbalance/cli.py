@@ -85,9 +85,9 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     net = load_instance(args.instance)
     solution = solve_rebalancing(net)
-    if solution.status != "optimal":
-        raise solution.infeasibility
     assignment = solution.assignment
+    if assignment is None:
+        raise solution.infeasibility
     save_assignment(solution, args.out, meta={"instance": str(args.instance)})
     ratio = assignment.min_drivers / assignment.min_vehicles if assignment.min_vehicles else float("nan")
     print(

@@ -6,8 +6,8 @@ every taxi fraction in ``f_values``.  It reports how the driver pool
 compares with the vehicle fleet as networks grow, and how sharing
 customer trips shrinks the driver pool.
 
-Each trial generates the instance, computes its imbalance and vehicle
-program once, then solves the driver program at each taxi fraction.
+Each trial generates the instance and solves its vehicle program
+once, then solves the driver program at each taxi fraction.
 Each trial derives its seed as ``base_seed * 10000 + size * 100 +
 trial``, so any row can be regenerated in isolation.  Trials are
 independent; with ``workers > 1`` they run in a process pool and are
@@ -24,15 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .generate import GeneratorConfig, generate_instance
-from .network import (
-    ImbalanceVector,
-    StationNetwork,
-    _checked_array,
-    _checked_int,
-    _from_legs,
-    assignment_residuals,
-    compute_imbalance,
-)
+from .network import StationNetwork, _checked_array, _checked_int, _from_legs, assignment_residuals
 from .rebalance import RebalanceSolution, _solve_against_vehicles, solve_vehicle_rebalancing
 
 ROW_FIELDS = ("group_key", "trial", "seed", "n", "f", "v_alpha", "r_alpha_beta", "ratio", "reb_fraction")
@@ -145,20 +137,19 @@ class SweepReport:
 
 def _row_from_solution(
     net: StationNetwork,
-    imbalance: ImbalanceVector,
     solution: RebalanceSolution,
     group_key: str,
     trial: int,
     seed: int,
     f_value: float,
 ) -> TrialRow:
-    if solution.status != "optimal" or solution.assignment is None:
+    if solution.assignment is None:
         raise RuntimeError(
             f"trial {trial} (seed {seed}, n={net.n}, f={f_value:g}) "
             f"has no feasible driver-return assignment: {solution.infeasibility}"
         )
     a = solution.assignment
-    alpha_res, beta_res, cap_excess = assignment_residuals(net, a, imbalance)
+    alpha_res, beta_res, cap_excess = assignment_residuals(net, a)
     ratio = a.min_drivers / a.min_vehicles if a.min_vehicles > 0 else float("nan")
     frac = solution.vehicle_objective / a.min_drivers if a.min_drivers > 0 else float("nan")
     return TrialRow(
@@ -191,18 +182,17 @@ def _trial(args) -> list[TrialRow]:
     config, size, trial = args
     seed = trial_seed(config.base_seed, size, trial)
     net = generate_instance(size, seed, config.generator)
-    d = compute_imbalance(net)
     # alpha does not see the taxi fraction; solve it once per instance
-    alpha = solve_vehicle_rebalancing(net, d)
+    alpha = solve_vehicle_rebalancing(net)
     rows = []
     for f_value in config.f_values:
         if f_value == config.generator.taxi_fraction:
             net_f = net
         else:
             net_f = replace(net, taxi_fraction=_from_legs(f_value, size))
-        solution = _solve_against_vehicles(net_f, d, *alpha)
+        solution = _solve_against_vehicles(net_f, *alpha)
         group_key = _group_key(config, size, f_value)
-        rows.append(_row_from_solution(net_f, d, solution, group_key, trial, seed, f_value))
+        rows.append(_row_from_solution(net_f, solution, group_key, trial, seed, f_value))
     return rows
 
 

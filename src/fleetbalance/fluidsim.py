@@ -651,9 +651,10 @@ def stability_probe(
     destinations to send a queue to).  Scenarios
     without strictly positive slack are rejected before any simulation
     work, since no equilibrium exists there, and so is a non-finite
-    slack.
+    slack.  Without a ``horizon`` the run lasts drain bound + 2 max T +
+    10 h, which grows with the idle stock.
     """
-    if solution.status != "optimal" or solution.assignment is None:
+    if solution.assignment is None:
         raise ValidationError("stability probe needs an optimal rebalancing solution")
     slack_vehicles = float(_checked_array("slack_vehicles", slack_vehicles, ()))
     slack_drivers = float(_checked_array("slack_drivers", slack_drivers, ()))
@@ -682,10 +683,19 @@ def stability_probe(
     init = equilibrium_state(net, assignment.vehicle_rates, assignment.driver_rates, c0, v0, r0, h)
     h = init.h
     drain_bound = float(np.max(c0 / (net.service_rate - net.arrival_rate)))
-    if horizon is None:
+    given = horizon is not None
+    if not given:
         horizon = drain_bound + 2.0 * net.max_travel_time() + 10.0 * h
+    try:
+        trace = simulate(net, assignment.vehicle_rates, assignment.driver_rates, init, horizon)
+    except ValidationError as exc:  # init and the rates passed their checks: only the horizon is left
+        if given:
+            raise
+        raise ValidationError(
+            f"{exc}; no horizon was given, and the default one, drain bound + 2 max T + 10 h, grew with the idle stock"
+        ) from exc
     # nothing resumes from a probe: its report keeps no calendars
-    trace = replace(simulate(net, assignment.vehicle_rates, assignment.driver_rates, init, horizon), final=None)
+    trace = replace(trace, final=None)
 
     below = np.max(trace.customers, axis=1) <= 4e-4 * idle_v / n
     drained = np.flatnonzero(below)
@@ -702,7 +712,7 @@ def stability_probe(
     min_v = float(np.min(trace.vehicles[post]))
     # compute_imbalance sets balanced stations to exactly 0, relative to
     # sum(lambda); they need no idle drivers, and no level goes below 0
-    need_pos = trace.drivers[post][:, compute_imbalance(net).surplus != 0]
+    need_pos = trace.drivers[post][:, compute_imbalance(net) != 0]
     min_r = float(np.min(need_pos)) if need_pos.size else float("inf")
 
     vehicle_drift, driver_drift = np.max(np.abs(trace.totals - trace.totals[0]), axis=0).tolist()

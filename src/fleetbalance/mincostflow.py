@@ -239,10 +239,9 @@ def _highs(node_count: int, tail, head, cost, capacity, supply):
         highs.clearModel()  # the object holds no model between solves
 
 
-def _certify(problem: FlowProblem, cost, capacity, flow, potential) -> None:
+def _certify(problem: FlowProblem, cost, capacity, supply, flow, potential) -> None:
     """Raise unless the (scaled) flow meets the scaled supplies and the potentials prove it optimal."""
     n = problem.node_count
-    supply = problem.supply / _supply_total(problem)
     residual = np.bincount(problem.tail, flow, n) - np.bincount(problem.head, flow, n) - supply
     if np.max(np.abs(residual)) > SUPPLY_TOL:
         i = int(np.argmax(np.abs(residual)))
@@ -303,7 +302,7 @@ def solve_mcf(problem: FlowProblem) -> FlowSolution:
         working |= entering
     scaled = np.zeros(m)
     scaled[columns] = np.clip(x, 0.0, capacity[columns])
-    _certify(problem, cost, capacity, scaled, y)
+    _certify(problem, cost, capacity, supply, scaled, y)
     flow = scaled * total
     return FlowSolution(flow=flow, objective=float(problem.cost @ flow), status="optimal")
 

@@ -22,14 +22,17 @@ driver-return rides on customer trips.  This module computes the
 imbalance, the fleet sizes a given assignment pins in transit, and the
 residuals by which an assignment misses the balance and capacity
 constraints; :func:`validate_assignment` is the one check that a plan
-belongs to an instance.
+belongs to an instance.  The imbalance is fixed by ``lambda`` and ``p``
+alone, so no function takes it as an argument: each that needs it calls
+:func:`compute_imbalance`, the one code that forms it.
 
 Every number from outside is checked once, in the code that owns it:
 arrays and reals by ``_checked_array``, counts and seeds by
 ``_checked_int``.  The owners are :class:`StationNetwork`,
 :class:`RebalanceAssignment`, :func:`fleet_sizes`, the flow problem,
 the generator and sweep configs, the simulator's state (its levels,
-calendars and step index) and the simulator's entry points.
+calendars and step index) and the simulator's entry points.  The
+imbalance is derived, not read, so it has no check of its own.
 ``storage`` reads only the file format and leaves values to these.
 
 The module also owns the leg layout shared by the flow programs' arcs
@@ -50,7 +53,7 @@ from .errors import ValidationError
 PROB_TOL = 1e-9      # probability row sums
 BALANCE_TOL = 1e-9   # flow-balance residuals on assignments, relative to the total customer rate
 CAP_TOL = 1e-9       # allowed slack above driver-trip capacities, relative to the total customer rate
-SUM_RTOL = 1e-9      # imbalance rounding, relative to sum(|surplus|) or sum(lambda); stored fleet floors, to the floor
+SUM_RTOL = 1e-9      # imbalance rounding, relative to sum(lambda); stored fleet floors, to the floor
 
 
 def _checked_array(
@@ -211,37 +214,12 @@ class StationNetwork:
         return self.taxi_fraction * (self.arrival_rate[:, None] * self.dest_prob)
 
 
-@dataclass(frozen=True, eq=False)
-class ImbalanceVector:
-    """Net customer-trip vehicle flux per station.
-
-    ``surplus[i]`` is the rate at which customer trips deposit vehicles at
-    station ``i`` minus the rate at which they remove them.  Positive
-    entries accumulate vehicles, negative entries drain them.  The entries
-    always sum to zero: every vehicle a customer removes somewhere shows
-    up somewhere else, so the sum may be off by at most ``SUM_RTOL`` of
-    ``sum(|surplus|)``.
-    """
-
-    surplus: np.ndarray
-
-    def __post_init__(self):
-        arr = _checked_array("surplus", self.surplus, (None,))
-        total = float(arr.sum())
-        if abs(total) > SUM_RTOL * float(np.abs(arr).sum()):
-            raise ValidationError(f"surplus must sum to 0, got {total:.3g}")
-        object.__setattr__(self, "surplus", _frozen(arr))
-
-    @property
-    def n(self) -> int:
-        return self.surplus.shape[0]
-
-
-def compute_imbalance(net: StationNetwork) -> ImbalanceVector:
-    """Net vehicle flux from customer trips alone.
+def compute_imbalance(net: StationNetwork) -> np.ndarray:
+    """Net vehicle flux from customer trips alone: the read-only ``(n,)`` surplus.
 
     Station ``i`` receives vehicles at rate ``sum_j lambda[j] * p[j, i]``
-    and loses them at rate ``lambda[i]``.
+    and loses them at rate ``lambda[i]``.  Positive entries accumulate
+    vehicles, negative entries drain them.
 
     Rounding in ``inflow - lambda`` grows with the rates, not with the
     surplus, so it is judged against ``sum(lambda)``: entries within
@@ -257,7 +235,8 @@ def compute_imbalance(net: StationNetwork) -> ImbalanceVector:
     size = np.abs(surplus)
     if size.sum() > 0:
         surplus -= surplus.sum() * size / size.sum()
-    return ImbalanceVector(surplus=surplus)
+    surplus.setflags(write=False)
+    return surplus
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +289,7 @@ def fleet_sizes(net: StationNetwork, vehicle_rates, driver_rates) -> tuple[float
 
 
 def assignment_residuals(
-    net: StationNetwork, assignment: RebalanceAssignment, imbalance: ImbalanceVector
+    net: StationNetwork, assignment: RebalanceAssignment
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """How far an assignment misses its constraints.
 
@@ -320,18 +299,14 @@ def assignment_residuals(
     and per leg, driver_rates minus the taxi capacity (nonpositive when
     within capacity).
     """
-    d = imbalance.surplus
+    d = compute_imbalance(net)
     alpha, beta = assignment.vehicle_rates, assignment.driver_rates
     alpha_residual = alpha.sum(axis=1) - alpha.sum(axis=0) - d
     beta_residual = beta.sum(axis=1) - beta.sum(axis=0) + d
     return alpha_residual, beta_residual, beta - net.taxi_capacity()
 
 
-def validate_assignment(
-    net: StationNetwork,
-    assignment: RebalanceAssignment,
-    imbalance: Optional[ImbalanceVector] = None,
-) -> None:
+def validate_assignment(net: StationNetwork, assignment: RebalanceAssignment) -> None:
     """Raise :class:`ValidationError` unless the assignment is a plan for ``net``.
 
     Checks the station count; per station, that vehicle_rates net
@@ -347,7 +322,7 @@ def validate_assignment(
         raise ValidationError(f"assignment is for {assignment.n} stations, network has {net.n}")
     scale = float(net.arrival_rate.sum())
     balance_tol, cap_tol = BALANCE_TOL * scale, CAP_TOL * scale
-    a_res, b_res, excess = assignment_residuals(net, assignment, imbalance or compute_imbalance(net))
+    a_res, b_res, excess = assignment_residuals(net, assignment)
     for name, res in (("alpha", a_res), ("beta", b_res)):
         if np.max(np.abs(res)) > balance_tol:
             i = int(np.argmax(np.abs(res)))

@@ -17,7 +17,10 @@ rate weighted by travel time.  They share no variables, so they are
 solved as two independent minimum-cost flow problems; minimizing the
 driver total (rebalancing trips plus return rides) and minimizing the
 rebalancing-vehicle total pull in the same direction.  Arc ``k`` of
-both programs is leg ``k`` of the layout ``network`` owns.
+both programs is leg ``k`` of the layout ``network`` owns, and both
+take their supplies from ``compute_imbalance``.  A solution's status is
+read off its plan: ``"optimal"`` when it has one, else
+``"beta_infeasible"``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .mincostflow import (
     solve_mcf,
 )
 from .network import (
-    ImbalanceVector,
     RebalanceAssignment,
     StationNetwork,
     _from_legs,
@@ -60,14 +62,14 @@ def _station_flow_problem(net: StationNetwork, supply: np.ndarray, capacity) -> 
     )
 
 
-def vehicle_flow_problem(net: StationNetwork, imbalance: ImbalanceVector) -> FlowProblem:
+def vehicle_flow_problem(net: StationNetwork) -> FlowProblem:
     """Uncapacitated program moving surplus vehicles to deficit stations."""
-    return _station_flow_problem(net, imbalance.surplus, np.full(net.n * (net.n - 1), INFINITE_CAPACITY))
+    return _station_flow_problem(net, compute_imbalance(net), np.full(net.n * (net.n - 1), INFINITE_CAPACITY))
 
 
-def driver_flow_problem(net: StationNetwork, imbalance: ImbalanceVector) -> FlowProblem:
+def driver_flow_problem(net: StationNetwork) -> FlowProblem:
     """Capacitated program riding stranded drivers back on customer trips."""
-    return _station_flow_problem(net, -imbalance.surplus, _on_legs(net.taxi_capacity()))
+    return _station_flow_problem(net, -compute_imbalance(net), _on_legs(net.taxi_capacity()))
 
 
 def _solved_matrix(net: StationNetwork, solution: FlowSolution) -> tuple[np.ndarray, float]:
@@ -85,20 +87,15 @@ def _solved_matrix(net: StationNetwork, solution: FlowSolution) -> tuple[np.ndar
     return rates, float(np.sum(net.travel_time * rates))
 
 
-def solve_vehicle_rebalancing(
-    net: StationNetwork, imbalance: Optional[ImbalanceVector] = None
-) -> tuple[np.ndarray, float]:
+def solve_vehicle_rebalancing(net: StationNetwork) -> tuple[np.ndarray, float]:
     """Cheapest empty-vehicle rebalancing rates; always feasible."""
-    d = imbalance or compute_imbalance(net)
-    solution = solve_mcf(vehicle_flow_problem(net, d))
+    solution = solve_mcf(vehicle_flow_problem(net))
     if solution.status != "optimal":  # uncapacitated and balanced: cannot happen
         raise RuntimeError("uncapacitated rebalancing program reported infeasible")
     return _solved_matrix(net, solution)
 
 
-def solve_driver_rebalancing(
-    net: StationNetwork, imbalance: Optional[ImbalanceVector] = None
-) -> tuple[np.ndarray, float]:
+def solve_driver_rebalancing(net: StationNetwork) -> tuple[np.ndarray, float]:
     """Cheapest driver-return rates within taxi capacity.
 
     Raises :class:`RebalanceInfeasibleError` when capacities cannot carry
@@ -109,13 +106,12 @@ def solve_driver_rebalancing(
     demand and outgoing capacity recomputed from the network.  A missing
     or wrong ray yields an error without a witness, never a wrong witness.
     """
-    d = imbalance or compute_imbalance(net)
-    problem = driver_flow_problem(net, d)
+    problem = driver_flow_problem(net)
     solution = solve_mcf(problem)
     if solution.status != "optimal":
         inside = farkas_cut(problem, solution.ray)
         if inside is not None:
-            demand = float(-d.surplus[inside].sum())
+            demand = float(-compute_imbalance(net)[inside].sum())
             capacity = float(net.taxi_capacity()[np.ix_(inside, ~inside)].sum())
             if demand > capacity:
                 witness = tuple(int(i) for i in np.flatnonzero(inside))
@@ -137,35 +133,35 @@ def solve_driver_rebalancing(
 class RebalanceSolution:
     """Joint result of the two programs.
 
-    ``assignment`` and the objectives are populated only when ``status``
-    is ``"optimal"``.  ``vehicle_objective`` is the in-transit mass of
-    rebalancing vehicles (time-weighted alpha); ``driver_objective`` is
-    the time-weighted beta mass; their sum equals
-    ``assignment.min_drivers``.  When the driver program has no feasible
-    point, ``status`` is ``"beta_infeasible"`` and ``infeasibility``
-    carries the diagnosis.
+    ``assignment`` is the plan, ``None`` when the driver program has no
+    feasible point; ``infeasibility`` then carries the diagnosis.
+    ``vehicle_objective`` is the in-transit mass of rebalancing vehicles
+    (time-weighted alpha); ``driver_objective`` is the time-weighted
+    beta mass, set only with a plan; their sum equals
+    ``assignment.min_drivers``.
     """
 
-    status: str  # "optimal" | "beta_infeasible"
     assignment: Optional[RebalanceAssignment]
     vehicle_objective: Optional[float]
     driver_objective: Optional[float]
     infeasibility: Optional[RebalanceInfeasibleError] = None
 
+    @property
+    def status(self) -> str:
+        """``"optimal"`` with a plan, else ``"beta_infeasible"``: read off ``assignment``."""
+        return "beta_infeasible" if self.assignment is None else "optimal"
 
-def _solve_against_vehicles(
-    net: StationNetwork, imbalance: ImbalanceVector, alpha: np.ndarray, alpha_obj: float
-) -> RebalanceSolution:
+
+def _solve_against_vehicles(net: StationNetwork, alpha: np.ndarray, alpha_obj: float) -> RebalanceSolution:
     """Solve the driver program next to a solved vehicle program and size the fleet.
 
     The vehicle program does not see the taxi fraction, so one
     ``(alpha, alpha_obj)`` serves every taxi fraction of a network.
     """
     try:
-        beta, beta_obj = solve_driver_rebalancing(net, imbalance)
+        beta, beta_obj = solve_driver_rebalancing(net)
     except RebalanceInfeasibleError as err:
         return RebalanceSolution(
-            status="beta_infeasible",
             assignment=None,
             vehicle_objective=alpha_obj,
             driver_objective=None,
@@ -179,7 +175,6 @@ def _solve_against_vehicles(
         min_drivers=min_drivers,
     )
     return RebalanceSolution(
-        status="optimal",
         assignment=assignment,
         vehicle_objective=alpha_obj,
         driver_objective=beta_obj,
@@ -188,5 +183,4 @@ def _solve_against_vehicles(
 
 def solve_rebalancing(net: StationNetwork) -> RebalanceSolution:
     """Solve both programs and size the minimum fleet they pin in transit."""
-    d = compute_imbalance(net)
-    return _solve_against_vehicles(net, d, *solve_vehicle_rebalancing(net, d))
+    return _solve_against_vehicles(net, *solve_vehicle_rebalancing(net))

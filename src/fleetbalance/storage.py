@@ -105,7 +105,7 @@ def load_instance(path: PathLike) -> StationNetwork:
 
 def save_assignment(solution: RebalanceSolution, path: PathLike, meta: dict | None = None) -> None:
     """Write an optimal rebalancing solution; refuses infeasible ones."""
-    if solution.status != "optimal" or solution.assignment is None:
+    if solution.assignment is None:
         raise ValidationError(f"cannot save a solution with status '{solution.status}'")
     a = solution.assignment
     data = {
@@ -131,7 +131,6 @@ def load_assignment(path: PathLike) -> RebalanceSolution:
     n = len(alpha) if isinstance(alpha, list) else 0
     try:
         return RebalanceSolution(
-            status="optimal",
             assignment=RebalanceAssignment(
                 vehicle_rates=alpha,
                 driver_rates=_rows(beta, n),

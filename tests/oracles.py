@@ -39,7 +39,7 @@ from fleetbalance.mincostflow import (
     _highs,
     _supply_total,
 )
-from fleetbalance.network import ImbalanceVector, StationNetwork, compute_imbalance
+from fleetbalance.network import StationNetwork, compute_imbalance
 
 RESIDUAL_TOL = 1e-12  # residual capacity treated as saturated (the cut scales supplies to unit total)
 
@@ -212,11 +212,7 @@ class CutCheck:
     capacity: float
 
 
-def check_feasibility_bruteforce(
-    net: StationNetwork,
-    imbalance: Optional[ImbalanceVector] = None,
-    tol: float = 1e-9,
-) -> CutCheck:
+def check_feasibility_bruteforce(net: StationNetwork, tol: float = 1e-9) -> CutCheck:
     """Enumerate every station subset to decide driver-return feasibility.
 
     A feasible driver-return assignment exists iff, for every subset S,
@@ -227,7 +223,7 @@ def check_feasibility_bruteforce(
     n = net.n
     if n > 20:
         raise SizeLimitError(f"exhaustive subset check limited to n <= 20, got n={n}")
-    d = (imbalance or compute_imbalance(net)).surplus
+    d = compute_imbalance(net)
     cap = net.taxi_capacity()
 
     total = 1 << n

@@ -17,7 +17,7 @@ from fleetbalance.experiments import SweepConfig, run_sweep
 from fleetbalance.fluidsim import equilibrium_state, initial_state, simulate, stability_probe
 from fleetbalance.generate import GeneratorConfig, generate_instance
 from fleetbalance.mincostflow import solve_mcf
-from fleetbalance.network import StationNetwork, compute_imbalance
+from fleetbalance.network import StationNetwork
 from fleetbalance.rebalance import driver_flow_problem, solve_rebalancing
 
 from oracles import brute_force_mcf, check_feasibility_bruteforce, residual_negative_cycle
@@ -139,14 +139,13 @@ def test_criterion_5_feasibility_checks_agree(capsys):
         f = rng.uniform(0.0, 1.5, (n, n))
         np.fill_diagonal(f, 0.0)
         net_f = replace(net, taxi_fraction=f)
-        d = compute_imbalance(net_f)
-        flow_ok = solve_mcf(driver_flow_problem(net_f, d)).status == "optimal"
-        cut = check_feasibility_bruteforce(net_f, d)
+        flow_ok = solve_mcf(driver_flow_problem(net_f)).status == "optimal"
+        cut = check_feasibility_bruteforce(net_f)
         assert flow_ok == cut.feasible, (n, net.meta)
         infeasible += not cut.feasible
         # with every leg at full taxi fraction the program is always feasible
-        assert solve_mcf(driver_flow_problem(net, d)).status == "optimal"
-        assert check_feasibility_bruteforce(net, d).feasible
+        assert solve_mcf(driver_flow_problem(net)).status == "optimal"
+        assert check_feasibility_bruteforce(net).feasible
         checked += 1
     detail = (
         f"{checked} random networks: flow check and subset check agree on all "

@@ -193,8 +193,11 @@ def test_simulate_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "flag,value,field",
-    # a huge idle stock grows the probe's default horizon
-    [("--horizon", "1e300", "horizon"), ("--V", "1e308", "horizon"), ("--h", "1e-300", "h"), ("--h", "1e-17", "h")],
+    # a huge idle stock grows the probe's default horizon, and the message says so
+    [
+        ("--horizon", "1e300", "horizon"), ("--V", "1e308", "horizon"), ("--V", "1e300", "horizon"),
+        ("--h", "1e-300", "h"), ("--h", "1e-17", "h"),
+    ],
 )
 def test_simulate_refuses_step_counts_numpy_cannot_size(tmp_path, capsys, flag, value, field):
     net_path, plan_path = tmp_path / "net.json", tmp_path / "plan.json"
@@ -206,6 +209,7 @@ def test_simulate_refuses_step_counts_numpy_cannot_size(tmp_path, capsys, flag, 
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} is ") and err.count("\n") == 1
+    assert ("the default one, drain bound + 2 max T + 10 h, grew with the idle stock" in err) == (flag == "--V")
     assert not (tmp_path / "t.csv").exists()
 
 

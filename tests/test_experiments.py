@@ -249,4 +249,4 @@ def test_vehicle_fleet_bounded_below_by_customer_trips():
         net = generate_instance(row.n, row.seed, config.generator)
         base = float(np.sum(net.travel_time * (net.dest_prob * net.arrival_rate[:, None])))
         assert row.v_alpha >= base - 1e-9
-        assert abs(compute_imbalance(net).surplus.sum()) < 1e-12
+        assert abs(compute_imbalance(net).sum()) < 1e-12

@@ -20,7 +20,6 @@ from fleetbalance.mincostflow import (
     solve_mcf,
 )
 from fleetbalance.mincostflow import _certify, _highs
-from fleetbalance.network import compute_imbalance
 from fleetbalance.rebalance import driver_flow_problem, vehicle_flow_problem
 
 from oracles import (
@@ -204,10 +203,12 @@ def test_certificate_rejects_suboptimal_flow():
         **arcs((0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 10.0, 1.0)),
     )
     optimal = np.array([1.0, 1.0, 0.0])
-    _certify(problem, problem.cost, problem.capacity, optimal, np.array([2.0, 1.0, 0.0]))
+    _certify(problem, problem.cost, problem.capacity, problem.supply, optimal, np.array([2.0, 1.0, 0.0]))
     # the direct arc carries flow at reduced cost 8 against these potentials
     with pytest.raises(RuntimeError, match="certificate"):
-        _certify(problem, problem.cost, problem.capacity, np.array([0.0, 0.0, 1.0]), np.array([2.0, 1.0, 0.0]))
+        _certify(
+            problem, problem.cost, problem.capacity, problem.supply, np.array([0.0, 0.0, 1.0]), np.array([2.0, 1.0, 0.0])
+        )
 
 
 def test_certificate_rejects_flow_that_misses_the_supplies():
@@ -219,7 +220,7 @@ def test_certificate_rejects_flow_that_misses_the_supplies():
     # both pass the reduced-cost test: no flow at all, and 5 on arc 0->1, priced at 0 by these potentials
     for flow, potential in (([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([5.0, 0.0, 0.0], [1.0, 0.0, 0.0])):
         with pytest.raises(RuntimeError, match="is off its supply"):
-            _certify(problem, problem.cost, problem.capacity, np.array(flow), np.array(potential))
+            _certify(problem, problem.cost, problem.capacity, problem.supply, np.array(flow), np.array(potential))
 
 
 def test_solver_handles_problems_beyond_bruteforce_limits():
@@ -270,7 +271,7 @@ def scaled_lp(problem: FlowProblem) -> tuple:
 def station_problem(build, n: int, seed: int, **config):
     """``build`` (the vehicle or driver program) of ``generate_instance(n, seed)``."""
     net = generate_instance(n, seed, GeneratorConfig(**config))
-    return build(net, compute_imbalance(net))
+    return build(net)
 
 
 def test_shared_solver_matches_fresh_objects(monkeypatch):
@@ -361,9 +362,8 @@ def test_binding_agrees_with_linprog(monkeypatch, make_instance, n, seed, taxi_f
 
     monkeypatch.setattr(mincostflow, "_highs", recording)
     net = make_instance(n, seed, taxi_fraction=taxi_fraction)
-    d = compute_imbalance(net)
-    beta = driver_flow_problem(net, d)
-    solve_mcf(vehicle_flow_problem(net, d))
+    beta = driver_flow_problem(net)
+    solve_mcf(vehicle_flow_problem(net))
     beta_status = solve_mcf(beta).status
     assert beta_status == ("infeasible" if taxi_fraction < 1 else "optimal")
     assert len(lps) == 2
@@ -447,7 +447,7 @@ def test_each_lp_is_logged_at_debug(caplog, make_instance):
     assert "simplex iterations" in message and message.endswith(" ms")
     # a metric vehicle program stops after one round; the detour needs two
     net = make_instance(25, 1)
-    _, messages = logged_lps(caplog, vehicle_flow_problem(net, compute_imbalance(net)))
+    _, messages = logged_lps(caplog, vehicle_flow_problem(net))
     assert len(messages) == 1
     _, messages = logged_lps(caplog, detour_problem())
     assert len(messages) == 2

@@ -9,6 +9,7 @@ from fleetbalance.generate import GeneratorConfig, generate_instance
 from fleetbalance.fluidsim import _Legs
 from fleetbalance.network import StationNetwork, _legs, compute_imbalance, fleet_sizes, validate_assignment
 from fleetbalance.rebalance import (
+    RebalanceSolution,
     driver_flow_problem,
     solve_driver_rebalancing,
     solve_rebalancing,
@@ -60,6 +61,16 @@ def test_infeasible_two_station_witness(two_station_tight):
     # the vehicle program is unaffected by taxi capacity
     assert sol.vehicle_objective == pytest.approx(3.0, abs=1e-9)
     assert sol.infeasibility.witness == (0,)
+
+
+def test_status_is_read_off_the_plan(two_station_tight):
+    sol = solve_rebalancing(two_station_tight)
+    # no constructor states a status: a plan-less solution cannot claim "optimal"
+    with pytest.raises(TypeError):
+        RebalanceSolution(status="optimal", assignment=None, vehicle_objective=3.0, driver_objective=None)
+    with pytest.raises(AttributeError):
+        sol.status = "optimal"
+    assert sol.status == "beta_infeasible"
 
 
 @pytest.mark.parametrize("n", [24, 40])
@@ -169,7 +180,6 @@ def test_solutions_validate_on_random_instances(make_instance):
         sol = solve_rebalancing(net)
         assert sol.status == "optimal"
         validate_assignment(net, sol.assignment)
-        d = compute_imbalance(net)
         # objectives recompute from the matrices
         assert sol.vehicle_objective == pytest.approx(
             float(np.sum(net.travel_time * sol.assignment.vehicle_rates)), abs=1e-9
@@ -180,30 +190,28 @@ def test_solutions_validate_on_random_instances(make_instance):
         # customer trips alone bound the vehicle fleet from below
         base = float(np.sum(net.travel_time * (net.dest_prob * net.arrival_rate[:, None])))
         assert v >= base - 1e-9
-        assert abs(d.surplus.sum()) < 1e-12
+        assert abs(compute_imbalance(net).sum()) < 1e-12
 
 
 def test_objectives_match_bruteforce_on_tiny_instances(make_instance):
     for seed in range(10):
         net = make_instance(4, seed)
-        d = compute_imbalance(net)
-        alpha, alpha_obj = solve_vehicle_rebalancing(net, d)
-        oracle_a = brute_force_mcf(vehicle_flow_problem(net, d))
+        alpha, alpha_obj = solve_vehicle_rebalancing(net)
+        oracle_a = brute_force_mcf(vehicle_flow_problem(net))
         assert oracle_a.status == "optimal"
         assert alpha_obj == pytest.approx(oracle_a.objective, abs=1e-7)
-        beta, beta_obj = solve_driver_rebalancing(net, d)
-        oracle_b = brute_force_mcf(driver_flow_problem(net, d))
+        beta, beta_obj = solve_driver_rebalancing(net)
+        oracle_b = brute_force_mcf(driver_flow_problem(net))
         assert oracle_b.status == "optimal"
         assert beta_obj == pytest.approx(oracle_b.objective, abs=1e-7)
 
 
 def test_flow_problem_construction(two_station):
-    d = compute_imbalance(two_station)
-    vp = vehicle_flow_problem(two_station, d)
+    vp = vehicle_flow_problem(two_station)
     assert vp.node_count == 2
     assert vp.supply == pytest.approx([-0.3, 0.3])
     assert all(vp.capacity == INFINITE_CAPACITY)
-    dp = driver_flow_problem(two_station, d)
+    dp = driver_flow_problem(two_station)
     assert dp.supply == pytest.approx([0.3, -0.3])
     caps = dict(zip(zip(dp.tail.tolist(), dp.head.tolist()), dp.capacity))
     assert caps[(0, 1)] == pytest.approx(0.4)
@@ -226,7 +234,7 @@ def witness_violation(net: StationNetwork, witness) -> float:
     """Driver demand of the witness stations minus the taxi capacity leaving them."""
     inside = np.zeros(net.n, dtype=bool)
     inside[list(witness)] = True
-    demand = float(-compute_imbalance(net).surplus[inside].sum())
+    demand = float(-compute_imbalance(net)[inside].sum())
     return demand - float(net.taxi_capacity()[np.ix_(inside, ~inside)].sum())
 
 
@@ -236,16 +244,15 @@ def test_witness_agrees_with_max_flow_oracle(make_instance, n, taxi_fraction):
     infeasible = 0
     for seed in range(6):
         net = make_instance(n, seed, taxi_fraction=taxi_fraction)
-        d = compute_imbalance(net)
-        problem = driver_flow_problem(net, d)
+        problem = driver_flow_problem(net)
         feasible = max_flow_feasible(problem)
         assert (mincostflow.solve_mcf(problem).status == "optimal") == feasible
         if feasible:
-            solve_driver_rebalancing(net, d)
+            solve_driver_rebalancing(net)
             continue
         infeasible += 1
         with pytest.raises(RebalanceInfeasibleError) as exc:
-            solve_driver_rebalancing(net, d)
+            solve_driver_rebalancing(net)
         err = exc.value
         assert err.demand - err.capacity == pytest.approx(witness_violation(net, err.witness), rel=1e-12)
         undeliverable, _ = max_flow_cut(problem)
@@ -318,7 +325,7 @@ def test_balanced_network_with_rounding_noise_needs_no_rebalancing(lam):
         travel_time=5.0 * (np.ones((3, 3)) - np.eye(3)),
         taxi_fraction=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
     )
-    assert np.all(compute_imbalance(net).surplus == 0.0)
+    assert np.all(compute_imbalance(net) == 0.0)
     sol = solve_rebalancing(net)
     assert sol.status == "optimal"
     assert np.all(sol.assignment.vehicle_rates == 0.0)
@@ -343,10 +350,9 @@ def test_driver_program_tightens_with_taxi_fraction(make_instance):
 @pytest.mark.parametrize("n", [2, 5, 12])
 def test_flow_arcs_are_the_simulator_legs(n):
     net = generate_instance(n, n)
-    d = compute_imbalance(net)
     tail, head = _legs(n)
     legs = _Legs.build(net, net.min_offdiag_travel_time() / 10)
-    for problem in (vehicle_flow_problem(net, d), driver_flow_problem(net, d)):
+    for problem in (vehicle_flow_problem(net), driver_flow_problem(net)):
         assert np.array_equal(problem.tail, tail) and np.array_equal(problem.head, head)
         assert np.array_equal(problem.cost, net.travel_time[tail, head])
     assert np.array_equal(legs.tail, tail)

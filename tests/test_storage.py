@@ -137,12 +137,8 @@ def test_assignment_roundtrip(tmp_path, two_station):
 
 
 def test_save_assignment_refuses_infeasible(tmp_path):
-    sol = RebalanceSolution(
-        status="beta_infeasible",
-        assignment=None,
-        vehicle_objective=3.0,
-        driver_objective=None,
-    )
+    sol = RebalanceSolution(assignment=None, vehicle_objective=3.0, driver_objective=None)
+    assert sol.status == "beta_infeasible"
     with pytest.raises(ValidationError, match="beta_infeasible"):
         save_assignment(sol, tmp_path / "assign.json")
 
