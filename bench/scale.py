@@ -34,9 +34,10 @@ stations (``generate_instance(n, SEED)``):
   ``PROBE_PERTURBATION``, for n <= 100 only; ``sim_probe_steps`` is its
   step count, ``sim_probe_general_steps`` how many of those ran one at a
   time, ``sim_probe_blocks`` how many blocks ran the rest and
-  ``sim_calendar_bytes`` the bytes of the probe engine's calendar
-  buffers: its window of both calendars plus the copy a block keeps of
-  the rows it posts to;
+  ``sim_calendar_bytes`` the bytes of every calendar-sized array the
+  probe engine keeps for its blocks (``CALENDAR_ARRAYS``): its window of
+  both calendars, the copy a block keeps of the rows it posts to, and
+  the cell offsets and values of a longest block's posts;
 * ``sweep``: one ``run_sweep`` of ``SWEEP_TRIALS`` instances at size n,
   each solved at the taxi fractions ``SWEEP_F_VALUES``, in one process,
   for n <= ``SWEEP_MAX_N`` only;
@@ -118,6 +119,8 @@ PROBE_PERTURBATION = 0.1
 SEED = 1
 REPEATS = 7
 SOLVE_N = 200
+# the probe engine's arrays that grow with its calendars
+CALENDAR_ARRAYS = ("cal", "saved", "block_cells", "posts")
 SWEEP_MAX_N = 50
 SWEEP_TRIALS = 4
 SWEEP_F_VALUES = (1.0, 2.0)
@@ -223,7 +226,7 @@ def layers(n: int) -> dict:
             row["sim_probe_steps"] = probe().trace.times.size - 1
         row["sim_probe_general_steps"], row["sim_probe_blocks"] = advance.call_count, repeat.call_count
         engine = repeat.call_args.args[0]
-        row["sim_calendar_bytes"] = engine.cal.nbytes + engine.saved.nbytes
+        row["sim_calendar_bytes"] = sum(getattr(engine, name).nbytes for name in CALENDAR_ARRAYS)
     if n <= SWEEP_MAX_N:
         sweep = SweepConfig(sizes=(n,), trials_per_size=SWEEP_TRIALS, base_seed=SEED, f_values=SWEEP_F_VALUES)
         row["sweep"] = median_ms(lambda: run_sweep(sweep))

@@ -18,6 +18,9 @@ small size with :class:`SizeLimitError`.
   cut the library reads off the Farkas ray.
 * :func:`flow_debug_dict` dumps a problem and its solution for assertion
   messages.
+* :func:`probe_verdicts` reads a stability probe's verdict fields off its
+  trace by the direct reductions: row maxima, boolean-mask minima and
+  drift over both totals columns at once.
 """
 
 from __future__ import annotations
@@ -294,3 +297,45 @@ def max_flow_feasible(problem: FlowProblem) -> bool:
     """True iff :func:`max_flow_cut` leaves at most ``SUPPLY_TOL`` of the supply undelivered."""
     undeliverable, _ = max_flow_cut(problem)
     return undeliverable <= SUPPLY_TOL * _supply_total(problem)
+
+
+def probe_verdicts(net: StationNetwork, assignment, slack_vehicles: float, slack_drivers: float, trace) -> dict:
+    """The verdict fields of ``stability_probe``'s report for a run that left ``trace``.
+
+    The reference the library's one-pass reductions must equal: each row's
+    largest queue against the clearing threshold, minima over the rows that
+    boolean masks pick at or after the drain time, and both drifts in one
+    reduction over the two totals columns.
+    """
+    n = net.n
+    idle_v = slack_vehicles * assignment.min_vehicles
+    idle_r = slack_drivers * assignment.min_drivers
+    below = np.max(trace.customers, axis=1) <= 4e-4 * idle_v / n
+    drained = np.flatnonzero(below)
+    if drained.size:
+        drain_time = float(trace.times[drained[0]])
+        customers_cleared = bool(np.all(below[drained[0]:]))
+    else:
+        drain_time, customers_cleared = None, False
+    post = trace.times >= (drain_time if drain_time is not None else trace.times[-1])
+    min_v = float(np.min(trace.vehicles[post]))
+    need_pos = trace.drivers[post][:, compute_imbalance(net) != 0]
+    min_r = float(np.min(need_pos)) if need_pos.size else float("inf")
+    vehicle_drift, driver_drift = np.max(np.abs(trace.totals - trace.totals[0]), axis=0).tolist()
+    v_bound = 10.0 * trace.h * float(net.arrival_rate.sum())
+    r_bound = 10.0 * trace.h * float(assignment.vehicle_rates.sum() + assignment.driver_rates.sum())
+    conserved = vehicle_drift <= v_bound and driver_drift <= r_bound
+    vehicles_ok = min_v >= 4e-6 * idle_v / n
+    drivers_ok = min_r >= 4e-6 * idle_r / n
+    return {
+        "passed": customers_cleared and vehicles_ok and drivers_ok and conserved,
+        "customers_cleared": customers_cleared,
+        "vehicles_positive": vehicles_ok,
+        "drivers_positive": drivers_ok,
+        "conserved": conserved,
+        "drain_time": drain_time,
+        "min_idle_vehicles": min_v,
+        "min_idle_drivers": min_r,
+        "vehicle_drift": vehicle_drift,
+        "driver_drift": driver_drift,
+    }

@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,7 +73,17 @@ def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):
     # the patched engine methods pass through: a probe runs general steps and blocks
     assert 0 < row["sim_probe_general_steps"] < row["sim_probe_steps"]
     assert row["sim_probe_blocks"] > 0
-    assert row["sim_calendar_bytes"] > 0
+    # every calendar-sized array of the probe's engine: the window, the
+    # copy a block keeps, and a longest block's post offsets and values
+    net = scale.generate_instance(25, scale.SEED)
+    a = scale.solve_rebalancing(net).assignment
+    state = scale.equilibrium_state(
+        net, a.vehicle_rates, a.driver_rates, np.zeros(25), np.ones(25), np.ones(25), net.min_offdiag_travel_time() / 10
+    )
+    engine = scale._Engine(net, a.vehicle_rates, a.driver_rates, state)
+    # an int64 offset and a float per cell that a longest block posts
+    posts = engine.block_cap * engine.fleet_cell.size * (8 + 8)
+    assert row["sim_calendar_bytes"] == engine.cal.nbytes + engine.saved.nbytes + posts
     assert row["infeasible_witness"] is True
     # a generated (metric) vehicle program needs one column-generation round
     assert row["alpha_lp_rounds"] == 1

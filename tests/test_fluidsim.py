@@ -9,8 +9,10 @@ from fleetbalance.fluidsim import (
     stability_probe,
     write_trace_csv,
 )
-from fleetbalance.network import StationNetwork
+from fleetbalance.network import RebalanceAssignment, StationNetwork, fleet_sizes
 from fleetbalance.rebalance import RebalanceSolution, solve_rebalancing
+
+from oracles import probe_verdicts
 
 # hand-optimal assignment for the two_station fixture
 ALPHA = np.array([[0.0, 0.0], [0.3, 0.0]])
@@ -425,6 +427,50 @@ def test_stability_probe_argument_validation(two_station, two_station_tight):
     assert bad.status == "beta_infeasible"
     with pytest.raises(ValidationError, match="optimal"):
         stability_probe(two_station_tight, bad, 0.2, 0.2, 0.1, h=1.0)
+
+
+def balanced_pair():
+    """Two stations that customers balance, with a hand-made plan that still moves both fleets.
+
+    No station needs idle drivers, so no driver level enters the verdict.
+    """
+    net = StationNetwork(
+        n=2,
+        arrival_rate=[0.4, 0.4],
+        service_rate=[0.8, 0.8],
+        dest_prob=[[0.0, 1.0], [1.0, 0.0]],
+        travel_time=[[0.0, 10.0], [10.0, 0.0]],
+        taxi_fraction=[[0.0, 1.0], [1.0, 0.0]],
+    )
+    alpha = np.array([[0.0, 0.1], [0.1, 0.0]])
+    beta = np.zeros((2, 2))
+    plan = RebalanceAssignment(alpha, beta, *fleet_sizes(net, alpha, beta))
+    return net, RebalanceSolution(assignment=plan, vehicle_objective=2.0, driver_objective=0.0)
+
+
+@pytest.mark.parametrize("case", ["drains", "never_drains", "all_balanced"])
+def test_probe_verdicts_equal_the_direct_reductions(make_instance, case):
+    if case == "all_balanced":
+        net, sol = balanced_pair()
+        h, perturbation, horizon = 1.0, 0.1, None
+    else:
+        net = make_instance(8, 5)
+        sol = solve_rebalancing(net)
+        h = net.min_offdiag_travel_time() / 10
+        # queues of 0.9 times the idle vehicles outlast 40 steps, by which
+        # time vehicles that served them come back: the last row is not the lowest
+        perturbation, horizon = (0.9, 40 * h) if case == "never_drains" else (0.1, None)
+    report = stability_probe(net, sol, 0.2, 0.3, perturbation, h=h, seed=2, horizon=horizon)
+    want = probe_verdicts(net, sol.assignment, 0.2, 0.3, report.trace)
+    assert {key: getattr(report, key) for key in want} == want
+    if case == "drains":
+        assert report.passed and report.drain_time is not None
+        assert report.min_idle_drivers < float("inf")
+    elif case == "never_drains":
+        assert report.drain_time is None and not report.customers_cleared
+        assert report.min_idle_vehicles > report.trace.vehicles.min()
+    else:
+        assert report.min_idle_drivers == float("inf") and report.drivers_positive
 
 
 def test_probe_deterministic_in_seed(two_station):

@@ -530,6 +530,39 @@ def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch):
     assert np.nanmin(trace.first_zero) == trace.first_zero[2, 0] == 69.0
 
 
+@pytest.mark.parametrize("below", [False, True])
+def test_a_block_at_the_clamp_bound_keeps_its_step(monkeypatch, below):
+    # return rides 0 -> 1 are asked at 0.75 but capped at f * lambda =
+    # 2^-6: drivers leave station 0 at 2^-6 a step, nominally at
+    # h * out = 0.75, and none ever arrive there.  r_0 stays in [0.5, 1),
+    # where doubles are the multiples of 2^-53, so it falls by exactly 2^-6
+    # a step: the first block, steps 1 to 10, starts step 10 at exactly
+    # h * out, or one ulp below.  At h * out no step can clamp and the block keeps all ten;
+    # one ulp below, the full test finds r_0 + h * (0 - out) < 0 at step
+    # 10, although the step would leave r_0 above 0, and the block ends
+    # there.
+    net = StationNetwork(
+        n=2,
+        arrival_rate=np.array([0.25, 0.25]),
+        service_rate=np.array([0.5, 0.5]),
+        dest_prob=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        travel_time=np.array([[0.0, 10.0], [10.0, 0.0]]),
+        taxi_fraction=np.array([[0.0, 2.0**-4], [1.0, 0.0]]),
+    )
+    alpha = np.zeros((2, 2))
+    beta = np.array([[0.0, 0.75], [0.0, 0.0]])
+    h_out = 1.0 * (alpha[0, 1] + beta[0, 1])
+    level = np.nextafter(h_out, 0.0) if below else h_out
+    init = initial_state(net, np.zeros(2), np.full(2, 100.0), np.array([level + 10 * 2.0**-6, 1.0]), 1.0)
+    with recorded_blocks(monkeypatch) as blocks:
+        trace, _ = assert_same_run(monkeypatch, net, alpha, beta, init, 30.0)
+    r0 = trace.drivers[:, 0]
+    assert r0[10] == level and r0[10] - 2.0**-6 > 0
+    assert (r0[10] + 1.0 * (0.0 - h_out) < 0) == below
+    _, start, count, kept = blocks[0]
+    assert (start, count, kept) == (1, 10, 9 if below else 10)
+
+
 @contextlib.contextmanager
 def recorded_moves(monkeypatch):
     """Records every window move of the runs inside: (engine, step of the move)."""
