@@ -186,10 +186,7 @@ def _trial(args) -> list[TrialRow]:
     alpha = solve_vehicle_rebalancing(net)
     rows = []
     for f_value in config.f_values:
-        if f_value == config.generator.taxi_fraction:
-            net_f = net
-        else:
-            net_f = replace(net, taxi_fraction=_from_legs(f_value, size))
+        net_f = replace(net, taxi_fraction=_from_legs(f_value, size))
         solution = _solve_against_vehicles(net_f, *alpha)
         group_key = _group_key(config, size, f_value)
         rows.append(_row_from_solution(net_f, solution, group_key, trial, seed, f_value))

@@ -18,8 +18,11 @@ solved as two independent minimum-cost flow problems; minimizing the
 driver total (rebalancing trips plus return rides) and minimizing the
 rebalancing-vehicle total pull in the same direction.  Arc ``k`` of
 both programs is leg ``k`` of the layout ``network`` owns, and both
-take their supplies from ``compute_imbalance``.  A solution's status is
-read off its plan: ``"optimal"`` when it has one, else
+take their supplies from ``compute_imbalance``.  Each program returns
+its certified LP's flow as its rate matrix and that LP's optimum
+``cost @ flow`` (:attr:`~fleetbalance.mincostflow.FlowSolution.objective`)
+as its objective; nothing here sums them again.  A solution's status
+is read off its plan: ``"optimal"`` when it has one, else
 ``"beta_infeasible"``.
 """
 
@@ -34,7 +37,6 @@ from .errors import RebalanceInfeasibleError
 from .mincostflow import (
     INFINITE_CAPACITY,
     FlowProblem,
-    FlowSolution,
     farkas_cut,
     solve_mcf,
 )
@@ -72,27 +74,15 @@ def driver_flow_problem(net: StationNetwork) -> FlowProblem:
     return _station_flow_problem(net, -compute_imbalance(net), _on_legs(net.taxi_capacity()))
 
 
-def _solved_matrix(net: StationNetwork, solution: FlowSolution) -> tuple[np.ndarray, float]:
-    """Rate matrix and objective of a certified optimum, taken as returned.
-
-    Where a pair's round trip ``T_ij + T_ji`` exceeds ``2 * OPTIMALITY_TOL``
-    of the longest travel time, the optimum carries flow one way only:
-    the two reduced costs sum to the round trip, and an arc with flow has
-    reduced cost at most ``OPTIMALITY_TOL`` (costs scaled to at most 1).
-    A pair with zero travel time both ways may carry flow both ways at no
-    cost in the capacitated driver program (seen on an all-zero-time
-    instance); the objective and fleet sizes do not change.
-    """
-    rates = _from_legs(solution.flow, net.n)
-    return rates, float(np.sum(net.travel_time * rates))
-
-
 def solve_vehicle_rebalancing(net: StationNetwork) -> tuple[np.ndarray, float]:
     """Cheapest empty-vehicle rebalancing rates; always feasible."""
     solution = solve_mcf(vehicle_flow_problem(net))
     if solution.status != "optimal":  # uncapacitated and balanced: cannot happen
         raise RuntimeError("uncapacitated rebalancing program reported infeasible")
-    return _solved_matrix(net, solution)
+    # A certified optimum carries flow one way on any pair whose round trip
+    # T_ij + T_ji is above 2 * OPTIMALITY_TOL of the longest travel time (the
+    # two reduced costs sum to it), so neither program's rates need netting.
+    return _from_legs(solution.flow, net.n), solution.objective
 
 
 def solve_driver_rebalancing(net: StationNetwork) -> tuple[np.ndarray, float]:
@@ -126,7 +116,7 @@ def solve_driver_rebalancing(net: StationNetwork) -> tuple[np.ndarray, float]:
         raise RebalanceInfeasibleError(
             "driver-return program infeasible: taxi capacity cannot carry the required driver flow"
         )
-    return _solved_matrix(net, solution)
+    return _from_legs(solution.flow, net.n), solution.objective
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +127,10 @@ class RebalanceSolution:
     feasible point; ``infeasibility`` then carries the diagnosis.
     ``vehicle_objective`` is the in-transit mass of rebalancing vehicles
     (time-weighted alpha); ``driver_objective`` is the time-weighted
-    beta mass, set only with a plan; their sum equals
-    ``assignment.min_drivers``.
+    beta mass, set only with a plan.  Both are the certified LPs' optima
+    ``cost @ flow``, while ``assignment``'s floors come from
+    :func:`~fleetbalance.network.fleet_sizes`, so the two objectives sum
+    to ``assignment.min_drivers`` only up to rounding.
     """
 
     assignment: Optional[RebalanceAssignment]

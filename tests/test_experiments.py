@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fleetbalance import experiments
-from fleetbalance.errors import ValidationError
+from fleetbalance import experiments, rebalance
+from fleetbalance.errors import RebalanceInfeasibleError, ValidationError
 from fleetbalance.experiments import (
     ROW_FIELDS,
     SweepConfig,
@@ -130,10 +130,12 @@ def test_injected_instance_provider(monkeypatch):
 
 
 def test_infeasible_trial_is_a_hard_error(monkeypatch):
-    monkeypatch.setattr(
-        experiments, "generate_instance", lambda size, seed, gen: build_two_station(f_01=0.5)
-    )
-    config = SweepConfig(sizes=(2,), trials_per_size=1)
+    def infeasible(net):
+        raise RebalanceInfeasibleError("driver-return program infeasible")
+
+    # every taxi fraction of a sweep solves its driver program through this name
+    monkeypatch.setattr(rebalance, "solve_driver_rebalancing", infeasible)
+    config = SweepConfig(sizes=(5,), trials_per_size=1, f_values=(1.0, 2.0))
     with pytest.raises(RuntimeError, match="no feasible driver-return assignment"):
         run_sweep(config)
 

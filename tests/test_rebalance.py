@@ -206,6 +206,16 @@ def test_objectives_match_bruteforce_on_tiny_instances(make_instance):
         assert beta_obj == pytest.approx(oracle_b.objective, abs=1e-7)
 
 
+@pytest.mark.parametrize("n", [5, 10, 25, 50, 100])
+def test_objectives_are_the_certified_lp_optima(n):
+    # one source per objective: each is the certified LP's own cost @ flow
+    for seed in range(1, 6):
+        net = generate_instance(n, seed)
+        sol = solve_rebalancing(net)
+        assert sol.vehicle_objective == mincostflow.solve_mcf(vehicle_flow_problem(net)).objective
+        assert sol.driver_objective == mincostflow.solve_mcf(driver_flow_problem(net)).objective
+
+
 def test_flow_problem_construction(two_station):
     vp = vehicle_flow_problem(two_station)
     assert vp.node_count == 2
