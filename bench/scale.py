@@ -31,9 +31,13 @@ stations (``generate_instance(n, SEED)``):
   crossings, ``zero_hits`` summed over its levels;
 * ``sim_probe``: one ``stability_probe`` of the solved assignment at
   h = min T / 10, slack ``PROBE_SLACK`` on both fleets and perturbation
-  ``PROBE_PERTURBATION``, for n <= 100 only; ``sim_probe_steps`` is its
-  step count, ``sim_probe_general_steps`` how many of those ran one at a
-  time, ``sim_probe_blocks`` how many blocks ran the rest and
+  ``PROBE_PERTURBATION``, for n <= ``PROBE_MAX_N`` only, and the median
+  of a single timed call above ``SIM_MAX_N``, where a probe takes
+  seconds; ``sim_probe_steps`` is its step count,
+  ``sim_probe_general_steps`` how many of those ran one at a time,
+  ``sim_probe_blocks`` how many blocks ran the rest,
+  ``sim_probe_peak_mb`` the peak of the memory ``tracemalloc`` saw the
+  probe allocate (numpy reports its arrays to it), and
   ``sim_calendar_bytes`` the bytes of every calendar-sized array the
   probe engine keeps for its blocks (``CALENDAR_ARRAYS``): its window of
   both calendars, the copy a block keeps of the rows it posts to, and
@@ -49,7 +53,8 @@ phases: ``import_cli`` (``import fleetbalance.cli``), ``import_highs``
 (the first import of the HiGHS binding the solver calls), ``load``,
 ``solve`` and ``save``; ``process`` is that process's wall time seen
 from outside, interpreter start-up included.  Each figure is the median
-of ``REPEATS`` calls, after one untimed call that pays lazy imports.
+of ``REPEATS`` calls (one for a probe above ``SIM_MAX_N``), after one
+untimed call that pays lazy imports.
 The output, ``BENCH_<label>.json``, also records the machine, the
 Python, numpy and scipy versions, the git commit of the checkout
 measured, ``src_lines``, the ``wc -l`` total of its
@@ -79,6 +84,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib import metadata
 from logging.handlers import BufferingHandler
 from pathlib import Path
@@ -113,6 +119,7 @@ from fleetbalance.fluidsim import _Engine  # noqa: E402
 
 SIZES = (25, 50, 100, 200, 300)
 SIM_MAX_N = 100
+PROBE_MAX_N = 200
 SIM_RUN_STEPS = 200
 PROBE_SLACK = 0.2
 PROBE_PERTURBATION = 0.1
@@ -145,10 +152,11 @@ print(json.dumps({k: 1e3 * (b - a) for k, a, b in zip(names, [started] + marks, 
 """
 
 
-def median_ms(call) -> float:
+def median_ms(call, repeats=None) -> float:
+    """Median wall time in ms of ``repeats`` calls (``REPEATS`` if None) after an untimed one."""
     call()  # lazy imports and first-touch allocations stay out of the figure
     samples = []
-    for _ in range(REPEATS):
+    for _ in range(REPEATS if repeats is None else repeats):
         started = time.perf_counter()
         call()
         samples.append(time.perf_counter() - started)
@@ -178,6 +186,46 @@ def diagnose(net) -> bool:
     raise RuntimeError(f"driver program at n={net.n} was feasible; the diagnosis needs an infeasible draw")
 
 
+def sim_runs(net, a, h) -> dict:
+    """``sim_run_step``, ``sim_cold_run_step`` and ``sim_cold_zero_hits`` of the assignment ``a`` at step ``h``."""
+    n = net.n
+    state = equilibrium_state(net, a.vehicle_rates, a.driver_rates, np.zeros(n), np.ones(n), np.ones(n), h)
+    run = median_ms(lambda: simulate(net, a.vehicle_rates, a.driver_rates, state, SIM_RUN_STEPS * h))
+    rng = np.random.default_rng(SEED)
+    cold = initial_state(net, rng.uniform(0, 1, n), rng.uniform(0, 0.5, n), rng.uniform(0, 0.3, n), h)
+
+    def cold_run():
+        return simulate(net, a.vehicle_rates, a.driver_rates, cold, SIM_RUN_STEPS * h)
+
+    return {
+        "sim_run_step": round(run / SIM_RUN_STEPS, 4),
+        "sim_cold_run_step": round(median_ms(cold_run) / SIM_RUN_STEPS, 4),
+        "sim_cold_zero_hits": int(cold_run().zero_hits.sum()),
+    }
+
+
+def probe_figures(net, sol, h, repeats) -> dict:
+    """The ``sim_probe`` figures of a probe of ``sol`` at step ``h``, timed over ``repeats`` calls."""
+
+    def probe():
+        return stability_probe(net, sol, PROBE_SLACK, PROBE_SLACK, PROBE_PERTURBATION, h)
+
+    row = {"sim_probe": median_ms(probe, repeats)}
+    # the same probe once more, counting its general steps and blocks and tracing its memory
+    tracemalloc.start()
+    try:
+        with mock.patch.object(_Engine, "advance", autospec=True, side_effect=_Engine.advance) as advance, \
+                mock.patch.object(_Engine, "repeat", autospec=True, side_effect=_Engine.repeat) as repeat:
+            row["sim_probe_steps"] = probe().trace.times.size - 1
+        row["sim_probe_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    finally:
+        tracemalloc.stop()
+    row["sim_probe_general_steps"], row["sim_probe_blocks"] = advance.call_count, repeat.call_count
+    engine = repeat.call_args.args[0]
+    row["sim_calendar_bytes"] = sum(getattr(engine, name).nbytes for name in CALENDAR_ARRAYS)
+    return row
+
+
 def layers(n: int) -> dict:
     net = generate_instance(n, SEED)
     vehicle, driver = vehicle_flow_problem(net), driver_flow_problem(net)
@@ -198,35 +246,13 @@ def layers(n: int) -> dict:
         "infeasible_diagnosis": median_ms(lambda: diagnose(tight)),
         "infeasible_witness": diagnose(tight),
     }
-    if n <= SIM_MAX_N:
+    if n <= PROBE_MAX_N:
         sol = solve_rebalancing(net)
-        a = sol.assignment
         h = net.min_offdiag_travel_time() / 10.0
-        state = equilibrium_state(
-            net, a.vehicle_rates, a.driver_rates, np.zeros(n), np.ones(n), np.ones(n), h
-        )
-        run = median_ms(lambda: simulate(net, a.vehicle_rates, a.driver_rates, state, SIM_RUN_STEPS * h))
-        row["sim_run_step"] = round(run / SIM_RUN_STEPS, 4)
-        rng = np.random.default_rng(SEED)
-        cold = initial_state(net, rng.uniform(0, 1, n), rng.uniform(0, 0.5, n), rng.uniform(0, 0.3, n), h)
-
-        def cold_run():
-            return simulate(net, a.vehicle_rates, a.driver_rates, cold, SIM_RUN_STEPS * h)
-
-        row["sim_cold_run_step"] = round(median_ms(cold_run) / SIM_RUN_STEPS, 4)
-        row["sim_cold_zero_hits"] = int(cold_run().zero_hits.sum())
-
-        def probe():
-            return stability_probe(net, sol, PROBE_SLACK, PROBE_SLACK, PROBE_PERTURBATION, h)
-
-        row["sim_probe"] = median_ms(probe)
-        # the same probe once more, counting its general steps and blocks
-        with mock.patch.object(_Engine, "advance", autospec=True, side_effect=_Engine.advance) as advance, \
-                mock.patch.object(_Engine, "repeat", autospec=True, side_effect=_Engine.repeat) as repeat:
-            row["sim_probe_steps"] = probe().trace.times.size - 1
-        row["sim_probe_general_steps"], row["sim_probe_blocks"] = advance.call_count, repeat.call_count
-        engine = repeat.call_args.args[0]
-        row["sim_calendar_bytes"] = sum(getattr(engine, name).nbytes for name in CALENDAR_ARRAYS)
+        if n <= SIM_MAX_N:
+            row.update(sim_runs(net, sol.assignment, h))
+        # a probe above SIM_MAX_N takes seconds: one timed call
+        row.update(probe_figures(net, sol, h, None if n <= SIM_MAX_N else 1))
     if n <= SWEEP_MAX_N:
         sweep = SweepConfig(sizes=(n,), trials_per_size=SWEEP_TRIALS, base_seed=SEED, f_values=SWEEP_F_VALUES)
         row["sweep"] = median_ms(lambda: run_sweep(sweep))

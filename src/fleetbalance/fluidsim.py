@@ -57,11 +57,11 @@ many cells as the calendars have.  Blocks chain until one stops early;
 the step after that is a general one again.  Blocks give the same
 floats as single steps, bit for bit:
 
-* ``np.add.at`` posts all of a block's departures into the window in
-  step order, and a cell gets at most one write per step, so each cell
-  adds its writes in the order the steps make them, from the 0.0 a row
-  past the live ones holds.  A step's arrivals are its window row, which
-  only earlier steps write;
+* ``np.add.at`` posts a block's departures into the window in step
+  order, and a cell gets at most one write per step, so each cell adds
+  its writes in the order the steps make them, from the 0.0 a row past
+  the live ones holds.  A step's arrivals are its window row, which only
+  earlier steps write;
 * one ``np.add.accumulate`` over the block's per-step level changes (and
   one over its in-transit changes) adds them in step order, as the steps
   do; a queue served at ``mu`` changes by ``h * (lambda - mu)`` a step;
@@ -69,8 +69,24 @@ floats as single steps, bit for bit:
   own clamp test, taken on the nominal outflow, in which no level crosses
   0 and every queue's drain rate ``lambda + c / h`` stays above ``mu``.
   Where the taxi cap binds, the outflow that happens is smaller than the
-  nominal one, so a test on it would miss clamps.  A block cut short
-  puts back a copy of the rows it posted to and posts its kept steps.
+  nominal one, so a test on it would miss clamps.
+
+A block makes only the posts its outcome needs, by two exact rules, and
+otherwise posts all its steps before its tests; one cut short puts back
+a copy of the rows it posted to and posts its kept steps.
+
+* A chain is stationary from ``D`` steps after the general step that
+  starts it.  Every live row then holds only the chain's own posts: the
+  same per-cell values, added from 0.0 in step order, since a row past
+  the live ones holds 0.0 and the posts into live row ``t`` are those of
+  delay above ``t``.  So live row ``t`` holds the same floats at every
+  step: each step's arrivals are the current row, and the live rows
+  after ``m`` steps are those before them.  Such a block posts nothing,
+  copies nothing, moves no row and only moves the window's ``base`` on
+  by ``m``.
+* A block no longer than ``d_min`` reads none of its own posts, which
+  land ``d_min`` or more steps after theirs, so it runs its tests on the
+  rows as they are and then posts its kept steps once, with no copy.
 
 The blocks of one steady chain, between two general steps, repeat the
 departures of the general step that starts it, so that step keeps what
@@ -518,7 +534,16 @@ class _Engine:
             # at 0 stays there, one served at mu changes by h * (lam - mu) a step
             self.out, self.out_f, self.by_cell = out, out_f, by_cell
             self.h_out, self.queue_step = h * out, np.where(after[0], 0.0, queue_in)
-            self.filled = 0
+            self.filled, self.chain_start = 0, self.step_index - 1
+
+    def _post(self, flat: np.ndarray, steps: int) -> None:
+        """Adds ``steps`` steps of the chain's posts into the window from ``flat`` on, in step order."""
+        if steps > self.filled:
+            self.posts[self.filled : steps] = self.by_cell
+            self.filled = steps
+        # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to
+        # the wrong cells; add.at adds repeated cells one at a time, in step order
+        np.add.at(flat, self.block_cells[:steps].reshape(-1), self.posts[:steps].reshape(-1))
 
     def repeat(self, levels: np.ndarray, moved: np.ndarray) -> int:
         """Advance up to ``count <= block_cap`` steps that repeat a steady step's departures.
@@ -531,23 +556,37 @@ class _Engine:
         drains, and returns its length ``m``: rows past ``m`` hold steps
         that were dropped.  ``steady`` stays set, and the next block is
         twice as long, only if all ``count`` steps were kept.
+
+        A block makes only the posts its outcome needs.  From ``D`` steps
+        into its chain on, every live row holds the chain's posts alone,
+        the same per-cell values added from 0.0 in step order, so live row
+        ``t`` holds the same floats at every step: each step's arrivals
+        are the current row, and ``m`` steps on the live rows are what
+        they were, so the block posts nothing and only moves ``base`` on
+        by ``m``.  A block no longer than ``d_min`` reads none of its own
+        posts, which land ``d_min`` or more steps on, so it tests first and
+        then posts its kept steps once.  A longer one posts all its steps
+        first and, if cut, puts back a copy of the rows it posted to and
+        posts its kept steps.
         """
         h, k, cal = self.h, self.step_index, self.cal
         count = len(levels) - 1
-        row = self._row(count)
-        reach = slice(row + self.shortest, row + count + self.legs.depth)
-        saved = self.saved[:, : reach.stop - reach.start]
-        saved[:] = cal[:, reach]
-        # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to
-        # the wrong cells; add.at adds repeated cells one at a time, in step order
-        flat, cells = cal.reshape(-1)[row * self.n :], self.block_cells
-        if count > self.filled:
-            self.posts[self.filled : count] = self.by_cell
-            self.filled = count
-        posts = self.posts[:count]
-        np.add.at(flat, cells[:count].reshape(-1), posts.reshape(-1))
-        # step t's row only gets posts from the block's steps before t
-        arrive = cal[:, row : row + count].swapaxes(0, 1)
+        stationary = k - self.chain_start >= self.legs.depth
+        # later steps of a block longer than d_min read its earlier posts
+        posts_first = not stationary and count > self.shortest
+        if stationary:
+            # every step arrives at the current row's floats
+            arrive = np.broadcast_to(cal[:, k - self.base], (count, 2, self.n))
+        else:
+            row = self._row(count)
+            flat = cal.reshape(-1)[row * self.n :]
+            if posts_first:
+                reach = slice(row + self.shortest, row + count + self.legs.depth)
+                saved = self.saved[:, : reach.stop - reach.start]
+                saved[:] = cal[:, reach]
+                self._post(flat, count)
+            # step t's row only gets posts from the block's steps before t
+            arrive = cal[:, row : row + count].swapaxes(0, 1)
         net_in = arrive - self.out_f
         levels[1:, 0] = self.queue_step
         np.multiply(net_in, h, out=levels[1:, 1:])
@@ -573,10 +612,15 @@ class _Engine:
         np.negative(net_in[:m].sum(axis=2), out=moved[1:])
         np.add.accumulate(moved, axis=0, out=moved)
 
-        if m < count:
+        if stationary:
+            # the live rows hold the same floats m steps on
+            self.base += m
+        elif not posts_first:
+            self._post(flat, m)
+        elif m < count:
             # undo the block's posts, then post its kept steps only
             cal[:, reach] = saved
-            np.add.at(flat, cells[:m].reshape(-1), posts[:m].reshape(-1))
+            self._post(flat, m)
         self.levels[:] = levels[m]
         self.moved[:] = moved[m]
         self.step_index = k + m

@@ -68,11 +68,14 @@ def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):
     sim_keys = {
         "sim_run_step", "sim_cold_run_step", "sim_cold_zero_hits",
         "sim_probe", "sim_probe_steps", "sim_probe_general_steps", "sim_probe_blocks", "sim_calendar_bytes",
+        "sim_probe_peak_mb",
     }
     assert sim_keys | {"sweep"} <= row.keys()
     # the patched engine methods pass through: a probe runs general steps and blocks
     assert 0 < row["sim_probe_general_steps"] < row["sim_probe_steps"]
     assert row["sim_probe_blocks"] > 0
+    # the probe's trace alone, (steps + 1) x 3 x n level floats, is in the traced peak
+    assert row["sim_probe_peak_mb"] * 2**20 > (row["sim_probe_steps"] + 1) * 3 * 25 * 8
     # every calendar-sized array of the probe's engine: the window, the
     # copy a block keeps, and a longest block's post offsets and values
     net = scale.generate_instance(25, scale.SEED)

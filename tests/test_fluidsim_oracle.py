@@ -11,6 +11,7 @@ at a time.  Blocks repeat a steady step's arithmetic in the same order,
 so ``simulate`` must match it bit for bit, zero summaries included.
 """
 
+import collections
 import contextlib
 
 import numpy as np
@@ -320,7 +321,7 @@ def full_totals(engine):
 
 
 def stepwise_run(net, alpha, beta, init, horizon):
-    """Times, levels, totals and zero summaries of ``simulate`` run one general step at a time.
+    """Times, levels, totals, zero summaries and final calendars of ``simulate`` run one general step at a time.
 
     The summaries are counted here, from the levels after each step.
     """
@@ -344,12 +345,12 @@ def stepwise_run(net, alpha, beta, init, horizon):
     totals = levels[:, 1:].sum(axis=2) + (engine.transit + moved) * init.h
     totals[-1] = full_totals(engine)
     times = (init.step_index + np.arange(steps + 1)) * init.h
-    return times, levels, totals, (init.h * at_zero, hits, first_zero)
+    return times, levels, totals, (init.h * at_zero, hits, first_zero), engine.buffers().copy()
 
 
 def assert_same_run(monkeypatch, net, alpha, beta, init, horizon):
     """``simulate`` equals ``stepwise_run``; returns its trace and how many general steps it took."""
-    times, levels, totals, summaries = stepwise_run(net, alpha, beta, init, horizon)
+    times, levels, totals, summaries, calendars = stepwise_run(net, alpha, beta, init, horizon)
     calls = [0]
     advance = _Engine.advance
 
@@ -365,6 +366,7 @@ def assert_same_run(monkeypatch, net, alpha, beta, init, horizon):
     assert np.array_equal(np.stack((trace.vehicles_total, trace.drivers_total), axis=1), totals)
     for got, want in zip((trace.time_at_zero, trace.zero_hits, trace.first_zero), summaries):
         assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(trace.final.calendars, calendars)
     return trace, calls[0]
 
 
@@ -507,12 +509,13 @@ def test_blocks_grow_past_the_shortest_delay_across_the_calendar_end(make_instan
     assert any(kept > shortest and start // depth != (start + kept - 1) // depth for _, start, _, kept in blocks)
 
 
-def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch):
-    # drivers leave station 0 at 0.4 and come back at 0.1, so a steady run
-    # takes them down from 20 by 0.3 a step until the first clamp, 66
-    # steps in: the third block, 40 steps long, keeps 35.  The dropped
-    # steps' departures would arrive 10 to 40 steps later, inside the
-    # horizon.
+def draining_drivers(drivers):
+    """Two stations, delays of 10 and 40 steps at h = 1, whose steady run takes station 0's idle drivers down by 0.3 a step.
+
+    Drivers leave station 0 at 0.4 and come back at 0.1.  Returns the
+    network, alpha, beta and the equilibrium state with ``drivers`` idle
+    drivers at station 0.
+    """
     net = StationNetwork(
         n=2,
         arrival_rate=np.array([0.4, 0.1]),
@@ -523,11 +526,90 @@ def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch):
     )
     alpha = np.array([[0.0, 0.1], [0.1, 0.0]])
     beta = np.array([[0.0, 0.3], [0.0, 0.0]])
-    init = equilibrium_state(net, alpha, beta, np.zeros(2), np.full(2, 100.0), np.array([20.0, 1.0]), 1.0)
+    init = equilibrium_state(net, alpha, beta, np.zeros(2), np.full(2, 100.0), np.array([drivers, 1.0]), 1.0)
+    return net, alpha, beta, init
+
+
+def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch):
+    # from 20 idle drivers the first clamp comes 66 steps in: the third
+    # block, 40 steps long, keeps 35.  The dropped steps' departures would
+    # arrive 10 to 40 steps later, inside the horizon.
+    net, alpha, beta, init = draining_drivers(20.0)
     with recorded_blocks(monkeypatch) as blocks:
         trace, _ = assert_same_run(monkeypatch, net, alpha, beta, init, 120.0)
     assert [(start, count, kept) for _, start, count, kept in blocks[:3]] == [(1, 10, 10), (11, 20, 20), (31, 40, 35)]
     assert np.nanmin(trace.first_zero) == trace.first_zero[2, 0] == 69.0
+
+
+Block = collections.namedtuple("Block", "start count kept into window_before base_before window_after base_after")
+
+
+@contextlib.contextmanager
+def recorded_windows(monkeypatch):
+    """Records every ``repeat`` of the runs inside as a ``Block``, its window and ``base`` before and after it.
+
+    ``into`` is the number of steps between the general step that
+    started the block's chain and the block's first step.
+    """
+    blocks, chain_start = [], {}
+    advance, repeat = _Engine.advance, _Engine.repeat
+
+    def stepped(self):
+        chain_start[self] = self.step_index
+        advance(self)
+
+    def recorded(self, levels, moved):
+        start, window, base = self.step_index, self.cal.copy(), self.base
+        kept = repeat(self, levels, moved)
+        blocks.append(
+            Block(start, len(levels) - 1, kept, start - chain_start[self], window, base, self.cal.copy(), self.base)
+        )
+        return kept
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Engine, "advance", stepped)
+        patch.setattr(_Engine, "repeat", recorded)
+        yield blocks
+
+
+def test_blocks_a_delay_into_their_chain_leave_the_window_as_it_was(make_instance, monkeypatch):
+    # the queues drain early and one chain runs on for longer than D steps.
+    # From D steps into it, every live row holds the chain's posts alone,
+    # so the rows hold the same floats a step later: a block posts nothing
+    # and moves no row, only the step its window starts at
+    net = make_instance(8, 5)
+    h = net.min_offdiag_travel_time() / 10
+    a, c0, v0, r0 = perturbed_start(net, 5)
+    init = equilibrium_state(net, a.vehicle_rates, a.driver_rates, c0, v0, r0, h)
+    depth = init.legs.depth
+    with recorded_windows(monkeypatch) as blocks:
+        assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, init, 3 * net.max_travel_time())
+    late = [block for block in blocks if block.into >= depth]
+    assert len(late) >= 3 and sum(block.kept for block in late) > depth
+    for block in late:
+        assert np.array_equal(block.window_after, block.window_before)
+        assert block.base_after == block.base_before + block.kept
+    # blocks earlier in a chain post their steps
+    assert all(not np.array_equal(b.window_after, b.window_before) for b in blocks if b.into < depth and b.kept)
+
+
+def test_a_block_a_delay_into_its_chain_cut_short_matches_single_steps(monkeypatch):
+    # from 30 idle drivers the chain started by step 0 outlives D = 40
+    # steps: its fourth block, steps 71 to 110, posts nothing and is cut
+    # where r_0, down to 0.3, would clamp.  The general steps after the cut
+    # take the rows as the block left them; r_0 lands on 0 at step 100
+    net, alpha, beta, init = draining_drivers(30.0)
+    with recorded_windows(monkeypatch) as blocks:
+        trace, general = assert_same_run(monkeypatch, net, alpha, beta, init, 120.0)
+    assert [(b.start, b.count, b.kept, b.into) for b in blocks] == [
+        (1, 10, 10, 1), (11, 20, 20, 11), (31, 40, 40, 31), (71, 40, 28, 71)
+    ]
+    cut = blocks[-1]
+    assert np.array_equal(cut.window_after, cut.window_before) and cut.base_after == cut.base_before + 28
+    assert np.all(np.diff(trace.drivers[:100, 0]) < 0)
+    assert trace.first_zero[2, 0] == 100.0
+    # steps 0 and 99 to 119 ran one at a time
+    assert general == 1 + 120 - 99
 
 
 @pytest.mark.parametrize("below", [False, True])
@@ -584,7 +666,7 @@ def recorded_moves(monkeypatch):
 def test_blocks_cut_at_window_moves_match_single_steps(make_instance, monkeypatch):
     # the cold start at 3 times the minimum fleets: the queues clear, and
     # blocks run, cut short where an idle level nears 0, while the window
-    # moves every few dozen steps
+    # moves every few dozen steps until the last chain is D steps old
     net = make_instance(7, 1)
     a, init = cold_start(net, 3.0)
     h = init.h
@@ -604,12 +686,14 @@ def test_blocks_cut_at_window_moves_match_single_steps(make_instance, monkeypatc
         starts[i] not in moved and any(starts[i] < step <= starts[i + 1] for step in moved) for i in cut
     )
 
-    # resumed from a state taken between two moves
+    # resumed from a state taken between two moves.  A resumed run starts a
+    # new chain, and from D steps into a chain blocks move no rows: the
+    # tail moves its window twice, in the first D steps of its chain
     first = moved[1] + 3
     head = simulate(net, a.vehicle_rates, a.driver_rates, init, first * h)
     with recorded_blocks(monkeypatch) as blocks, recorded_moves(monkeypatch) as moves:
         tail, _ = assert_same_run(monkeypatch, net, a.vehicle_rates, a.driver_rates, head.final, (steps - first) * h)
-    assert sum(owner is blocks[0][0] for owner, _ in moves) >= 3
+    assert sum(owner is blocks[0][0] for owner, _ in moves) == 2
     assert np.array_equal(tail.levels, whole.levels[first:])
     assert np.array_equal(tail.final.calendars, whole.final.calendars)
 
