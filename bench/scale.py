@@ -40,8 +40,8 @@ stations (``generate_instance(n, SEED)``):
   probe allocate (numpy reports its arrays to it), and
   ``sim_calendar_bytes`` the bytes of every calendar-sized array the
   probe engine keeps for its blocks (``CALENDAR_ARRAYS``): its window of
-  both calendars, the copy a block keeps of the rows it posts to, and
-  the cell offsets and values of a longest block's posts;
+  both calendars, and the cell offsets and values of a longest block's
+  posts;
 * ``sweep``: one ``run_sweep`` of ``SWEEP_TRIALS`` instances at size n,
   each solved at the taxi fractions ``SWEEP_F_VALUES``, in one process,
   for n <= ``SWEEP_MAX_N`` only;
@@ -127,7 +127,7 @@ SEED = 1
 REPEATS = 7
 SOLVE_N = 200
 # the probe engine's arrays that grow with its calendars
-CALENDAR_ARRAYS = ("cal", "saved", "block_cells", "posts")
+CALENDAR_ARRAYS = ("cal", "block_cells", "posts")
 SWEEP_MAX_N = 50
 SWEEP_TRIALS = 4
 SWEEP_F_VALUES = (1.0, 2.0)

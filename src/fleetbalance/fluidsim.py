@@ -57,7 +57,7 @@ many cells as the calendars have.  Blocks chain until one stops early;
 the step after that is a general one again.  Blocks give the same
 floats as single steps, bit for bit:
 
-* ``np.add.at`` posts a block's departures into the window in step
+* ``np.add.at`` posts a block's kept steps into the window in step
   order, and a cell gets at most one write per step, so each cell adds
   its writes in the order the steps make them, from the 0.0 a row past
   the live ones holds.  A step's arrivals are its window row, which only
@@ -71,9 +71,7 @@ floats as single steps, bit for bit:
   Where the taxi cap binds, the outflow that happens is smaller than the
   nominal one, so a test on it would miss clamps.
 
-A block makes only the posts its outcome needs, by two exact rules, and
-otherwise posts all its steps before its tests; one cut short puts back
-a copy of the rows it posted to and posts its kept steps.
+A block makes only the posts its outcome needs, by one of two exact rules:
 
 * A chain is stationary from ``D`` steps after the general step that
   starts it.  Every live row then holds only the chain's own posts: the
@@ -84,9 +82,13 @@ a copy of the rows it posted to and posts its kept steps.
   after ``m`` steps are those before them.  Such a block posts nothing,
   copies nothing, moves no row and only moves the window's ``base`` on
   by ``m``.
-* A block no longer than ``d_min`` reads none of its own posts, which
-  land ``d_min`` or more steps after theirs, so it runs its tests on the
-  rows as they are and then posts its kept steps once, with no copy.
+* Any other block tests first.  Step ``t`` reads only its window row
+  and the block's own posts into it, from earlier steps by a delay below
+  the block's length.  Where there are such posts, the block copies its
+  rows and adds them in with one ``np.add.at`` in step order, so each
+  cell adds the same writes, in the same order, from the same value as
+  posting would; a block no longer than ``d_min`` has none and reads
+  the rows in place.  It then posts its kept steps once.
 
 The blocks of one steady chain, between two general steps, repeat the
 departures of the general step that starts it, so that step keeps what
@@ -444,8 +446,15 @@ class _Engine:
         self.block_cells = np.arange(self.block_cap)[:, None] * n + self.fleet_cell
         # a steady chain's posts, one row per step, filled as its blocks first reach them
         self.posts = np.empty(self.block_cells.shape)
-        # what a block's posts can reach, kept to undo them if it is cut
-        self.saved = np.empty((2, self.block_cap + depth - self.shortest, n))
+        # the posts a block can read, of delay below block_cap: step s of a
+        # block posts such a cell into row s + delay of its (count, 2, n) arrivals
+        fleet, cell = np.divmod(self.fleet_cell, self.cal[0].size)
+        near = np.flatnonzero(cell < self.block_cap * n)
+        self.near_row = np.arange(self.block_cap)[:, None] + cell[near] // n
+        self.near_offset = self.near_row * 2 * n + (fleet * n + cell % n)[near]
+        self.near_cell = np.broadcast_to(near, self.near_row.shape)
+        # per block length: offsets and cells of the posts that land in its arrivals, in step order
+        self.inside = {}
         # a step's departures per leg: customer trips plus rebalancing on
         # every vehicle leg, then rebalancing plus return rides on the support
         self.dep = np.empty(legs.tail.size + self.sup.size)
@@ -536,15 +545,6 @@ class _Engine:
             self.h_out, self.queue_step = h * out, np.where(after[0], 0.0, queue_in)
             self.filled, self.chain_start = 0, self.step_index - 1
 
-    def _post(self, flat: np.ndarray, steps: int) -> None:
-        """Adds ``steps`` steps of the chain's posts into the window from ``flat`` on, in step order."""
-        if steps > self.filled:
-            self.posts[self.filled : steps] = self.by_cell
-            self.filled = steps
-        # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to
-        # the wrong cells; add.at adds repeated cells one at a time, in step order
-        np.add.at(flat, self.block_cells[:steps].reshape(-1), self.posts[:steps].reshape(-1))
-
     def repeat(self, levels: np.ndarray, moved: np.ndarray) -> int:
         """Advance up to ``count <= block_cap`` steps that repeat a steady step's departures.
 
@@ -563,30 +563,28 @@ class _Engine:
         ``t`` holds the same floats at every step: each step's arrivals
         are the current row, and ``m`` steps on the live rows are what
         they were, so the block posts nothing and only moves ``base`` on
-        by ``m``.  A block no longer than ``d_min`` reads none of its own
-        posts, which land ``d_min`` or more steps on, so it tests first and
-        then posts its kept steps once.  A longer one posts all its steps
-        first and, if cut, puts back a copy of the rows it posted to and
-        posts its kept steps.
+        by ``m``.  Any other block tests first: step ``t`` reads its row
+        plus the block's posts into it of delay below ``count - t``, which
+        it adds into a copy of its rows in step order, as posting would,
+        and then posts its ``m`` kept steps once.
         """
         h, k, cal = self.h, self.step_index, self.cal
         count = len(levels) - 1
         stationary = k - self.chain_start >= self.legs.depth
-        # later steps of a block longer than d_min read its earlier posts
-        posts_first = not stationary and count > self.shortest
         if stationary:
             # every step arrives at the current row's floats
             arrive = np.broadcast_to(cal[:, k - self.base], (count, 2, self.n))
         else:
             row = self._row(count)
-            flat = cal.reshape(-1)[row * self.n :]
-            if posts_first:
-                reach = slice(row + self.shortest, row + count + self.legs.depth)
-                saved = self.saved[:, : reach.stop - reach.start]
-                saved[:] = cal[:, reach]
-                self._post(flat, count)
-            # step t's row only gets posts from the block's steps before t
             arrive = cal[:, row : row + count].swapaxes(0, 1)
+            if count not in self.inside:
+                lands = self.near_row[:count] < count
+                self.inside[count] = (self.near_offset[:count][lands], self.near_cell[:count][lands])
+            inside, cells = self.inside[count]
+            if inside.size:
+                # step t's row plus the block's earlier posts into it, added in step order as posting adds them
+                arrive = arrive.copy()
+                np.add.at(arrive.reshape(-1), inside, self.by_cell[cells])
         net_in = arrive - self.out_f
         levels[1:, 0] = self.queue_step
         np.multiply(net_in, h, out=levels[1:, 1:])
@@ -615,12 +613,13 @@ class _Engine:
         if stationary:
             # the live rows hold the same floats m steps on
             self.base += m
-        elif not posts_first:
-            self._post(flat, m)
-        elif m < count:
-            # undo the block's posts, then post its kept steps only
-            cal[:, reach] = saved
-            self._post(flat, m)
+        else:
+            if m > self.filled:
+                self.posts[self.filled : m] = self.by_cell
+                self.filled = m
+            # flat indices and values: numpy 2.4 adds a broadcast ``by_cell`` to
+            # the wrong cells; add.at adds repeated cells one at a time, in step order
+            np.add.at(cal.reshape(-1)[row * self.n :], self.block_cells[:m].reshape(-1), self.posts[:m].reshape(-1))
         self.levels[:] = levels[m]
         self.moved[:] = moved[m]
         self.step_index = k + m

@@ -76,8 +76,8 @@ def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):
     assert row["sim_probe_blocks"] > 0
     # the probe's trace alone, (steps + 1) x 3 x n level floats, is in the traced peak
     assert row["sim_probe_peak_mb"] * 2**20 > (row["sim_probe_steps"] + 1) * 3 * 25 * 8
-    # every calendar-sized array of the probe's engine: the window, the
-    # copy a block keeps, and a longest block's post offsets and values
+    # every calendar-sized array of the probe's engine: the window and a
+    # longest block's post offsets and values
     net = scale.generate_instance(25, scale.SEED)
     a = scale.solve_rebalancing(net).assignment
     state = scale.equilibrium_state(
@@ -86,7 +86,7 @@ def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):
     engine = scale._Engine(net, a.vehicle_rates, a.driver_rates, state)
     # an int64 offset and a float per cell that a longest block posts
     posts = engine.block_cap * engine.fleet_cell.size * (8 + 8)
-    assert row["sim_calendar_bytes"] == engine.cal.nbytes + engine.saved.nbytes + posts
+    assert row["sim_calendar_bytes"] == engine.cal.nbytes + posts
     assert row["infeasible_witness"] is True
     # a generated (metric) vehicle program needs one column-generation round
     assert row["alpha_lp_rounds"] == 1

@@ -530,15 +530,20 @@ def draining_drivers(drivers):
     return net, alpha, beta, init
 
 
-def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch):
-    # from 20 idle drivers the first clamp comes 66 steps in: the third
-    # block, 40 steps long, keeps 35.  The dropped steps' departures would
+@pytest.mark.parametrize("drivers,kept,first_zero", [(20.0, 35, 69.0), (9.45, 0, 34.0), (21.15, 39, 73.0)])
+def test_a_long_block_cut_short_posts_only_its_kept_steps(monkeypatch, drivers, kept, first_zero):
+    # r_0 falls by 0.3 a step, and a step that starts it below 0.3 clamps.
+    # From 20 idle drivers the first clamp comes 66 steps in, so the third
+    # block, steps 31 to 70, keeps 35; from 9.45 it keeps none, and from
+    # 21.15 all but its last.  Its steps read the posts of delay 10 that
+    # its earlier steps make, and the dropped steps' departures would
     # arrive 10 to 40 steps later, inside the horizon.
-    net, alpha, beta, init = draining_drivers(20.0)
+    net, alpha, beta, init = draining_drivers(drivers)
     with recorded_blocks(monkeypatch) as blocks:
         trace, _ = assert_same_run(monkeypatch, net, alpha, beta, init, 120.0)
-    assert [(start, count, kept) for _, start, count, kept in blocks[:3]] == [(1, 10, 10), (11, 20, 20), (31, 40, 35)]
-    assert np.nanmin(trace.first_zero) == trace.first_zero[2, 0] == 69.0
+    assert [(start, count, m) for _, start, count, m in blocks[:3]] == [(1, 10, 10), (11, 20, 20), (31, 40, kept)]
+    assert blocks[0][0].shortest == 10
+    assert np.nanmin(trace.first_zero) == trace.first_zero[2, 0] == first_zero
 
 
 Block = collections.namedtuple("Block", "start count kept into window_before base_before window_after base_after")
@@ -734,6 +739,7 @@ def test_a_block_ends_where_the_drain_rate_reaches_mu(monkeypatch):
     assert trace.zero_hits.sum() == trace.zero_hits[0, 0] == 1
     assert np.array_equal(trace.time_at_zero, [[20.0, 30.0], [0.0, 0.0], [0.0, 0.0]])
     assert general <= 3
+
 
 @pytest.mark.parametrize("n,seed", [(8, 5), (12, 3)])
 def test_blocks_never_exceed_the_calendar_sized_cap(make_instance, monkeypatch, n, seed):
