@@ -60,7 +60,7 @@ floats as single steps, bit for bit:
 * ``np.add.at`` posts a block's kept steps into the window in step
   order, and a cell gets at most one write per step, so each cell adds
   its writes in the order the steps make them, from the 0.0 a row past
-  the live ones holds.  A step's arrivals are its window row, which only
+  the live ones holds.  A step's arrivals are its row, which only
   earlier steps write;
 * one ``np.add.accumulate`` over the block's per-step level changes (and
   one over its in-transit changes) adds them in step order, as the steps
