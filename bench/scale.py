@@ -43,18 +43,21 @@ stations (``generate_instance(n, SEED)``):
   both calendars, and the cell offsets and values of a longest block's
   posts;
 * ``sweep``: one ``run_sweep`` of ``SWEEP_TRIALS`` instances at size n,
-  each solved at the taxi fractions ``SWEEP_F_VALUES``, in one process,
-  for n <= ``SWEEP_MAX_N`` only;
+  each solved at the taxi fractions ``SWEEP_F_VALUES``, on one worker
+  thread, for n <= ``SWEEP_MAX_N`` only; ``sweep_workers`` is the same
+  sweep on ``SWEEP_WORKERS`` worker threads;
 
 plus ``fresh_import_cli``, the wall time of a new process that runs
-``import fleetbalance.cli``, and ``fresh_solve_cli``, a new process that
+``import fleetbalance.cli``; ``fresh_solve_cli``, a new process that
 does what ``fleetbalance solve`` does at n = ``SOLVE_N``, split into its
 phases: ``import_cli`` (``import fleetbalance.cli``), ``import_highs``
 (the first import of the HiGHS binding the solver calls), ``load``,
 ``solve`` and ``save``; ``process`` is that process's wall time seen
-from outside, interpreter start-up included.  Each figure is the median
-of ``REPEATS`` calls (one for a probe above ``SIM_MAX_N``), after one
-untimed call that pays lazy imports.
+from outside, interpreter start-up included; and ``fresh_sweep_cli``,
+the wall time of a new process running ``python -m fleetbalance.cli
+sweep --workers SWEEP_WORKERS`` on ``FRESH_SWEEP_CONFIG``.  Each figure
+is the median of ``REPEATS`` calls (one for a probe above
+``SIM_MAX_N``), after one untimed call that pays lazy imports.
 The output, ``BENCH_<label>.json``, also records the machine, the
 Python, numpy and scipy versions, the git commit of the checkout
 measured, ``src_lines``, the ``wc -l`` total of its
@@ -85,6 +88,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from importlib import metadata
 from logging.handlers import BufferingHandler
 from pathlib import Path
@@ -131,6 +135,8 @@ CALENDAR_ARRAYS = ("cal", "block_cells", "posts")
 SWEEP_MAX_N = 50
 SWEEP_TRIALS = 4
 SWEEP_F_VALUES = (1.0, 2.0)
+SWEEP_WORKERS = 2
+FRESH_SWEEP_CONFIG = {"sizes": [10, 25, 50], "trials_per_size": 8, "base_seed": 7}
 
 # the phases of `fleetbalance solve --instance argv[1] --out argv[2]`,
 # timed inside one fresh interpreter; prints them in ms as one JSON object
@@ -256,6 +262,8 @@ def layers(n: int) -> dict:
     if n <= SWEEP_MAX_N:
         sweep = SweepConfig(sizes=(n,), trials_per_size=SWEEP_TRIALS, base_seed=SEED, f_values=SWEEP_F_VALUES)
         row["sweep"] = median_ms(lambda: run_sweep(sweep))
+        threaded = replace(sweep, workers=SWEEP_WORKERS)
+        row["sweep_workers"] = median_ms(lambda: run_sweep(threaded))
     return row
 
 
@@ -278,6 +286,18 @@ def fresh_solve_ms() -> dict:
             runs.append(dict(json.loads(done.stdout), process=1e3 * (time.perf_counter() - started)))
     runs = runs[1:]
     return {"n": SOLVE_N, **{k: round(statistics.median(r[k] for r in runs), 4) for k in runs[0]}}
+
+
+def fresh_sweep_ms() -> float:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "sweep.json"
+        config.write_text(json.dumps(FRESH_SWEEP_CONFIG))
+        command = [
+            sys.executable, "-m", "fleetbalance.cli", "sweep",
+            "--config", str(config), "--out-dir", str(Path(tmp) / "out"), "--workers", str(SWEEP_WORKERS),
+        ]
+        return median_ms(lambda: subprocess.run(command, env=env, check=True, timeout=300, capture_output=True))
 
 
 def git_commit() -> dict:
@@ -348,6 +368,7 @@ def main(argv=None) -> int:
         "unit": "ms, median of repeats",
         "fresh_import_cli": fresh_import_ms(),
         "fresh_solve_cli": fresh_solve_ms(),
+        "fresh_sweep_cli": fresh_sweep_ms(),
         "layers": {},
     }
     for n in SIZES:

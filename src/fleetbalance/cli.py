@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="fleet sizing across network sizes x taxi fractions")
     sweep.add_argument("--config", type=Path, default=None, help="JSON sweep config")
     sweep.add_argument("--out-dir", type=Path, required=True)
-    sweep.add_argument("--workers", type=int, default=None)
+    sweep.add_argument("--workers", type=int, default=None, help="worker threads in this process")
     return parser
 
 

@@ -10,9 +10,10 @@ Each trial generates the instance and solves its vehicle program
 once, then solves the driver program at each taxi fraction.
 Each trial derives its seed as ``base_seed * 10000 + size * 100 +
 trial``, so any row can be regenerated in isolation.  Trials are
-independent; with ``workers > 1`` they run in a process pool and are
+independent; they run on ``workers`` threads of the calling process,
+each solving on its own HiGHS object (``mincostflow._solver``), and are
 re-assembled in deterministic order.  Identical configs produce
-byte-identical CSV files.
+byte-identical CSV files for any ``workers``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class SweepConfig:
     base_seed: int = 0
     f_values: tuple[float, ...] = (1.0,)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    workers: int = 1
+    workers: int = 1  # threads in this process that run trials; rows do not depend on it
 
     def __post_init__(self):
         for name, minimum in (("trials_per_size", 1), ("base_seed", None), ("workers", 1)):
@@ -194,20 +195,18 @@ def _trial(args) -> list[TrialRow]:
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Run :func:`_trial` on every (size, trial) cell, in a process pool when ``workers > 1``.
+    """Run :func:`_trial` on every (size, trial) cell, on ``workers`` threads of this process.
 
-    Rows are grouped by taxi fraction (column-major over trials, for
-    readable CSVs), then in (size, trial) order.
+    HiGHS releases the GIL while it solves, so the threads' LPs run in
+    parallel.  Rows are grouped by taxi fraction (column-major over
+    trials, for readable CSVs), then in (size, trial) order.
     """
-    specs = [(config, size, trial) for size in config.sizes for trial in range(config.trials_per_size)]
-    if config.workers > 1:
-        # imported here: every CLI command imports this module, few run a pool
-        from concurrent.futures import ProcessPoolExecutor
+    # imported here: every CLI command imports this module, few run a sweep
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_trial = list(pool.map(_trial, specs))
-    else:
-        per_trial = [_trial(s) for s in specs]
+    specs = [(config, size, trial) for size in config.sizes for trial in range(config.trials_per_size)]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        per_trial = list(pool.map(_trial, specs))
     rows = [trial_rows[k] for k in range(len(config.f_values)) for trial_rows in per_trial]
     return SweepReport(config=config, rows=rows)
 

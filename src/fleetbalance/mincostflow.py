@@ -13,7 +13,10 @@ Each thread keeps one HiGHS object (:func:`_solver`, a
 options are set once, when it is built, and never changed.  Every solve
 passes its model to the object and clears it once the status, solution
 or ray is read, so no basis, solution or model outlives a solve.  Building and configuring the object cost about as
-much as solving an n=10 LP; reusing it saves that on every LP.
+much as solving an n=10 LP; reusing it saves that on every LP.  The
+worker threads of ``experiments.run_sweep`` are the threads that own
+these objects: each trial solves on its thread's own object, and HiGHS
+releases the GIL in ``run``, so the threads' LPs run in parallel.
 
 The equality constraints are the node-arc incidence matrix (+1 at an
 arc's tail, -1 at its head), passed column-wise, against the supplies;

@@ -70,7 +70,7 @@ def test_scale_layers_run_and_count_the_probe(scale, monkeypatch):
         "sim_probe", "sim_probe_steps", "sim_probe_general_steps", "sim_probe_blocks", "sim_calendar_bytes",
         "sim_probe_peak_mb",
     }
-    assert sim_keys | {"sweep"} <= row.keys()
+    assert sim_keys | {"sweep", "sweep_workers"} <= row.keys()
     # the patched engine methods pass through: a probe runs general steps and blocks
     assert 0 < row["sim_probe_general_steps"] < row["sim_probe_steps"]
     assert row["sim_probe_blocks"] > 0

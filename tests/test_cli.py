@@ -461,8 +461,11 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds ~0.3 s and 16 MB to a fresh process; the flow
     # solver imports it on first use, so commands that never solve skip it.
     # scipy.sparse (~0.4 s with csgraph) is not imported by the package at all.
-    # Nor is the process pool, which only a sweep with workers > 1 starts.
-    heavy = ("scipy.optimize", "scipy.sparse", "multiprocessing", "concurrent.futures.process")
+    # No command starts a process pool, and the thread pool is imported by
+    # the sweep itself, so a command that runs no sweep skips it too.
+    heavy = (
+        "scipy.optimize", "scipy.sparse", "multiprocessing", "concurrent.futures.process", "concurrent.futures.thread"
+    )
     code = f"import sys, fleetbalance.cli; print(*(m in sys.modules for m in {heavy!r}))"
     src = Path(fleetbalance.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -473,4 +476,4 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         timeout=120,
         check=True,
     )
-    assert done.stdout.split() == ["False"] * 4
+    assert done.stdout.split() == ["False"] * len(heavy)

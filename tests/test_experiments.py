@@ -1,10 +1,12 @@
 import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fleetbalance import experiments, rebalance
+from fleetbalance import experiments, mincostflow, rebalance
 from fleetbalance.errors import RebalanceInfeasibleError, ValidationError
 from fleetbalance.experiments import (
     ROW_FIELDS,
@@ -99,14 +101,41 @@ def _failing_trial(args):
     raise RuntimeError("trial failed")
 
 
+def _refuse_fork():
+    raise OSError("fork refused")
+
+
 def test_parallel_sweep_leaves_no_process_running(monkeypatch):
+    threads = threading.enumerate()
+    # workers are threads of this process: a sweep needs no fork
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     run_sweep(small_station_config(workers=2))
     assert multiprocessing.active_children() == []
+    assert threading.enumerate() == threads
     # patched before the pool starts, so its workers run the failing trial
     monkeypatch.setattr(experiments, "_trial", _failing_trial)
     with pytest.raises(RuntimeError, match="trial failed"):
         run_sweep(small_station_config(workers=2))
     assert multiprocessing.active_children() == []
+    assert threading.enumerate() == threads
+
+
+def test_sweep_workers_build_their_own_solvers(monkeypatch):
+    builders = []
+    new_solver = mincostflow._new_solver
+
+    def recording_new_solver():
+        builders.append(threading.get_ident())
+        return new_solver()
+
+    monkeypatch.setattr(mincostflow, "_new_solver", recording_new_solver)
+    config = SweepConfig(sizes=(5,), trials_per_size=3, workers=8)
+    rows = run_sweep(config).rows
+    # the pool starts a thread only when no idle one can take a trial, and
+    # each thread that runs a trial builds its own HiGHS object on its first LP
+    assert 1 <= len(builders) <= 3
+    assert threading.get_ident() not in builders
+    assert rows == run_sweep(replace(config, workers=1)).rows
 
 
 def test_station_sweep_requires_full_taxi_fraction():
